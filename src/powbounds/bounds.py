@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .distributions import (
     PowerSeries,
@@ -34,7 +34,13 @@ from .distributions import (
 )
 from .errors import BracketError, InfeasibleParametersError
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Coarse cells over (0, u0) in the Chernoff-rate minimizations, and points
+# either side of the incumbent in each refinement pass.
+_GRID_CELLS = 512
+_REFINE = 128
+
+# Latest whole-second latency (s) invert_latency searches; past it, BracketError.
+_LATENCY_HORIZON = 600 * 2**30
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,13 @@ def zero_delay_upper(params: ProtocolParams, t: float) -> BoundResult:
     return BoundResult.from_raw(raw)
 
 
+def _zero_delay_upper_crossing(params: ProtocolParams, eps: float) -> float:
+    """Real t (s) where zero_delay_upper reaches eps, in closed form."""
+    _require_minority(params)
+    a, b = params.alpha, params.beta
+    return (2.0 * math.log1p(math.sqrt(b / a)) - math.log(eps)) / (math.sqrt(a) - math.sqrt(b)) ** 2
+
+
 def zero_delay_lower(params: ProtocolParams, t: float, k_max: int = 512) -> BoundResult:
     """Success probability of the private attack with zero delay (unachievable level).
 
@@ -162,38 +175,33 @@ def _g_norm(u, a):
     return u * u - a * u - a * u * np.exp(u - a) + a * a * np.exp(2.0 * (u - a))
 
 
+def _g_scalar(u: float, a: float) -> float:
+    """Scalar form of ``_g_norm`` for the root polish."""
+    return u * u - a * u - a * u * math.exp(u - a) + a * a * math.exp(2.0 * (u - a))
+
+
+# Root-search grid on (0, 1), scaled by a: uniform, plus a geometric approach
+# to 1 where the dip below the root narrows.
+_ROOT_GRID = np.unique(
+    np.concatenate([np.linspace(0.0, 1.0, 8193)[1:-1], 1.0 - 0.5 ** np.arange(1, 53)])
+)
+
+
 def _smallest_root_norm(a: float) -> float:
     """Smallest positive zero of g_a on (0, a].
 
     g_a(0) > 0 and g_a(a) = 0 with positive slope, so the first zero sits at
     the left edge of a narrow negative dip just below a (width of order a^2
     for small a).  A uniform grid alone can miss it, hence the geometric
-    refinement toward a.
+    refinement toward a.  Brent's method polishes the first sign change.
     """
-    grid = np.unique(
-        np.concatenate(
-            [
-                np.linspace(0.0, a, 8193)[1:-1],
-                a * (1.0 - 0.5 ** np.arange(1, 53)),
-            ]
-        )
-    )
-    vals = _g_norm(grid, a)
-    neg = np.flatnonzero(vals < 0.0)
+    grid = a * _ROOT_GRID
+    neg = np.flatnonzero(_g_norm(grid, a) < 0.0)
     if neg.size == 0:
         return a
     i = neg[0]
     lo = grid[i - 1] if i > 0 else 0.0
-    hi = grid[i]
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _g_norm(mid, a) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return optimize.brentq(_g_scalar, lo, grid[i], args=(a,), xtol=1e-15 * a)
 
 
 def _zeta_norm(u, a):
@@ -275,7 +283,8 @@ def renewal_race_bound(mgf: Mgf, beta: float, spec: RaceSpec, u: float) -> Bound
     return BoundResult.from_raw(raw, optimizer_v=u)
 
 
-def _delay_feasible(params: ProtocolParams):
+def _delay_norm(params: ProtocolParams):
+    """Normalized rates a, b and MGF convergence limit u0 of a feasible delay model."""
     if params.delta <= 0:
         raise ValueError("delay-bound theorems require delta > 0; use the zero-delay forms")
     a, b, d = params.alpha, params.beta, params.delta
@@ -284,6 +293,7 @@ def _delay_feasible(params: ProtocolParams):
             "requires beta < alpha * exp(-2 alpha delta) "
             f"(beta={b}, alpha*exp(-2 alpha delta)={a * math.exp(-2.0 * a * d)})"
         )
+    return a * d, b * d, _smallest_root_norm(a * d)
 
 
 def _delay_log_objective(u, a, b, u0):
@@ -306,100 +316,86 @@ def _delay_log_objective(u, a, b, u0):
     return log_c2, psi
 
 
+def _grid_minimize(f, hi):
+    """Minimize the vectorized objective f over (0, hi); returns (u, f(u)).
+
+    f returns nan outside (0, hi) and at inadmissible points.  A grid of
+    _GRID_CELLS cells finds the basin.  Each refinement pass then evaluates a
+    finer grid spanning one old spacing either side of the incumbent, with the
+    incumbent itself as its middle point, so the best value never worsens.
+    """
+    us = hi * np.arange(1, _GRID_CELLS) / _GRID_CELLS
+    vals = f(us)
+    if np.isnan(vals).all():
+        raise BracketError("no admissible point for the Chernoff-rate optimization")
+    i = int(np.nanargmin(vals))
+    u, val = us[i], vals[i]
+    offsets = np.arange(-_REFINE, _REFINE + 1) / _REFINE
+    step = hi / _GRID_CELLS
+    while step > 1e-12 * hi:
+        xs = u + step * offsets
+        vals = f(xs)
+        i = int(np.nanargmin(vals))
+        u, val = xs[i], vals[i]
+        step /= _REFINE
+    return float(u), float(val)
+
+
 def delay_upper_objective(params: ProtocolParams, v: float, t: float) -> float:
     """The per-v objective c^2(v) exp(-(v - eta(v) beta) t) of the delay-bound theorem."""
-    _delay_feasible(params)
-    a, b, d = params.alpha * params.delta, params.beta * params.delta, params.delta
-    u0 = _smallest_root_norm(a)
+    a, b, u0 = _delay_norm(params)
+    d = params.delta
     log_c2, psi = _delay_log_objective(np.array([v * d]), a, b, u0)
     if math.isnan(log_c2[0]):
         raise ValueError(f"v={v} is outside the admissible interval")
     return float(np.exp(log_c2[0] - psi[0] * (t / d)))
 
 
-def _minimize_log_objective(a, b, u0, tau):
-    """Coarse grid plus golden-section refinement of log c^2(u) - psi(u) tau."""
-    us = u0 * np.arange(1, 512) / 512.0
-    log_c2, psi = _delay_log_objective(us, a, b, u0)
-    obj = log_c2 - psi * tau
-    finite = np.isfinite(obj)
-    if not finite.any():
-        raise BracketError("no admissible point for the delay-bound optimization")
-    i = int(np.nanargmin(np.where(finite, obj, np.nan)))
-
-    def f(u):
-        lc, ps = _delay_log_objective(np.array([u]), a, b, u0)
-        val = lc[0] - ps[0] * tau
-        return val if math.isfinite(val) else math.inf
-
-    lo = us[i - 1] if i > 0 else 0.0
-    hi = us[i + 1] if i < us.size - 1 else u0
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(100):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-        if hi - lo <= 1e-12 * u0:
-            break
-    u_best = x1 if f1 <= f2 else x2
-    return u_best, min(f1, f2)
-
-
 def delay_upper(params: ProtocolParams, t: float) -> BoundResult:
     """Achievable security level with propagation delay (minimized over the Chernoff rate)."""
-    _delay_feasible(params)
+    a, b, u0 = _delay_norm(params)
     d = params.delta
-    a, b = params.alpha * d, params.beta * d
-    u0 = _smallest_root_norm(a)
-    u_best, log_obj = _minimize_log_objective(a, b, u0, t / d)
+    tau = t / d
+
+    def objective(u):
+        log_c2, psi = _delay_log_objective(u, a, b, u0)
+        return log_c2 - psi * tau
+
+    u_best, log_obj = _grid_minimize(objective, u0)
+    if u_best <= u0 / _GRID_CELLS:
+        # In the first cell the objective is roundoff (~1e-8) around its u -> 0
+        # limit 0, the bound's infimum there; report that limit (raw 1), which
+        # keeps the bound valid and non-increasing in t.
+        u_best, log_obj = 0.0, 0.0
     raw = math.exp(log_obj) if log_obj < 700 else math.inf
     return BoundResult.from_raw(raw, optimizer_v=u_best / d, theta=u0 / d)
 
 
 def delay_upper_universal(params: ProtocolParams, t: float) -> BoundResult:
     """Weaker t-independent-exponent variant: evaluates at the u maximizing u - eta(u) beta."""
-    _delay_feasible(params)
+    a, b, u0 = _delay_norm(params)
     d = params.delta
-    a, b = params.alpha * d, params.beta * d
-    u0 = _smallest_root_norm(a)
-
-    def neg_psi(u):
-        _, psi = _delay_log_objective(np.array([u]), a, b, u0)
-        return -psi[0] if math.isfinite(psi[0]) else math.inf
-
-    us = u0 * np.arange(1, 512) / 512.0
-    _, psis = _delay_log_objective(us, a, b, u0)
-    if not np.isfinite(psis).any():
-        raise BracketError("no admissible point for the exponent maximization")
-    i = int(np.nanargmax(np.where(np.isfinite(psis), psis, np.nan)))
-    lo = us[i - 1] if i > 0 else 0.0
-    hi = us[i + 1] if i < us.size - 1 else u0
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = neg_psi(x1), neg_psi(x2)
-    for _ in range(100):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = neg_psi(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = neg_psi(x2)
-        if hi - lo <= 1e-12 * u0:
-            break
-    u_best = x1 if f1 <= f2 else x2
+    u_best, _ = _grid_minimize(lambda u: -_delay_log_objective(u, a, b, u0)[1], u0)
     log_c2, psi = _delay_log_objective(np.array([u_best]), a, b, u0)
     log_obj = log_c2[0] - psi[0] * (t / d)
     raw = math.exp(log_obj) if log_obj < 700 else math.inf
     return BoundResult.from_raw(raw, optimizer_v=u_best / d, theta=u0 / d)
+
+
+def _delay_upper_crossing(params: ProtocolParams, eps: float) -> float:
+    """Real t (s) where delay_upper reaches eps: delta * min_u (log c^2(u) - log eps) / psi(u).
+
+    delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
+    u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
+    """
+    a, b, u0 = _delay_norm(params)
+    log_eps = math.log(eps)
+
+    def ratio(u):
+        log_c2, psi = _delay_log_objective(u, a, b, u0)
+        return (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
+
+    return _grid_minimize(ratio, u0)[1] * params.delta
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +502,47 @@ def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     lam = params.total_rate * tau
-    k = 1
     cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 1000)
+    k, block = 1, 64
     while k <= cap:
-        if special.gammainc(k, lam) <= eps:  # upper Poisson tail P(X >= k)
-            return k
-        k += 1
+        ks = np.arange(k, min(k + block, cap + 1))
+        hit = np.flatnonzero(special.gammainc(ks, lam) <= eps)  # upper Poisson tail P(X >= k)
+        if hit.size:
+            return int(ks[hit[0]])
+        k += block
+        block = min(2 * block, 4096)
     raise BracketError("confirmation depth search did not terminate")
+
+
+def _smallest_true(ok: Callable[[int], bool], start: int) -> int:
+    """Smallest t in [1, _LATENCY_HORIZON] with ok(t), for ok monotone in t.
+
+    Steps outward from start in doubling strides until ok changes, then
+    bisects; a start at the answer costs two calls (start and start - 1).
+    """
+    step = 1
+    if ok(start):
+        hi = start
+        lo = max(hi - step, 0)
+        while lo > 0 and ok(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        lo = start
+        while True:
+            if lo >= _LATENCY_HORIZON:
+                raise BracketError("latency target unreachable within the search horizon")
+            hi = min(lo + step, _LATENCY_HORIZON)
+            if ok(hi):
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:  # ok(hi); lo == 0 or not ok(lo)
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def invert_latency(
@@ -520,23 +550,20 @@ def invert_latency(
     params: ProtocolParams,
     eps: float,
 ) -> int:
-    """Smallest whole-second latency t with bound_fn(params, t).probability <= eps."""
+    """Smallest whole-second latency t with bound_fn(params, t).probability <= eps.
+
+    For delay_upper and zero_delay_upper the real crossing t* is solved
+    directly and the search starts at ceil(t*), so it usually confirms
+    bound_fn(t) <= eps < bound_fn(t - 1) in two evaluations; other bounds
+    start at 600 s.  Raises BracketError past 600 * 2^30 s.
+    """
     if not 0 < eps < 1:
         raise ValueError(f"target level must be in (0,1), got {eps}")
-
-    def f(t):
-        return bound_fn(params, t).probability
-
-    hi = 600
-    while f(hi) > eps:
-        hi *= 2
-        if hi > 2**40:
-            raise BracketError("latency target unreachable within the search horizon")
-    lo = 0  # f may already be <= eps at tiny t
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if bound_fn is delay_upper:
+        t_star = _delay_upper_crossing(params, eps)
+    elif bound_fn is zero_delay_upper:
+        t_star = _zero_delay_upper_crossing(params, eps)
+    else:
+        t_star = 600.0
+    start = math.ceil(min(max(t_star, 1.0), float(_LATENCY_HORIZON)))
+    return _smallest_true(lambda t: bound_fn(params, t).probability <= eps, start)

@@ -104,11 +104,16 @@ def _bound_record(kind: str, res) -> dict:
     }
 
 
+def _upper(params):
+    """The achievable bound for these parameters: zero-delay form when delta = 0."""
+    return bounds.zero_delay_upper if params.delta == 0 else bounds.delay_upper
+
+
 def cmd_bound(args) -> int:
     params = _params_from(args)
     t = parse_time(args.t)
     if args.kind == "upper":
-        res = bounds.zero_delay_upper(params, t) if params.delta == 0 else bounds.delay_upper(params, t)
+        res = _upper(params)(params, t)
     elif args.kind == "lower":
         res = bounds.zero_delay_lower(params, t) if params.delta == 0 else bounds.delay_lower(params, t)
     else:  # upper-universal
@@ -127,10 +132,9 @@ def cmd_latency(args) -> int:
         raise SchemaError(f"--level must be in (0,1), got {args.level}")
     if not 0 < args.split < 1:
         raise SchemaError(f"--split must be in (0,1), got {args.split}")
-    upper = bounds.zero_delay_upper if params.delta == 0 else bounds.delay_upper
     eps_time = args.split * args.level
     eps_depth = (1.0 - args.split) * args.level
-    t = bounds.invert_latency(upper, params, eps_time)
+    t = bounds.invert_latency(_upper(params), params, eps_time)
     depth = bounds.depth_from_time(params, t, eps_depth)
     _emit(
         {
@@ -160,7 +164,7 @@ def _parse_grid(text: str):
 
 def _try_latency(params, level):
     try:
-        return bounds.invert_latency(bounds.delay_upper, params, level)
+        return bounds.invert_latency(_upper(params), params, level)
     except (InfeasibleParametersError, bounds.BracketError):
         return None
 
@@ -172,7 +176,7 @@ def cmd_sweep(args) -> int:
         params = _params_from(args)
         kinds = args.bounds.split(",")
         fn = {
-            "upper": bounds.zero_delay_upper if params.delta == 0 else bounds.delay_upper,
+            "upper": _upper(params),
             "lower": bounds.zero_delay_lower if params.delta == 0 else bounds.delay_lower,
             "upper-universal": (
                 bounds.zero_delay_upper if params.delta == 0 else bounds.delay_upper_universal

@@ -1,10 +1,15 @@
 """Analytic bounds against frozen high-precision oracles and structure checks."""
 
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
+from powbounds import bounds
 from powbounds.bounds import (
     BoundResult,
     ProtocolParams,
@@ -28,6 +33,7 @@ from powbounds.bounds import (
     zero_delay_upper,
 )
 from powbounds.errors import BracketError, InfeasibleParametersError
+from powbounds.protocols import default_config_path, load_config, protocol_delay
 
 BITCOIN_10 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.10, 10.0)
 BITCOIN_25 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.25, 10.0)
@@ -214,6 +220,16 @@ def test_delay_upper_decreasing_in_t():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("params", [BITCOIN_10, BITCOIN_25], ids=["10pct", "25pct"])
+def test_delay_upper_monotone_where_vacuous(params):
+    # near the u -> 0 edge the objective is roundoff around its limit 0; the
+    # bound must stay exactly 1 there instead of wobbling around it
+    vals = [delay_upper(params, float(t)).probability for t in range(900, 3601)]
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
+    first = next((i for i, v in enumerate(vals) if v < 1.0), len(vals))
+    assert all(v == 1.0 for v in vals[:first])
+
+
 # --- private-attack lower bound ------------------------------------------
 
 
@@ -276,6 +292,41 @@ def test_depth_from_time_worked_example():
     assert depth_from_time(p, 26.1 * 600.0, 0.0005) == 45
 
 
+def _depth_scalar(params, tau, eps):
+    """Reference: the one-k-at-a-time search that depth_from_time vectorizes."""
+    lam = params.total_rate * tau
+    k = 1
+    cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 1000)
+    while k <= cap:
+        if special.gammainc(k, lam) <= eps:
+            return k
+        k += 1
+    raise BracketError("confirmation depth search did not terminate")
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 7.3, 26.1, 100.0, 600.0, 2500.0, 1e4])
+def test_depth_from_time_matches_scalar_search(lam):
+    p = ProtocolParams(alpha=0.009, beta=0.001)
+    tau = lam / p.total_rate
+    for eps in (1e-2, 5e-4, 1e-6, 1e-9, 1e-12):
+        assert depth_from_time(p, tau, eps) == _depth_scalar(p, tau, eps)
+
+
+def test_depth_from_time_keeps_cap(monkeypatch):
+    # a tail that never falls to eps is searched up to the cap, then fails
+    seen = []
+
+    def never(k, lam):
+        seen.append(np.max(k))
+        return np.ones(np.shape(k))
+
+    monkeypatch.setattr(bounds, "special", types.SimpleNamespace(gammainc=never))
+    p = ProtocolParams(alpha=0.009, beta=0.001)
+    with pytest.raises(BracketError):
+        depth_from_time(p, 600.0 / p.total_rate, 1e-6)
+    assert max(seen) == int(600.0 + 60.0 * math.sqrt(601.0) + 1000)
+
+
 def test_depth_from_time_monotone_in_eps():
     p = BITCOIN_10
     d_loose = depth_from_time(p, 15000.0, 1e-2)
@@ -294,3 +345,87 @@ def test_invert_latency_unreachable():
     p = ProtocolParams(alpha=1.0, beta=0.999999)
     with pytest.raises(BracketError):
         invert_latency(zero_delay_upper, p, 1e-300)
+
+
+def _bisect_latency(bound_fn, params, eps):
+    """Reference: bracket by doubling from 600 s, then bisect on whole seconds."""
+    def f(t):
+        return bound_fn(params, t).probability
+
+    hi = 600
+    while f(hi) > eps:
+        hi *= 2
+        if hi > 2**40:
+            raise BracketError("latency target unreachable within the search horizon")
+    lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _same_latency(bound_fn, params, eps):
+    try:
+        want = _bisect_latency(bound_fn, params, eps)
+    except (InfeasibleParametersError, BracketError) as e:
+        with pytest.raises(type(e)):
+            invert_latency(bound_fn, params, eps)
+        return
+    assert invert_latency(bound_fn, params, eps) == want
+
+
+def _protocol_params(share):
+    specs, model = load_config(default_config_path())
+    return [
+        ProtocolParams.from_adversary_share(spec.total_rate, share, protocol_delay(spec, model))
+        for spec in specs
+    ]
+
+
+INVERSION_CASES = (
+    [(p, eps) for p in _protocol_params(0.25) for eps in (1e-3, 1e-6, 1e-9)]
+    + [(ProtocolParams.from_adversary_share(r / 3600.0, 0.25, 10.0), 1e-9) for r in range(10, 310, 10)]
+    + [(p, eps) for p in (BITCOIN_10, BITCOIN_25) for eps in (1e-3, 1e-6, 1e-9)]
+    + [
+        (ProtocolParams(alpha=ad / 10.0 * (1 - share), beta=ad / 10.0 * share, delta=10.0), eps)
+        for ad in (1e-4, 1e-3, 1e-2)
+        for share in (0.01, 0.2, 0.45)
+        for eps in (1e-3, 1e-9)
+    ]
+)
+
+
+@pytest.mark.parametrize("params,eps", INVERSION_CASES)
+def test_invert_latency_matches_bisection(params, eps):
+    _same_latency(delay_upper, params, eps)
+
+
+@pytest.mark.parametrize("share", [0.0, 0.1, 0.25, 0.45])
+def test_invert_latency_zero_delay_matches_bisection(share):
+    p = ProtocolParams.from_adversary_share(1.0 / 600.0, share, 0.0)
+    for eps in (0.5, 1e-3, 1e-9, 1e-15):
+        _same_latency(zero_delay_upper, p, eps)
+
+
+def test_invert_latency_other_bounds_search_from_600s():
+    _same_latency(delay_upper_universal, BITCOIN_10, 1e-6)
+    # a bound already below the level at 1 s
+    assert invert_latency(zero_delay_upper, ProtocolParams(alpha=50.0, beta=0.0), 1e-3) == 1
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    alpha_delta=st.floats(1e-4, 0.5),
+    share=st.floats(0.01, 0.45),
+    delta=st.floats(0.5, 100.0),
+    log10_eps=st.floats(-12.0, -2.0),
+)
+def test_invert_latency_matches_bisection_property(alpha_delta, share, delta, log10_eps):
+    alpha = alpha_delta / delta
+    beta = alpha * share / (1.0 - share)
+    if beta >= alpha * math.exp(-2.0 * alpha_delta):
+        return
+    _same_latency(delay_upper, ProtocolParams(alpha, beta, delta), 10.0**log10_eps)

@@ -4,8 +4,10 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
+from powbounds.bounds import ProtocolParams, invert_latency, zero_delay_upper
 from powbounds.cli import main, parse_rate, parse_time
 from powbounds.errors import SchemaError
 
@@ -131,6 +133,27 @@ def test_sweep_rate_emits_empty_cell_on_infeasible(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["latency_s"] and rows[1]["latency_s"]
     assert rows[2]["latency_s"] == ""  # 600/hour at 25% violates feasibility
+
+
+def test_sweeps_at_zero_delay_invert_the_zero_delay_bound(capsys):
+    code, out = run_cli(
+        capsys, "--format", "csv", "sweep", "--var", "rate", "--delta", "0",
+        "--grid", "6,60,600", "--level", "1e-9",
+    )
+    assert code == 0
+    for row in csv.DictReader(io.StringIO(out)):
+        p = ProtocolParams.from_adversary_share(float(row["x"]) / 3600.0, 0.1, 0.0)
+        assert int(row["latency_s"]) == invert_latency(zero_delay_upper, p, 1e-9)
+    code, out = run_cli(
+        capsys, "--format", "csv", "sweep", "--var", "throughput", "--delay-a", "0",
+        "--delay-b", "0", "--grid", "1,10", "--level", "1e-6",
+    )
+    assert code == 0
+    want = min(
+        invert_latency(zero_delay_upper, ProtocolParams.from_adversary_share(r / 3600.0, 0.1, 0.0), 1e-6)
+        for r in np.geomspace(6.0, 600.0, 80)
+    )
+    assert [int(r["latency_s"]) for r in csv.DictReader(io.StringIO(out))] == [want, want]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
