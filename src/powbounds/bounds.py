@@ -20,16 +20,11 @@ import numpy as np
 from scipy import optimize, special
 
 from .distributions import (
-    PowerSeries,
     erlang_ccdf_vec,
     erlang_cdf,
     geometric_sum_ccdf,
     log_poisson_pmf_vec,
-    poisson_pmf,
     series_div,
-    series_exp_affine,
-    series_from_poly,
-    series_mul,
     skellam_pmf,
 )
 from .errors import BracketError, InfeasibleParametersError
@@ -156,13 +151,10 @@ def zero_delay_lower(params: ProtocolParams, t: float, k_max: int = 512) -> Boun
     if b == 0:
         return BoundResult.from_raw(0.0)
     r = b / a
-    total = 0.0
-    last = 0.0
-    for k in range(k_max + 1):
-        last = skellam_pmf(k - 1, a * t, b * t) * geometric_sum_ccdf(k, r)
-        total += last
-    tail = last * r / (1.0 - r)  # geometric envelope on the discarded terms
-    return BoundResult.from_raw(total, truncation_tail=tail)
+    ks = np.arange(k_max + 1)
+    terms = skellam_pmf(ks - 1, a * t, b * t) * geometric_sum_ccdf(ks, r)
+    tail = terms[-1] * r / (1.0 - r)  # geometric envelope on the discarded terms
+    return BoundResult.from_raw(float(terms.sum()), truncation_tail=float(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -208,28 +200,6 @@ def _zeta_norm(u, a):
     """phi(u) - 1 for the inter-double-lagger MGF in normalized units."""
     u = np.asarray(u, dtype=float)
     return (a * u - u * u) / _g_norm(u, a)
-
-
-def g_denominator(v: float, params: ProtocolParams) -> float:
-    """Denominator of the delay-bound rate function, in original time units."""
-    a, d = params.alpha, params.delta
-    return v * v - a * v - a * v * math.exp((v - a) * d) + a * a * math.exp(2.0 * (v - a) * d)
-
-
-def find_theta(params: ProtocolParams) -> float:
-    """Smallest positive zero of ``g_denominator`` (per-second rate)."""
-    if params.delta == 0:
-        # g degenerates to (v - alpha)^2
-        return params.alpha
-    return _smallest_root_norm(params.alpha * params.delta) / params.delta
-
-
-def eta(v: float, params: ProtocolParams) -> float:
-    """Expected adversarial matching cost rate (alpha v - v^2) / g(v); domain (0, theta)."""
-    theta = find_theta(params)
-    if not 0 < v < theta:
-        raise ValueError(f"v must lie in (0, theta={theta}), got {v}")
-    return float(_zeta_norm(v * params.delta, params.alpha * params.delta))
 
 
 def double_lagger_mgf(alpha_norm: float) -> Mgf:
@@ -305,7 +275,7 @@ def _delay_log_objective(u, a, b, u0):
     with np.errstate(all="ignore"):
         z = _zeta_norm(u, a)
         w = z * b
-        ok = (u > 0) & (u < u0) & (z > 0) & (w > 0) & (w < u0)
+        ok = (u > 0) & (u < u0) & (z > 0) & (w >= 0) & (w < u0)
         zw = np.where(ok, _zeta_norm(np.where(ok, w, 0.5 * u0), a), np.nan)
         bracket = 1.0 / (1.0 + zw) - 1.0 / (1.0 + z)
         ok &= bracket > 0
@@ -342,7 +312,7 @@ def _grid_minimize(f, hi):
 
 
 def delay_upper_objective(params: ProtocolParams, v: float, t: float) -> float:
-    """The per-v objective c^2(v) exp(-(v - eta(v) beta) t) of the delay-bound theorem."""
+    """The per-v objective c^2(v) exp(-psi(v) t) of the delay-bound theorem, in seconds."""
     a, b, u0 = _delay_norm(params)
     d = params.delta
     log_c2, psi = _delay_log_objective(np.array([v * d]), a, b, u0)
@@ -372,7 +342,7 @@ def delay_upper(params: ProtocolParams, t: float) -> BoundResult:
 
 
 def delay_upper_universal(params: ProtocolParams, t: float) -> BoundResult:
-    """Weaker t-independent-exponent variant: evaluates at the u maximizing u - eta(u) beta."""
+    """Weaker t-independent-exponent variant: evaluates at the u maximizing psi(u)."""
     a, b, u0 = _delay_norm(params)
     d = params.delta
     u_best, _ = _grid_minimize(lambda u: -_delay_log_objective(u, a, b, u0)[1], u0)
@@ -417,17 +387,19 @@ def postmine_gain_pmf(params: ProtocolParams, n_max: int = 128) -> np.ndarray:
         raise InfeasibleParametersError(
             f"requires alpha - beta - alpha*beta*delta > 0 (normalized a-b-ab={a - b - a * b})"
         )
-    order = n_max + 1
-    num = series_from_poly([a - b - a * b, -(a - b - a * b)], order)
-    expo = series_exp_affine(b, -b, order)  # e^{(1-rho) b}
-    poly = series_from_poly([0.0, a + b, -b], order)  # (a+b-b rho) rho
-    den_coeffs = -series_mul(expo, poly).coeffs
-    den_coeffs[0] += a
-    xi = series_div(num, PowerSeries(den_coeffs))
-    q = np.empty(n_max + 1)
-    q[0] = xi.coeffs[0] + xi.coeffs[1]
-    q[1:] = xi.coeffs[2 : n_max + 2]
-    return q
+    size = n_max + 2  # coefficients of rho^0 .. rho^{n_max+1}
+    # e^{(1-rho) b} = e^b sum_n (-b)^n / n!, kept past `size` until the tail sums below converge
+    expo = np.cumprod(np.concatenate([[math.exp(b)], -b / np.arange(1, size + 40)]))
+    den = -np.convolve(expo, [0.0, a + b, -b])[: size + 40]  # -(a+b-b rho) rho e^{(1-rho) b}
+    den[0] += a
+    # den(1) = 0 cancels the numerator's 1 - rho: xi = (a-b-ab) / h with h = den / (1 - rho),
+    # h_n = -sum_{j>n} den_j.  Dividing by den itself turns its roundoff into a pole at
+    # rho = 1, an error of ~1e-16 that every coefficient keeps.
+    h = -np.cumsum(den[:0:-1])[::-1][:size]
+    unit = np.zeros(size)
+    unit[0] = 1.0
+    xi = (a - b - a * b) * series_div(unit, h)
+    return np.concatenate([[xi[0] + xi[1]], xi[2:]])
 
 
 def delay_lower(
@@ -467,10 +439,7 @@ def growth_bound(params: ProtocolParams, n: int, t: float) -> float:
     """Lower bound on P(every honest chain grows by >= n blocks over t seconds)."""
     if n < 1:
         raise ValueError(f"block count must be >= 1, got {n}")
-    x = t - (n + 1) * params.delta
-    if x <= 0:
-        return 0.0
-    return erlang_cdf(x, n, params.alpha)
+    return float(erlang_cdf(t - (n + 1) * params.delta, n, params.alpha))
 
 
 def liveness_bound(params: ProtocolParams, n: int, t: float) -> float:
@@ -479,20 +448,12 @@ def liveness_bound(params: ProtocolParams, n: int, t: float) -> float:
         raise ValueError(f"block count must be >= 1, got {n}")
     if t <= params.delta:
         raise ValueError("liveness bound requires t > delta")
-    a, b, d = params.alpha, params.beta, params.delta
-    total = 0.0
-    cum = 0.0
-    i = 0
-    while True:
-        p = poisson_pmf(i, b * t)
-        x = t - (i + n + 1) * d
-        if x > 0:
-            total += p * erlang_cdf(x, i + n, a)
-        cum += p
-        i += 1
-        if 1.0 - cum < 1e-15 and i > b * t:
-            break
-    return total
+    lam = params.beta * t
+    # i adversarial blocks over t, summed up to past the 1 - 1e-15 Poisson quantile
+    i = np.arange(int(special.pdtrik(1.0 - 1e-15, lam)) + 2)
+    pois = np.exp(log_poisson_pmf_vec(i, lam))
+    total = np.dot(pois, erlang_cdf(t - (i + n + 1) * params.delta, i + n, params.alpha))
+    return min(float(total), 1.0)  # the pmf sum can exceed 1 by roundoff
 
 
 def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:

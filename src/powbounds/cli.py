@@ -2,7 +2,8 @@
 
 Subcommands: bound, latency, sweep, simulate, protocol-table.  Emits CSV or
 JSON records; never renders plots.  Exit codes: 0 success, 2 infeasible
-parameters, 3 schema/parse error, 4 self-test failure.
+parameters or an unreachable latency target, 3 schema/parse error or an
+invalid model, 4 self-test failure.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ import numpy as np
 
 from . import bounds
 from .bounds import ProtocolParams, RaceSpec
-from .errors import InfeasibleParametersError, SchemaError
+from .errors import BracketError, InfeasibleParametersError, SchemaError
 from .protocols import (
     TABLE2_EXPECTED,
     DelayModel,
-    ProtocolSpec,
     build_comparison_table,
     default_config_path,
-    fault_tolerance,
     load_config,
-    throughput,
 )
 from . import simulator
 
@@ -71,7 +69,10 @@ def _params_from(args) -> ProtocolParams:
     total = parse_rate(args.total_rate)
     if not 0 < args.alpha_frac <= 1:
         raise SchemaError(f"--alpha-frac must be in (0,1], got {args.alpha_frac}")
-    return ProtocolParams.from_adversary_share(total, 1.0 - args.alpha_frac, args.delta)
+    try:
+        return ProtocolParams.from_adversary_share(total, 1.0 - args.alpha_frac, args.delta)
+    except ValueError as e:
+        raise SchemaError(str(e)) from e
 
 
 def _emit(obj, args):
@@ -104,24 +105,27 @@ def _bound_record(kind: str, res) -> dict:
     }
 
 
-def _upper(params):
-    """The achievable bound for these parameters: zero-delay form when delta = 0."""
-    return bounds.zero_delay_upper if params.delta == 0 else bounds.delay_upper
+# Bound kind -> names in `bounds` of its (zero-delay, delay) forms.  Looked up
+# at call time, so the function is the one `bounds` exports then (invert_latency
+# recognises delay_upper by identity).
+_BOUND_FORMS = {
+    "upper": ("zero_delay_upper", "delay_upper"),
+    "lower": ("zero_delay_lower", "delay_lower"),
+    "upper-universal": ("zero_delay_upper", "delay_upper_universal"),
+}
+
+
+def _bound_fn(kind: str, params):
+    """The bound of this kind for these parameters: its zero-delay form when delta = 0."""
+    if kind not in _BOUND_FORMS:
+        raise SchemaError(f"unknown bound kind {kind!r}")
+    zero_delay, delay = _BOUND_FORMS[kind]
+    return getattr(bounds, zero_delay if params.delta == 0 else delay)
 
 
 def cmd_bound(args) -> int:
     params = _params_from(args)
-    t = parse_time(args.t)
-    if args.kind == "upper":
-        res = _upper(params)(params, t)
-    elif args.kind == "lower":
-        res = bounds.zero_delay_lower(params, t) if params.delta == 0 else bounds.delay_lower(params, t)
-    else:  # upper-universal
-        res = (
-            bounds.zero_delay_upper(params, t)
-            if params.delta == 0
-            else bounds.delay_upper_universal(params, t)
-        )
+    res = _bound_fn(args.kind, params)(params, parse_time(args.t))
     _emit(_bound_record(args.kind, res), args)
     return 0
 
@@ -134,7 +138,7 @@ def cmd_latency(args) -> int:
         raise SchemaError(f"--split must be in (0,1), got {args.split}")
     eps_time = args.split * args.level
     eps_depth = (1.0 - args.split) * args.level
-    t = bounds.invert_latency(_upper(params), params, eps_time)
+    t = bounds.invert_latency(_bound_fn("upper", params), params, eps_time)
     depth = bounds.depth_from_time(params, t, eps_depth)
     _emit(
         {
@@ -164,8 +168,8 @@ def _parse_grid(text: str):
 
 def _try_latency(params, level):
     try:
-        return bounds.invert_latency(_upper(params), params, level)
-    except (InfeasibleParametersError, bounds.BracketError):
+        return bounds.invert_latency(_bound_fn("upper", params), params, level)
+    except (InfeasibleParametersError, BracketError):
         return None
 
 
@@ -174,21 +178,12 @@ def cmd_sweep(args) -> int:
     rows = []
     if args.var == "latency":
         params = _params_from(args)
-        kinds = args.bounds.split(",")
-        fn = {
-            "upper": _upper(params),
-            "lower": bounds.zero_delay_lower if params.delta == 0 else bounds.delay_lower,
-            "upper-universal": (
-                bounds.zero_delay_upper if params.delta == 0 else bounds.delay_upper_universal
-            ),
-        }
+        fns = {kind: _bound_fn(kind, params) for kind in args.bounds.split(",")}
         for t in grid:
             row = {"x": t}
-            for kind in kinds:
-                if kind not in fn:
-                    raise SchemaError(f"unknown bound kind {kind!r}")
+            for kind, fn in fns.items():
                 try:
-                    row[kind] = fn[kind](params, t).probability
+                    row[kind] = fn(params, t).probability
                 except (InfeasibleParametersError, ValueError):
                     row[kind] = ""
             rows.append(row)
@@ -216,27 +211,33 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _campaign(args):
+    """Parameters, latency t, post-window length and simulator config of an attack or race."""
+    params = _params_from(args)
+    if params.beta >= params.alpha:
+        raise InfeasibleParametersError(
+            f"simulation requires beta < alpha (got alpha={params.alpha}, beta={params.beta})"
+        )
+    t = parse_time(args.t)
+    warmup = 50.0 / (params.alpha - params.beta)
+    post = 20.0 / (params.alpha - params.beta)
+    cfg = simulator.SimConfig(
+        params=params,
+        horizon=warmup + t + post,
+        warmup_s=warmup,
+        trials=int(float(args.trials)),
+        master_seed=args.seed,
+    )
+    return params, t, post, cfg
+
+
 def cmd_simulate(args) -> int:
     ok = True
     if args.mode == "attack":
-        params = _params_from(args)
-        t = parse_time(args.t)
-        warmup = 50.0 / (params.alpha - params.beta)
-        post = 20.0 / (params.alpha - params.beta)
-        cfg = simulator.SimConfig(
-            params=params,
-            horizon=warmup + t + post,
-            warmup_s=warmup,
-            trials=int(float(args.trials)),
-            master_seed=args.seed,
-        )
+        params, t, post, cfg = _campaign(args)
         est = simulator.estimate_attack_success(cfg, t, post)
-        if params.delta == 0:
-            lower = bounds.zero_delay_lower(params, t).probability
-            upper = bounds.zero_delay_upper(params, t).probability
-        else:
-            lower = bounds.delay_lower(params, t).probability
-            upper = bounds.delay_upper(params, t).probability
+        lower = _bound_fn("lower", params)(params, t).probability
+        upper = _bound_fn("upper", params)(params, t).probability
         ok = est.value <= upper + 3.0 * est.stderr and est.value >= lower - 3.0 * est.stderr
         report = {
             "mode": "attack",
@@ -272,17 +273,7 @@ def cmd_simulate(args) -> int:
             "self_test_ok": ok,
         }
     else:  # race
-        params = _params_from(args)
-        t = parse_time(args.t)
-        warmup = 50.0 / (params.alpha - params.beta)
-        post = 20.0 / (params.alpha - params.beta)
-        cfg = simulator.SimConfig(
-            params=params,
-            horizon=warmup + t + post,
-            warmup_s=warmup,
-            trials=int(float(args.trials)),
-            master_seed=args.seed,
-        )
+        params, t, _, cfg = _campaign(args)
         spec = RaceSpec(mu=params.delta, nu=params.delta, n=1, t=t)
         est = simulator.estimate_race_loss(cfg, spec, args.stream)
         upper = bounds.delay_upper(params, t).probability if args.stream == "double-lagger" else None
@@ -405,7 +396,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 3
     try:
         return args.func(args)
-    except InfeasibleParametersError as e:
+    except (InfeasibleParametersError, BracketError) as e:
         print(f"infeasible parameters: {e}", file=sys.stderr)
         return 2
     except SchemaError as e:

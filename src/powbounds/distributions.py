@@ -1,40 +1,23 @@
-"""Elementary distributions and truncated power-series arithmetic.
+"""Elementary distributions and Taylor-coefficient division, over whole arrays.
 
-All pmf values are computed through log-gamma in the log domain and
-exponentiated last, so factors like e^{lambda} with lambda in the hundreds
-never overflow.  Cumulative Poisson/Erlang probabilities go through the
-regularized incomplete gamma function, which is the same partial sum in
-closed form.
+Each distribution takes numpy arrays of indices or points (scalars broadcast)
+and returns an array of their shape, so a bound over an index range is one
+expression.  Pmf values are formed in the log domain and exponentiated last,
+so factors like e^{lambda} with lambda in the hundreds never overflow.
+Cumulative Poisson/Erlang probabilities go through the regularized incomplete
+gamma function, which is the same partial sum in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-
-
-def log_poisson_pmf(k: int, lam: float) -> float:
-    """Natural log of the Poisson pmf; -inf outside the support."""
-    if lam < 0:
-        raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
-    if k < 0 or k != int(k):
-        return -math.inf
-    k = int(k)
-    if lam == 0:
-        return 0.0 if k == 0 else -math.inf
-    return k * math.log(lam) - lam - math.lgamma(k + 1)
-
-
-def poisson_pmf(k: int, lam: float) -> float:
-    """P(X = k) for X ~ Poisson(lam)."""
-    return math.exp(log_poisson_pmf(k, lam))
+from scipy import linalg, special
 
 
 def log_poisson_pmf_vec(ks: np.ndarray, lam: float) -> np.ndarray:
-    """Vectorized log Poisson pmf over an integer array."""
+    """Log Poisson pmf over an integer array; -inf outside the support."""
     if lam < 0:
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
     ks = np.asarray(ks, dtype=float)
@@ -48,53 +31,21 @@ def log_poisson_pmf_vec(ks: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def poisson_cdf(k: int, lam: float) -> float:
-    """P(X <= k) for X ~ Poisson(lam); 0 for k < 0."""
-    if lam < 0:
-        raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
-    if k < 0:
-        return 0.0
-    if lam == 0:
-        return 1.0
-    # sum_{i<=k} pmf(i) == Q(k+1, lam), the regularized upper incomplete gamma
-    return float(special.gammaincc(math.floor(k) + 1, lam))
-
-
-def poisson_sf(k: int, lam: float) -> float:
-    """P(X >= k), computed without subtracting from 1."""
-    if lam < 0:
-        raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
-    if k <= 0:
-        return 1.0
-    if lam == 0:
-        return 0.0
-    return float(special.gammainc(math.floor(k), lam))
-
-
-def erlang_cdf(x: float, n: int, rate: float) -> float:
-    """P(sum of n i.i.d. Exponential(rate) <= x); 0 for x <= 0."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"Erlang shape must be a positive integer, got {n}")
+def erlang_cdf(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
+    """Erlang cdf P(sum of n Exponential(rate) <= x) over aligned (x, n) arrays; 0 for x <= 0."""
     if rate <= 0:
         raise ValueError(f"Erlang rate must be positive, got {rate}")
-    if x <= 0:
-        return 0.0
-    return poisson_sf(int(n), rate * x)
-
-
-def erlang_ccdf(x: float, n: int, rate: float) -> float:
-    """P(sum of n i.i.d. Exponential(rate) > x); 1 for x <= 0."""
-    if n < 1 or n != int(n):
-        raise ValueError(f"Erlang shape must be a positive integer, got {n}")
-    if rate <= 0:
-        raise ValueError(f"Erlang rate must be positive, got {rate}")
-    if x <= 0:
-        return 1.0
-    return poisson_cdf(int(n) - 1, rate * x)
+    xs, ns = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ns, dtype=float))
+    if np.any((ns < 1) | (ns != np.floor(ns))):
+        raise ValueError(f"Erlang shape must be a positive integer, got {ns}")
+    out = np.zeros(xs.shape)
+    pos = xs > 0
+    out[pos] = special.gammainc(ns[pos], rate * xs[pos])  # P(Poisson(rate x) >= n)
+    return out
 
 
 def erlang_ccdf_vec(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
-    """Vectorized Erlang complementary cdf over aligned (x, shape) arrays."""
+    """Erlang complementary cdf over aligned (x, shape) arrays; 1 for x <= 0."""
     xs, ns = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ns, dtype=float))
     out = np.ones(xs.shape)
     pos = xs > 0
@@ -102,113 +53,87 @@ def erlang_ccdf_vec(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
     return out
 
 
-def skellam_pmf(k: int, mu1: float, mu2: float) -> float:
-    """P(P1 - P2 = k) for independent Poissons with means mu1, mu2.
+# u_1 .. u_4 of the uniform asymptotic expansion of I_nu (DLMF 10.41.10), as
+# coefficients of t^0, t^1, ...
+_DEBYE_U = [
+    np.array([0, 3, 0, -5]) / 24,
+    np.array([0, 0, 81, 0, -462, 0, 385]) / 1152,
+    np.array([0, 0, 0, 30375, 0, -369603, 0, 765765, 0, -425425]) / 414720,
+    np.array([0, 0, 0, 0, 4465125, 0, -94121676, 0, 349922430, 0, -446185740, 0, 185910725])
+    / 39813120,
+]
 
-    Direct convolution with adaptive truncation (discarded tail mass below
-    1e-16), summed in the log domain.
+
+def _log_ive(nus: np.ndarray, z: float) -> np.ndarray:
+    """log(I_nu(z) e^{-z}) over an order array nus >= 0, for z > 0.
+
+    Where ive underflows (below 1e-290) the uniform asymptotic expansion in nu
+    (DLMF 10.41.3) takes over: its relative error is ~1e-10 at nu = 50 and
+    below 2e-12 from nu = 100, and that region has nu < 50 only for z < 1e-5.
+    """
+    with np.errstate(divide="ignore"):
+        out = np.asarray(np.log(special.ive(nus, z)))
+    far = out < math.log(1e-290)
+    if far.any():
+        n = nus[far]
+        x = z / n
+        s = np.sqrt(1.0 + x * x)
+        t = 1.0 / s
+        series = sum(
+            np.polynomial.polynomial.polyval(t, u) / n ** (k + 1) for k, u in enumerate(_DEBYE_U)
+        )
+        out[far] = (
+            n * (s - x + np.log(x / (1.0 + s)))
+            - 0.5 * np.log(2.0 * np.pi * n)
+            + 0.5 * np.log(t)
+            + np.log1p(series)
+        )
+    return out
+
+
+def skellam_pmf(ks: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
+    """P(P1 - P2 = k) over an integer array, for independent Poissons with means mu1, mu2.
+
+    Bessel form e^{-(sqrt mu1 - sqrt mu2)^2} (mu1/mu2)^{k/2} ive(|k|, 2 sqrt(mu1 mu2)),
+    combined in the log domain, so the pmf stays exact where ive alone would
+    underflow (near the mode of large, unequal means); a zero mean leaves a
+    Poisson pmf.
     """
     if mu1 < 0 or mu2 < 0:
         raise ValueError("Skellam means must be nonnegative")
-    k = int(k)
+    ks = np.asarray(ks, dtype=float)
     if mu2 == 0:
-        return poisson_pmf(k, mu1) if k >= 0 else 0.0
+        return np.exp(log_poisson_pmf_vec(ks, mu1))
     if mu1 == 0:
-        return poisson_pmf(-k, mu2) if k <= 0 else 0.0
-    j0 = max(0, -k)
-    # terms t_j = pois(k+j; mu1) * pois(j; mu2) are unimodal in j
-    hi = int(max(mu2, mu1 - k) + 40.0 * math.sqrt(max(mu1, mu2) + 1.0) + 60.0)
-    hi = max(hi, j0 + 10)
-    while True:
-        j = np.arange(j0, hi + 1)
-        logs = log_poisson_pmf_vec(k + j, mu1) + log_poisson_pmf_vec(j, mu2)
-        peak = float(np.max(logs))
-        if peak == -math.inf:
-            return 0.0
-        if logs[-1] < peak - 60.0:  # tail below ~1e-26 of the peak term
-            break
-        hi *= 2
-    return float(np.exp(special.logsumexp(logs)))
+        return np.exp(log_poisson_pmf_vec(-ks, mu2))
+    log_bessel = _log_ive(np.abs(ks), 2.0 * math.sqrt(mu1 * mu2))
+    return np.exp(
+        -((math.sqrt(mu1) - math.sqrt(mu2)) ** 2) + 0.5 * ks * math.log(mu1 / mu2) + log_bessel
+    )
 
 
-def geometric_pmf(k: int, q: float) -> float:
-    """P(L = k) = (1-q) q^k for L geometric on {0,1,...}."""
-    if not 0 <= q < 1:
-        raise ValueError(f"geometric parameter must be in [0,1), got {q}")
-    if k < 0:
-        return 0.0
-    return (1.0 - q) * q**k
-
-
-def geometric_sum_ccdf(n: int, q: float) -> float:
-    """P(L1 + L2 >= n) for i.i.d. geometric(q) on {0,1,...}.
+def geometric_sum_ccdf(ns: np.ndarray, q: float) -> np.ndarray:
+    """P(L1 + L2 >= n) over an integer array, for i.i.d. geometric(q) on {0,1,...}.
 
     Closed form q^n (1 + n (1-q)).
     """
     if not 0 < q < 1:
         raise ValueError(f"parameter must be in (0,1), got {q}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return q**n * (1.0 + n * (1.0 - q))
+    ns = np.asarray(ns, dtype=float)
+    if np.any(ns < 0):
+        raise ValueError(f"n must be nonnegative, got {ns}")
+    return q**ns * (1.0 + ns * (1.0 - q))
 
 
-DEFAULT_SERIES_ORDER = 128
+def series_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of num/den, to the shorter of the two orders.
 
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated Taylor series about 0; arithmetic is exact to the order kept."""
-
-    coeffs: np.ndarray = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d sequence")
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, x: float) -> float:
-        return float(np.polynomial.polynomial.polyval(x, self.coeffs))
-
-
-def series_from_poly(coeffs, order: int = DEFAULT_SERIES_ORDER) -> PowerSeries:
-    """Pad (or truncate) polynomial coefficients to the requested order."""
-    c = np.zeros(order + 1)
-    src = np.asarray(coeffs, dtype=float)[: order + 1]
-    c[: src.size] = src
-    return PowerSeries(c)
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    k = min(a.order, b.order)
-    return PowerSeries(np.convolve(a.coeffs, b.coeffs)[: k + 1])
-
-
-def series_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Quotient series; requires a nonzero constant term in the divisor."""
-    if b.coeffs[0] == 0.0:
+    Solves den * quotient = num, a lower-triangular Toeplitz system; requires a
+    nonzero constant term in the divisor.
+    """
+    n = min(len(num), len(den))
+    num = np.asarray(num, dtype=float)[:n]
+    den = np.asarray(den, dtype=float)[:n]
+    if den[0] == 0.0:
         raise ZeroDivisionError("series division by a series with zero constant term")
-    k = min(a.order, b.order)
-    an = a.coeffs
-    bn = b.coeffs
-    c = np.zeros(k + 1)
-    for i in range(k + 1):
-        ai = an[i] if i < an.size else 0.0
-        # compensated summation keeps the recurrence stable at high order
-        acc = math.fsum(bn[j] * c[i - j] for j in range(1, min(i, bn.size - 1) + 1))
-        c[i] = (ai - acc) / bn[0]
-    return PowerSeries(c)
-
-
-def series_exp_affine(c0: float, c1: float, order: int = DEFAULT_SERIES_ORDER) -> PowerSeries:
-    """Series of exp(c0 + c1 x): coefficients e^{c0} c1^n / n!."""
-    c = np.zeros(order + 1)
-    term = math.exp(c0)
-    c[0] = term
-    for n in range(1, order + 1):
-        term *= c1 / n
-        c[n] = term
-    return PowerSeries(c)
+    return linalg.solve_triangular(linalg.toeplitz(den, np.zeros(n)), num, lower=True)

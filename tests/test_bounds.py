@@ -14,16 +14,15 @@ from powbounds.bounds import (
     BoundResult,
     ProtocolParams,
     RaceSpec,
+    _g_norm,
     _smallest_root_norm,
+    _zeta_norm,
     delay_lower,
     delay_upper,
     delay_upper_objective,
     delay_upper_universal,
     depth_from_time,
     double_lagger_mgf,
-    eta,
-    find_theta,
-    g_denominator,
     growth_bound,
     invert_latency,
     liveness_bound,
@@ -109,30 +108,31 @@ def test_smallest_root_oracle(a, want):
     assert _smallest_root_norm(a) == pytest.approx(want, rel=1e-10)
 
 
-def test_find_theta_scales_with_delta():
-    assert find_theta(BITCOIN_10) == pytest.approx(
-        _smallest_root_norm(BITCOIN_10.alpha * 10.0) / 10.0, rel=1e-12
+def test_theta_scales_with_delta():
+    # theta (per second) is the normalized root u0 of g_a at a = alpha delta, over delta
+    a = BITCOIN_10.alpha * BITCOIN_10.delta
+    assert delay_upper(BITCOIN_10, 3600.0).theta == pytest.approx(
+        _smallest_root_norm(a) / BITCOIN_10.delta, rel=1e-12
     )
-    # delta = 0 degenerates to a double root at alpha
-    p0 = ProtocolParams(alpha=0.002, beta=0.0)
-    assert find_theta(p0) == pytest.approx(0.002)
+    # as delta -> 0, g_a(u) -> (u - a)^2 and the root tends to its double root a
+    assert _smallest_root_norm(1e-6) == pytest.approx(1e-6, rel=1e-5)
 
 
 def test_g_denominator_sign_structure():
-    theta = find_theta(BITCOIN_10)
-    assert g_denominator(theta * 0.5, BITCOIN_10) > 0
-    assert g_denominator(theta, BITCOIN_10) == pytest.approx(0.0, abs=1e-18)
-    assert g_denominator((theta + BITCOIN_10.alpha) / 2, BITCOIN_10) < 0
+    a = BITCOIN_10.alpha * BITCOIN_10.delta
+    u0 = _smallest_root_norm(a)
+    assert _g_norm(u0 * 0.5, a) > 0
+    assert _g_norm(u0, a) == pytest.approx(0.0, abs=1e-18 * BITCOIN_10.delta**2)
+    assert _g_norm((u0 + a) / 2, a) < 0
 
 
 def test_eta_positive_inside_domain():
-    theta = find_theta(BITCOIN_10)
-    for frac in (0.1, 0.5, 0.9):
-        assert eta(frac * theta, BITCOIN_10) > 0
-    with pytest.raises(ValueError):
-        eta(theta * 1.01, BITCOIN_10)
-    with pytest.raises(ValueError):
-        eta(0.0, BITCOIN_10)
+    # eta(v) = zeta(v delta) in normalized units: positive on (0, u0), negative past u0
+    a = BITCOIN_10.alpha * BITCOIN_10.delta
+    u0 = _smallest_root_norm(a)
+    assert (_zeta_norm(np.array([0.1, 0.5, 0.9]) * u0, a) > 0).all()
+    assert _zeta_norm(u0 * 1.01, a) < 0
+    assert _zeta_norm(0.0, a) == 0.0
 
 
 def test_double_lagger_mgf_basics():
@@ -220,6 +220,20 @@ def test_delay_upper_decreasing_in_t():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def test_delay_upper_without_adversary():
+    # beta = 0 admits every u in (0, u0), with c = 1 + zeta(u) and psi(u) = u;
+    # the bound lies at or below its value for a vanishing adversary
+    free = ProtocolParams(alpha=1.0 / 600.0, beta=0.0, delta=10.0)
+    weak = ProtocolParams(alpha=1.0 / 600.0, beta=1e-9, delta=10.0)
+    for t in (3600.0, 14400.0, 36000.0):
+        raw = delay_upper(free, t).raw_value
+        assert math.isfinite(raw)
+        assert raw <= delay_upper(weak, t).raw_value
+    assert math.isfinite(delay_upper_universal(free, 3600.0).raw_value)
+    for eps in (1e-3, 1e-9):
+        _same_latency(delay_upper, free, eps)
+
+
 @pytest.mark.parametrize("params", [BITCOIN_10, BITCOIN_25], ids=["10pct", "25pct"])
 def test_delay_upper_monotone_where_vacuous(params):
     # near the u -> 0 edge the objective is roundoff around its limit 0; the
@@ -259,6 +273,14 @@ def test_delay_lower_oracle_values():
     )
 
 
+def test_delay_lower_deep_tail_keeps_precision():
+    # q carries no absolute roundoff floor (~1e-14 summed), so a value near 1e-8
+    # keeps nearly full relative precision against the 60-digit oracle
+    assert delay_lower(BITCOIN_10, 24000.0).probability == pytest.approx(
+        6.899619380336464e-9, rel=1e-12
+    )
+
+
 def test_delay_lower_below_upper():
     for t in (7200.0, 14400.0, 36000.0):
         assert delay_lower(BITCOIN_10, t).probability < delay_upper(BITCOIN_10, t).probability
@@ -284,6 +306,15 @@ def test_liveness_bound_below_growth():
     for t in (1000.0, 3000.0):
         assert liveness_bound(p, 3, t) <= growth_bound(p, 3, t) + 1e-12
     assert 0 < liveness_bound(p, 3, 3000.0) < 1
+
+
+def test_liveness_bound_long_window():
+    # beta t = 90: the Poisson weights sum to 1 only within roundoff, so the sum
+    # must stop at a quantile rather than wait for the mass to reach 1 - 1e-15
+    p = ProtocolParams(alpha=0.007, beta=0.003, delta=5.0)
+    for n in (1, 10):
+        v = liveness_bound(p, n, 30000.0)
+        assert 1.0 - 1e-9 < v <= min(1.0, growth_bound(p, n, 30000.0) + 1e-12)
 
 
 def test_depth_from_time_worked_example():
@@ -419,7 +450,7 @@ def test_invert_latency_other_bounds_search_from_600s():
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(
     alpha_delta=st.floats(1e-4, 0.5),
-    share=st.floats(0.01, 0.45),
+    share=st.floats(0.0, 0.45),
     delta=st.floats(0.5, 100.0),
     log10_eps=st.floats(-12.0, -2.0),
 )

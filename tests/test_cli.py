@@ -3,6 +3,11 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,48 @@ def test_parse_error_exit_code(capsys):
     assert code == 3
     code, _ = run_cli(capsys, "bound", "sideways", "--t", "1h")
     assert code == 3
+
+
+def run_cli_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_unreachable_latency_exit_code(capsys):
+    code, out, err = run_cli_err(
+        capsys, "latency", "--delta", "0", "--alpha-frac", "0.5000001", "--level", "1e-300"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "unreachable" in err
+
+
+def test_invalid_model_exit_code(capsys):
+    code, out, err = run_cli_err(capsys, "bound", "upper", "--delta", "-1", "--t", "4h")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "delay bound" in err
+
+
+def test_simulate_majority_adversary_exit_code(capsys):
+    code, out, err = run_cli_err(
+        capsys, "simulate", "attack", "--alpha-frac", "0.4", "--trials", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("infeasible parameters:")
+
+
+def test_adversary_free_model_exit_code(capsys):
+    for argv in (
+        ("bound", "upper", "--alpha-frac", "1", "--t", "1h"),
+        ("bound", "upper-universal", "--alpha-frac", "1", "--t", "1h"),
+        ("latency", "--alpha-frac", "1", "--level", "1e-3"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
 
 
 def test_latency_record_and_monotonicity(capsys):
@@ -207,3 +254,18 @@ def test_simulate_species_report(capsys):
     rec = json.loads(out)
     assert rec["loners"] <= rec["laggers"] <= rec["honest"]
     assert code in (0, 4)
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # scipy.signal and scipy.stats each add a large share of the start-up time
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys, powbounds.cli\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,111 @@
+"""The two series-based lower bounds and the Skellam pmf against 50-digit mpmath re-evaluations."""
+
+import numpy as np
+import pytest
+from mpmath import mp, mpf
+
+from powbounds.bounds import ProtocolParams, postmine_gain_pmf, zero_delay_lower
+from powbounds.distributions import skellam_pmf
+
+# (adversarial share, total rate per hour, t in seconds)
+ZERO_DELAY_POINTS = [
+    (0.45, 600.0, 95668.0),
+    (0.10, 6.0, 7200.0),
+    (0.25, 6.0, 36000.0),
+    (0.01, 60.0, 600.0),
+    (0.30, 600.0, 60.0),
+    (0.45, 6.0, 2e5),
+]
+
+# (adversarial share, total rate per hour, delta in seconds)
+POSTMINE_POINTS = [
+    (0.10, 6.0, 10.0),
+    (0.25, 6.0, 10.0),
+    (0.30, 60.0, 5.0),
+    (0.10, 600.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("share,rate_per_hour,t", ZERO_DELAY_POINTS)
+def test_zero_delay_lower_matches_mpmath(share, rate_per_hour, t):
+    params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, 0.0)
+    got = zero_delay_lower(params, t).raw_value
+    with mp.workdps(50):
+        # the same series truncated at k = 512, with the Skellam pmf in Bessel form
+        m1, m2 = mpf(params.alpha) * t, mpf(params.beta) * t
+        r = m2 / m1
+        z = 2 * mp.sqrt(m1 * m2)
+        want = mp.fsum(
+            mp.exp(-(m1 + m2)) * (m1 / m2) ** (mpf(k - 1) / 2) * mp.besseli(abs(k - 1), z)
+            * r**k * (1 + k * (1 - r))
+            for k in range(513)
+        )
+        assert abs(got - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("share,rate_per_hour,delta", POSTMINE_POINTS)
+def test_postmine_gain_pmf_matches_mpmath(share, rate_per_hour, delta):
+    params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, delta)
+    got = postmine_gain_pmf(params)[:11]
+    with mp.workdps(50):
+        # Taylor coefficients of xi(rho) taken directly from its closed form
+        a, b = mpf(params.alpha) * delta, mpf(params.beta) * delta
+        xi = mp.taylor(
+            lambda rho: (1 - rho) * (a - b - a * b)
+            / (a - mp.exp((1 - rho) * b) * (a + b - b * rho) * rho),
+            0,
+            11,
+        )
+        want = [xi[0] + xi[1]] + xi[2:]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= max(1e-9 * abs(w), 1e-15)
+
+
+def _postmine_reference(params, n_max):
+    """q(0..n_max) by the Cauchy-product recurrence for xi = num / den, in mpf arithmetic."""
+    a, b = mpf(params.alpha) * mpf(params.delta), mpf(params.beta) * mpf(params.delta)
+    size = n_max + 2
+    expo = [mp.exp(b) * (-b) ** n / mp.factorial(n) for n in range(size)]  # e^{(1-rho) b}
+    den = [a] + [
+        -((a + b) * expo[n - 1] - (b * expo[n - 2] if n >= 2 else 0)) for n in range(1, size)
+    ]
+    num = [a - b - a * b, -(a - b - a * b)] + [0] * (size - 2)
+    xi = []
+    for n in range(size):
+        xi.append((num[n] - mp.fsum(den[j] * xi[n - j] for j in range(1, n + 1))) / den[0])
+    return [xi[0] + xi[1]] + xi[2:]
+
+
+@pytest.mark.parametrize("share,rate_per_hour,delta", POSTMINE_POINTS + [(0.01, 6.0, 30.0)])
+def test_postmine_gain_pmf_keeps_relative_precision(share, rate_per_hour, delta):
+    # every coefficient above 1e-30 to ~1e-14 relative, with no absolute roundoff floor
+    # from the factor 1 - rho; the 50-digit reference has its own floor near 1e-50
+    params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, delta)
+    got = postmine_gain_pmf(params)
+    with mp.workdps(50):
+        want = _postmine_reference(params, got.size - 1)
+        for g, w in zip(got, want):
+            if w > 1e-30:
+                assert abs(g - w) <= 1e-12 * w
+
+
+# (mu1, mu2, k): modes and tails of large, unequal means, where ive(|k|, 2 sqrt(mu1 mu2))
+# itself underflows, and one point of moderate means
+SKELLAM_POINTS = [
+    (600.0, 6.0, 594),
+    (600.0, 6.0, 700),
+    (24000.0, 5300.0, 18700),
+    (60.0, 6e-11, 60),
+    (12.5, 4.2, 80),
+]
+
+
+@pytest.mark.parametrize("mu1,mu2,k", SKELLAM_POINTS)
+def test_skellam_pmf_matches_mpmath(mu1, mu2, k):
+    got = float(skellam_pmf(np.array([k]), mu1, mu2)[0])
+    with mp.workdps(50):
+        m1, m2 = mpf(mu1), mpf(mu2)
+        want = mp.exp(-(m1 + m2)) * (m1 / m2) ** (mpf(k) / 2) * mp.besseli(
+            k, 2 * mp.sqrt(m1 * m2), maxterms=10**6
+        )
+        assert abs(got - want) <= 1e-10 * want
