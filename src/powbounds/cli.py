@@ -211,9 +211,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _trials(text: str) -> int:
+    """Trial count like '10000' or '1e5': a whole number of at least 1."""
+    try:
+        x = float(text)
+    except ValueError as e:
+        raise SchemaError(f"bad trial count {text!r}") from e
+    if not (math.isfinite(x) and x >= 1 and x == int(x)):
+        raise SchemaError(f"--trials must be a whole number >= 1, got {text!r}")
+    return int(x)
+
+
 def _campaign(args):
     """Parameters, latency t, post-window length and simulator config of an attack or race."""
     params = _params_from(args)
+    trials = _trials(args.trials)
     if params.beta >= params.alpha:
         raise InfeasibleParametersError(
             f"simulation requires beta < alpha (got alpha={params.alpha}, beta={params.beta})"
@@ -225,7 +237,7 @@ def _campaign(args):
         params=params,
         horizon=warmup + t + post,
         warmup_s=warmup,
-        trials=int(float(args.trials)),
+        trials=trials,
         master_seed=args.seed,
     )
     return params, t, post, cfg
@@ -250,11 +262,15 @@ def cmd_simulate(args) -> int:
         }
     elif args.mode == "species":
         a = args.alpha_delta
+        if not a > 0:
+            raise SchemaError(f"--alpha-delta must be positive, got {a}")
+        if not args.horizon > 1:
+            raise SchemaError(f"--horizon must exceed 1, got {args.horizon}")
         params = ProtocolParams(alpha=a, beta=0.0, delta=1.0)
         cfg = simulator.SimConfig(
             params=params, horizon=float(args.horizon), master_seed=args.seed
         )
-        trace = simulator.generate_trace(cfg, 0)
+        trace = simulator.generate_trace(cfg)
         span = (0.0, cfg.horizon - 1.0)
         counts = simulator.classify_species(trace, 1.0, span)
         rate = counts.Y / (span[1] - span[0])
@@ -273,6 +289,12 @@ def cmd_simulate(args) -> int:
             "self_test_ok": ok,
         }
     else:  # race
+        if args.stream not in simulator.SPECIES:
+            raise SchemaError(
+                f"unknown --stream {args.stream!r}; one of {', '.join(simulator.SPECIES)}"
+            )
+        if args.stream == "double-lagger" and args.delta == 0:
+            raise SchemaError("the double-lagger race needs --delta > 0")
         params, t, _, cfg = _campaign(args)
         spec = RaceSpec(mu=params.delta, nu=params.delta, n=1, t=t)
         est = simulator.estimate_race_loss(cfg, spec, args.stream)

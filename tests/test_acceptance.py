@@ -165,7 +165,7 @@ def test_criterion_06_double_lagger_mgf(capsys):
             horizon=horizon,
             master_seed=600 + i,
         )
-        trace = generate_trace(cfg, 0)
+        trace = generate_trace(cfg)
         gaps = np.diff(species_times(trace, 1.0, "double-lagger"))[:1_000_000]
         u = mgf.roc_sup / 2.0
         est = empirical_mgf(gaps, u)

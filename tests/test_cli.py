@@ -269,3 +269,40 @@ def test_cli_import_loads_no_heavy_scipy_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def assert_schema_error(capsys, *argv):
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_simulate_race_zero_delay_exit_code(capsys):
+    assert_schema_error(capsys, "simulate", "race", "--delta", "0", "--trials", "10")
+
+
+def test_simulate_zero_trials_exit_code(capsys):
+    assert_schema_error(capsys, "simulate", "attack", "--trials", "0")
+
+
+def test_simulate_non_numeric_trials_exit_code(capsys):
+    assert_schema_error(capsys, "simulate", "attack", "--trials", "abc")
+
+
+def test_simulate_fractional_trials_exit_code(capsys):
+    assert_schema_error(capsys, "simulate", "attack", "--trials", "2.5")
+
+
+def test_simulate_species_zero_rate_exit_code(capsys):
+    assert_schema_error(capsys, "simulate", "species", "--alpha-delta", "0")
+
+
+def test_simulate_race_unknown_stream_exit_code(capsys):
+    assert_schema_error(capsys, "simulate", "race", "--stream", "foo", "--trials", "10")
+
+
+def test_simulate_trials_in_scientific_notation(capsys):
+    code, out = run_cli(capsys, "simulate", "attack", "--delta", "0", "--trials", "1e5")
+    assert code in (0, 4)
+    assert json.loads(out)["trials"] == 100000
