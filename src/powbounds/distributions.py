@@ -16,19 +16,25 @@ import numpy as np
 from scipy import linalg, special
 
 
-def log_poisson_pmf_vec(ks: np.ndarray, lam: float) -> np.ndarray:
-    """Log Poisson pmf over an integer array; -inf outside the support."""
-    if lam < 0:
+def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
+    """Log Poisson pmf over an integer array; -inf outside the support.
+
+    lam is one rate or an array of rates that broadcasts against ks (rates of
+    shape (T, 1) against ks of shape (K,) give one row per rate).  Each rate's
+    log is math.log's, so a row equals the one-rate call bit for bit.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
     ks = np.asarray(ks, dtype=float)
-    out = np.full(ks.shape, -np.inf)
     ok = ks >= 0
-    if lam == 0:
-        out[ks == 0] = 0.0
-        return out
-    kk = ks[ok]
-    out[ok] = kk * math.log(lam) - lam - special.gammaln(kk + 1)
-    return out
+    log_fact = np.full(ks.shape, np.inf)
+    log_fact[ok] = special.gammaln(ks[ok] + 1)
+    log_lam = np.array([math.log(x) if x != 0 else -math.inf for x in lam.ravel().tolist()])
+    with np.errstate(invalid="ignore"):
+        out = ks * log_lam.reshape(lam.shape) - lam - log_fact
+    # a zero rate puts all mass at 0 (where 0 * log 0 above is nan)
+    return np.where(lam == 0, np.where(ks == 0, 0.0, -np.inf), out)
 
 
 def erlang_cdf(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_criterion_07_geometric_postmine_law(capsys):
         p = ProtocolParams(alpha=1.0, beta=ratio, delta=0.0)
         cfg = SimConfig(params=p, horizon=200.0, trials=trials, master_seed=seed)
         probs, se = empirical_postmine_pmf(cfg, n_max=10)
-        worst = 0.0
+        worst = -math.inf  # signed: how close the pmf came to the 3-SE gate
         for k in range(11):
             want = (1.0 - ratio) * ratio**k
             tol = 3.0 * max(se[k], math.sqrt(want * (1.0 - want) / trials))

@@ -1,6 +1,7 @@
 """Analytic bounds against frozen high-precision oracles and structure checks."""
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -238,10 +239,92 @@ def test_delay_upper_without_adversary():
 def test_delay_upper_monotone_where_vacuous(params):
     # near the u -> 0 edge the objective is roundoff around its limit 0; the
     # bound must stay exactly 1 there instead of wobbling around it
-    vals = [delay_upper(params, float(t)).probability for t in range(900, 3601)]
+    vals = delay_upper(params, np.arange(900.0, 3601.0)).probability.tolist()
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     first = next((i for i, v in enumerate(vals) if v < 1.0), len(vals))
     assert all(v == 1.0 for v in vals[:first])
+
+
+# --- t as an array -------------------------------------------------------
+
+FIELDS = ("raw_value", "probability", "optimizer_v", "theta", "truncation_tail")
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _array_models():
+    """Random models (shares 0-45%, 6-600/h, alpha*delta 1e-4..0.5) and the edge-rule model."""
+    rng = np.random.default_rng(20260)
+    models = [(1.0 / 600.0, 0.10, 10.0)]
+    for _ in range(12):
+        share = rng.uniform(0.0, 0.45)
+        rate = math.exp(rng.uniform(math.log(6.0), math.log(600.0))) / 3600.0
+        alpha_delta = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
+        models.append((rate, share, alpha_delta / ((1.0 - share) * rate)))
+    models.append((1.0 / 600.0, 0.0, 10.0))
+    return models
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["zero_delay_upper", "zero_delay_lower", "delay_upper", "delay_upper_universal", "delay_lower"],
+)
+def test_array_t_is_bit_identical_to_scalar_calls(name):
+    fn = getattr(bounds, name)
+    rng = np.random.default_rng(7)
+    checked = 0
+    for i, (rate, share, delta) in enumerate(_array_models()):
+        params = ProtocolParams.from_adversary_share(
+            rate, share, 0.0 if name.startswith("zero") else delta
+        )
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 60.0 / params.alpha, 9))])
+        if i == 0:  # the first-cell edge rule's region, past one block of t
+            ts = np.concatenate([ts, np.arange(1300.0, 1900.0, 10.0)])
+        try:
+            whole = fn(params, ts)
+        except InfeasibleParametersError:
+            with pytest.raises(InfeasibleParametersError):
+                fn(params, float(ts[-1]))
+            continue
+        each = [fn(params, float(t)) for t in ts]
+        for field in FIELDS:
+            got = getattr(whole, field)
+            if np.ndim(got) == 0:  # a t-independent field
+                assert all(_bits(getattr(r, field)) == _bits(got) for r in each), field
+            else:
+                assert _bits(got) == _bits([getattr(r, field) for r in each]), field
+        assert all(type(r.probability) is float for r in each)
+        checked += 1
+    assert checked >= 8
+
+
+def test_array_t_rejects_higher_rank():
+    with pytest.raises(ValueError):
+        delay_upper(BITCOIN_10, np.ones((2, 2)))
+
+
+def test_bound_memory_is_bounded_per_block():
+    # each kernel holds one block of t at a time: eight blocks peak no higher
+    # than one plus the per-t outputs
+    p0 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.10, 0.0)
+    cases = ((delay_upper, BITCOIN_10), (delay_lower, BITCOIN_10), (zero_delay_lower, p0))
+    for fn, params in cases:
+        fn(params, 3600.0)
+
+        def peak(n):
+            ts = np.linspace(0.0, 40000.0, n)
+            tracemalloc.start()
+            try:
+                fn(params, ts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(bounds._T_BLOCK)
+        assert one < 4 * 2**20
+        assert peak(8 * bounds._T_BLOCK) < 1.5 * one
 
 
 # --- private-attack lower bound ------------------------------------------
@@ -279,6 +362,17 @@ def test_delay_lower_deep_tail_keeps_precision():
     assert delay_lower(BITCOIN_10, 24000.0).probability == pytest.approx(
         6.899619380336464e-9, rel=1e-12
     )
+
+
+def test_delay_lower_truncation_tail_is_nonnegative():
+    # the Poisson and geometric tails past k_max come from their closed forms,
+    # not from 1 minus a sum of the kept terms
+    p33 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.33, 10.0)
+    assert delay_lower(p33, 36000.0).truncation_tail >= 0.0
+    assert delay_lower(BITCOIN_10, 360000.0).truncation_tail < 1e-100
+    ts = np.linspace(0.0, 400000.0, 41)
+    for params in (BITCOIN_10, BITCOIN_25, p33):
+        assert (delay_lower(params, ts).truncation_tail >= 0.0).all()
 
 
 def test_delay_lower_below_upper():

@@ -7,14 +7,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from powbounds import bounds, cli
 from powbounds.bounds import ProtocolParams, invert_latency, zero_delay_upper
 from powbounds.cli import main, parse_rate, parse_time
-from powbounds.errors import SchemaError
+from powbounds.errors import InfeasibleParametersError, SchemaError
 
 
 def run_cli(capsys, *argv):
@@ -40,8 +42,12 @@ def test_parse_time_formats():
     assert parse_time("90s") == 90.0
     assert parse_time("30m") == 1800.0
     assert parse_time("7200") == 7200.0
+    assert parse_time("0") == 0.0
     with pytest.raises(SchemaError):
         parse_time("soon")
+    for text in ("-20", "-0.5", "nan"):
+        with pytest.raises(SchemaError):
+            parse_time(text)
 
 
 def test_bound_upper_json_record(capsys):
@@ -164,6 +170,95 @@ def test_sweep_latency_monotone_columns(capsys):
     assert ups == sorted(ups, reverse=True)
     assert los == sorted(los, reverse=True)
     assert all(lo < up for lo, up in zip(los, ups))
+
+
+# Bound kind -> (zero-delay, delay) form, as the CLI documents them.
+REFERENCE_FORMS = {
+    "upper": ("zero_delay_upper", "delay_upper"),
+    "lower": ("zero_delay_lower", "delay_lower"),
+    "upper-universal": ("zero_delay_upper", "delay_upper_universal"),
+}
+
+
+def reference_latency_sweep(params, grid, kinds):
+    """CSV of a latency sweep made one bound call per grid point, blank where infeasible."""
+    rows = []
+    for t in grid:
+        row = {"x": t}
+        for kind in kinds:
+            fn = getattr(bounds, REFERENCE_FORMS[kind][params.delta > 0])
+            try:
+                row[kind] = fn(params, float(t)).probability
+            except InfeasibleParametersError:
+                row[kind] = ""
+        rows.append(row)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "delta,alpha_frac,grid",
+    [
+        ("0", "0.9", "0:40000:41"),
+        ("10", "0.9", "0:40000:41"),
+        ("10", "0.9", "1300:1890:60"),  # the first-cell edge rule of delay_upper
+        ("10", "0.6", "3600,7200,14400,28800,57600"),
+        ("10", "0.5", "3600,7200"),  # infeasible: blank cells
+    ],
+)
+def test_sweep_latency_matches_per_point_reference(capsys, delta, alpha_frac, grid):
+    kinds = ["upper", "lower", "upper-universal"]
+    code, out = run_cli(
+        capsys, "--format", "csv", "sweep", "--var", "latency", "--bounds", ",".join(kinds),
+        "--alpha-frac", alpha_frac, "--delta", delta, "--grid", grid,
+    )
+    assert code == 0
+    params = ProtocolParams.from_adversary_share(
+        parse_rate("6/hour"), 1.0 - float(alpha_frac), float(delta)
+    )
+    assert out == reference_latency_sweep(params, cli._parse_grid(grid), kinds)
+
+
+def test_latency_sweep_memory_is_bounded(tmp_path):
+    # 2e5 points: the rows and their text take ~350 B a point, and each bound
+    # kernel holds one block of t at a time on top of that
+    target = tmp_path / "sweep.csv"
+    argv = ["--format", "csv", "--out", str(target), "sweep", "--var", "latency",
+            "--bounds", "upper-universal", "--grid", "0:200000:200000"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 200_000
+    assert len(target.read_text().splitlines()) == 200_001
+
+
+def test_negative_times_are_schema_errors(capsys):
+    assert_schema_error(capsys, "bound", "lower", "--t=-20")
+    assert_schema_error(capsys, "bound", "lower", "--delta", "0", "--t=-20")
+    assert_schema_error(capsys, "bound", "upper", "--t", "nan")
+    assert_schema_error(capsys, "simulate", "attack", "--t=-20", "--trials", "10")
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=-20,10")
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=-20:10:3")
+
+
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
+    target = tmp_path / "sweep.csv"
+    code, out = run_cli(
+        capsys, "--format", "csv", "--out", str(target), "sweep", "--var", "latency",
+        "--grid", "3600,7200",
+    )
+    assert code == 0 and out == ""
+    assert target.read_text().startswith("x,upper,lower\n")
+    code, out = run_cli(capsys, "latency", "--level", "1e-3")
+    assert code == 0
+    assert json.loads(out)["depth_blocks"] == 45  # JSON on stdout: no --format, no --out
+    assert cli._parser() is cli._parser()
 
 
 def test_sweep_bad_grid(capsys):

@@ -49,6 +49,19 @@ def test_vectorized_pmf_agrees_with_scalar():
         assert lg == pytest.approx(k * math.log(3.3) - 3.3 - math.lgamma(k + 1), abs=1e-12)
 
 
+def test_poisson_rows_match_one_rate_calls():
+    # a column of rates gives one row per rate, bit for bit the one-rate call
+    ks = np.arange(-1, 40)
+    rates = np.array([0.0, 1e-300, 0.3, 7.7, 40.0, 700.0])
+    rows = log_poisson_pmf_vec(ks, rates[:, None])
+    assert rows.shape == (rates.size, ks.size)
+    for lam, row in zip(rates, rows):
+        assert row.tobytes() == log_poisson_pmf_vec(ks, float(lam)).tobytes()
+    assert np.exp(rows[0]).tolist() == [0.0, 1.0] + [0.0] * (ks.size - 2)
+    with pytest.raises(ValueError):
+        log_poisson_pmf_vec(ks, np.array([[1.0], [-1.0]]))
+
+
 def test_poisson_cdf_sums_pmf():
     # P(Poisson(lam) <= k) == P(Erlang(k+1, 1) > lam)
     lam = 4.2
