@@ -138,11 +138,23 @@ class RaceSpec:
 
 @dataclass(frozen=True)
 class Mgf:
-    """Moment generating function of a renewal time, with its convergence limit and mean."""
+    """Moment generating function of a renewal time, with its convergence limit and mean.
 
-    eval: Callable[[float], float]
+    excess(u) is phi(u) - 1, vectorized and unchecked; near u = 0 it keeps
+    the relative accuracy that 1 + excess(u) would lose.
+    """
+
+    excess: Callable[[np.ndarray], np.ndarray]
     roc_sup: float
     mean: float
+
+    def eval(self, u: float | np.ndarray) -> float | np.ndarray:
+        """phi(u) for a float or an array; ValueError at u >= roc_sup."""
+        us = np.asarray(u, dtype=float)
+        if (us >= self.roc_sup).any():
+            raise ValueError(f"MGF argument {u} outside region of convergence (-inf, {self.roc_sup})")
+        phi = 1.0 + self.excess(us)
+        return float(phi) if phi.ndim == 0 else phi
 
 
 # ---------------------------------------------------------------------------
@@ -256,50 +268,61 @@ def double_lagger_mgf(alpha_norm: float) -> Mgf:
     if not alpha_norm > 0:
         raise ValueError(f"normalized rate must be positive, got {alpha_norm}")
     a = alpha_norm
-    u0 = _smallest_root_norm(a)
-
-    def phi(u: float) -> float:
-        if u >= u0:
-            raise ValueError(f"MGF argument {u} outside region of convergence (-inf, {u0})")
-        return 1.0 + float(_zeta_norm(u, a))
-
-    return Mgf(eval=phi, roc_sup=u0, mean=math.exp(2.0 * a) / a)
+    return Mgf(
+        excess=lambda u: _zeta_norm(u, a), roc_sup=_smallest_root_norm(a), mean=math.exp(2.0 * a) / a
+    )
 
 
-def renewal_race_bound(mgf: Mgf, beta: float, spec: RaceSpec, u: float) -> BoundResult:
+def _race_log_terms(mgf: Mgf, beta: float, spec: RaceSpec, u):
+    """(log of the t-free factor, psi) of the race bound per u; nan where u is inadmissible.
+
+    The factor is e^{z beta (mu+nu)} (1+z)^{n+1} L^2 with z = phi(u) - 1,
+    z' = phi(beta z) - 1 and L = z (1 - beta m)(1 + z') / (z - z'), m the
+    mean renewal time; psi = u - beta z.  Written in z and z' so no two
+    numbers near 1 are subtracted as u -> 0.  At beta = 0, z' = 0 and L = 1.
+    """
+    u = np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        ok = (u > 0) & (u < mgf.roc_sup)
+        z = mgf.excess(np.where(ok, u, 0.5 * mgf.roc_sup))
+        w = beta * z
+        ok &= (z > 0) & (w < mgf.roc_sup)
+        zw = mgf.excess(np.where(ok, w, 0.0))
+        lap = z * (1.0 - beta * mgf.mean) * (1.0 + zw) / (z - zw)
+        ok &= (zw < z) & (lap > 0)
+        log_c = w * (spec.mu + spec.nu) + (spec.n + 1) * np.log1p(z) + 2.0 * np.log(lap)
+        return np.where(ok, log_c, np.nan), np.where(ok, u - w, np.nan)
+
+
+def renewal_race_bound(
+    mgf: Mgf, beta: float, spec: RaceSpec, u: float | np.ndarray
+) -> BoundResult:
     """Chernoff bound on a renewal process losing a race against a Poisson process.
 
     exp((phi(u)-1) beta (mu+nu)) phi(u)^{n+1} L^2(phi(u)) exp(-psi(u) t)
     with psi(u) = u + beta - beta phi(u) and L the transform of the maximum
-    post-window deficit.  All quantities in the renewal time unit.
+    post-window deficit.  All quantities in the renewal time unit.  u is a
+    float or an array; every u must be admissible, else ValueError.
     """
     if beta < 0:
         raise ValueError(f"Poisson rate must be nonnegative, got {beta}")
-    if not 0 < u < mgf.roc_sup:
-        raise ValueError(f"u must lie in (0, {mgf.roc_sup}), got {u}")
-    phi_u = mgf.eval(u)
-    if beta == 0:
-        lap = 1.0  # limit of L(r) as the Poisson rate vanishes
-    else:
-        arg = beta * (phi_u - 1.0)
-        if arg >= mgf.roc_sup:
-            raise ValueError(
-                f"nested MGF argument {arg} outside region of convergence (-inf, {mgf.roc_sup})"
-            )
-        lap = (phi_u - 1.0) * (1.0 - beta * mgf.mean) / (phi_u / mgf.eval(arg) - 1.0)
-    psi = u + beta - beta * phi_u
-    log_raw = (
-        (phi_u - 1.0) * beta * (spec.mu + spec.nu)
-        + (spec.n + 1) * math.log(phi_u)
-        + 2.0 * math.log(abs(lap))
-        - psi * spec.t
-    )
-    raw = math.exp(log_raw) if log_raw < 700 else math.inf
-    return BoundResult.from_raw(raw, optimizer_v=u)
+    us = np.asarray(u, dtype=float)
+    log_c, psi = _race_log_terms(mgf, beta, spec, us)
+    if np.isnan(log_c).any():
+        raise ValueError(f"u must lie in the admissible part of (0, {mgf.roc_sup}), got {u}")
+    raw = _exp_each((log_c - psi * spec.t).reshape(-1)).reshape(us.shape)
+    if us.ndim == 0:
+        return BoundResult.from_raw(float(raw), optimizer_v=float(us))
+    return BoundResult(raw_value=raw, probability=np.clip(raw, 0.0, 1.0), optimizer_v=us)
+
+
+# The delay-bound theorem's race in normalized units: head start and tail
+# extension of one delay bound each, advantage one block.
+_DELAY_SPEC = RaceSpec(mu=1.0, nu=1.0, n=1)
 
 
 def _delay_norm(params: ProtocolParams):
-    """Normalized rates a, b and MGF convergence limit u0 of a feasible delay model."""
+    """Double-lagger MGF and normalized adversarial rate b of a feasible delay model."""
     if params.delta <= 0:
         raise ValueError("delay-bound theorems require delta > 0; use the zero-delay forms")
     a, b, d = params.alpha, params.beta, params.delta
@@ -308,27 +331,7 @@ def _delay_norm(params: ProtocolParams):
             "requires beta < alpha * exp(-2 alpha delta) "
             f"(beta={b}, alpha*exp(-2 alpha delta)={a * math.exp(-2.0 * a * d)})"
         )
-    return a * d, b * d, _smallest_root_norm(a * d)
-
-
-def _delay_log_objective(u, a, b, u0):
-    """log of c^2(u) e^{-psi(u) t} without the -psi t part: returns (log c^2, psi).
-
-    Vectorized over u (normalized units).  Inadmissible points come back nan.
-    """
-    u = np.asarray(u, dtype=float)
-    with np.errstate(all="ignore"):
-        z = _zeta_norm(u, a)
-        w = z * b
-        ok = (u > 0) & (u < u0) & (z > 0) & (w >= 0) & (w < u0)
-        zw = np.where(ok, _zeta_norm(np.where(ok, w, 0.5 * u0), a), np.nan)
-        bracket = 1.0 / (1.0 + zw) - 1.0 / (1.0 + z)
-        ok &= bracket > 0
-        c = np.exp(w) * (1.0 - (b / a) * math.exp(2.0 * a)) * z / bracket
-        ok &= c > 0
-        log_c2 = np.where(ok, 2.0 * np.log(np.where(ok, c, 1.0)), np.nan)
-        psi = np.where(ok, u - w, np.nan)
-    return log_c2, psi
+    return double_lagger_mgf(a * d), b * d
 
 
 def _coarse_grid(hi):
@@ -365,55 +368,47 @@ def _grid_minimize(f, hi, coarse=None):
     return u, val
 
 
-def delay_upper_objective(params: ProtocolParams, v: float, t: float) -> float:
-    """The per-v objective c^2(v) exp(-psi(v) t) of the delay-bound theorem, in seconds."""
-    a, b, u0 = _delay_norm(params)
-    d = params.delta
-    log_c2, psi = _delay_log_objective(np.array([v * d]), a, b, u0)
-    if math.isnan(log_c2[0]):
-        raise ValueError(f"v={v} is outside the admissible interval")
-    return float(np.exp(log_c2[0] - psi[0] * (t / d)))
-
-
 def delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     """Achievable security level with propagation delay (minimized over the Chernoff rate).
 
     t is a float or a 1-D array of times (s); log c^2 and psi on the coarse
     grid are shared by every t, and each t is one row of the minimization.
     """
-    a, b, u0 = _delay_norm(params)
-    d = params.delta
-    coarse_c2, coarse_psi = _delay_log_objective(_coarse_grid(u0), a, b, u0)
+    mgf, b = _delay_norm(params)
+    u0, d = mgf.roc_sup, params.delta
+    coarse_c2, coarse_psi = _race_log_terms(mgf, b, _DELAY_SPEC, _coarse_grid(u0))
 
     def kernel(ts):
         tau = (ts / d)[:, None]
 
         def objective(u):
-            log_c2, psi = _delay_log_objective(u, a, b, u0)
+            log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u)
             return log_c2 - psi * tau
 
         u_best, log_obj = _grid_minimize(objective, u0, coarse_c2 - coarse_psi * tau)
-        # In the first cell the objective is roundoff (~1e-8) around its u -> 0
-        # limit 0, the bound's infimum there; report that limit (raw 1), which
-        # keeps the bound valid and non-increasing in t.
-        edge = u_best <= u0 / _GRID_CELLS
-        u_best[edge], log_obj[edge] = 0.0, 0.0
         return {"raw_value": _exp_each(log_obj), "optimizer_v": u_best / d}
 
     return _per_t(t, kernel, theta=u0 / d)
 
 
 def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
-    """Weaker t-independent-exponent variant: evaluates at the u maximizing psi(u)."""
-    a, b, u0 = _delay_norm(params)
+    """Weaker t-independent-exponent variant: evaluates at the u maximizing psi(u).
+
+    As beta -> 0+ the maximizer of psi = u - beta z nears the root u0, where
+    c^2 diverges, so the value grows like 1/beta.  Once the maximizer is
+    within the minimizer's 1e-12 u0 resolution of u0, as at beta = 0 where
+    psi = u, that resolution sets the value.  It stays at or above
+    delay_upper there: valid, but loose.
+    """
+    mgf, b = _delay_norm(params)
     d = params.delta
-    u_best, _ = _grid_minimize(lambda u: -_delay_log_objective(u, a, b, u0)[1], u0)
-    log_c2, psi = _delay_log_objective(u_best, a, b, u0)
+    u_best, _ = _grid_minimize(lambda u: -_race_log_terms(mgf, b, _DELAY_SPEC, u)[1], mgf.roc_sup)
+    log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u_best)
     return _per_t(
         t,
         lambda ts: {"raw_value": _exp_each(log_c2[0] - psi[0] * (ts / d))},
         optimizer_v=float(u_best[0]) / d,
-        theta=u0 / d,
+        theta=mgf.roc_sup / d,
     )
 
 
@@ -423,14 +418,14 @@ def _delay_upper_crossing(params: ProtocolParams, eps: float) -> float:
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
     """
-    a, b, u0 = _delay_norm(params)
+    mgf, b = _delay_norm(params)
     log_eps = math.log(eps)
 
     def ratio(u):
-        log_c2, psi = _delay_log_objective(u, a, b, u0)
+        log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u)
         return (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
 
-    return float(_grid_minimize(ratio, u0)[1][0]) * params.delta
+    return float(_grid_minimize(ratio, mgf.roc_sup)[1][0]) * params.delta
 
 
 # ---------------------------------------------------------------------------

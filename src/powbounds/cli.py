@@ -178,6 +178,8 @@ def _try_latency(params, level):
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
+    if args.var != "latency" and not all(math.isfinite(x) and x > 0 for x in grid):
+        raise SchemaError(f"{args.var} grid must be finite and positive, got {args.grid!r}")
     rows = []
     if args.var == "latency":
         params = _params_from(args)

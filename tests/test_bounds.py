@@ -15,12 +15,12 @@ from powbounds.bounds import (
     BoundResult,
     ProtocolParams,
     RaceSpec,
+    _delay_upper_crossing,
     _g_norm,
     _smallest_root_norm,
     _zeta_norm,
     delay_lower,
     delay_upper,
-    delay_upper_objective,
     delay_upper_universal,
     depth_from_time,
     double_lagger_mgf,
@@ -196,16 +196,21 @@ def test_delay_upper_feasibility_gate():
 
 
 def test_delay_upper_objective_pointwise_consistency():
-    # the reported optimizer must actually achieve the reported value
+    # the reported optimizer must actually achieve the reported value: the
+    # theorem's objective at v is the race bound at u = v delta in delay units
     t = 14400.0
+    d = BITCOIN_10.delta
     res = delay_upper(BITCOIN_10, t)
-    val = delay_upper_objective(BITCOIN_10, res.optimizer_v, t)
-    assert val == pytest.approx(res.raw_value, rel=1e-9)
+    mgf = double_lagger_mgf(BITCOIN_10.alpha * d)
+    spec = RaceSpec(mu=1.0, nu=1.0, n=1, t=t / d)
+
+    def objective(v):
+        return renewal_race_bound(mgf, BITCOIN_10.beta * d, spec, v * d).raw_value
+
+    assert objective(res.optimizer_v) == pytest.approx(res.raw_value, rel=1e-9)
     # and nearby points must not beat it
     for bump in (0.99, 1.01):
-        assert delay_upper_objective(BITCOIN_10, res.optimizer_v * bump, t) >= res.raw_value * (
-            1 - 1e-9
-        )
+        assert objective(res.optimizer_v * bump) >= res.raw_value * (1 - 1e-9)
 
 
 def test_delay_upper_universal_dominates():
@@ -214,6 +219,13 @@ def test_delay_upper_universal_dominates():
             delay_upper_universal(BITCOIN_10, t).raw_value
             >= delay_upper(BITCOIN_10, t).raw_value * (1 - 1e-12)
         )
+    # as beta -> 0+ the universal form grows like 1/beta, and at beta = 0 the
+    # minimizer's resolution sets it: loose, but still above delay_upper
+    ts = np.array([3600.0, 36000.0, 72000.0])
+    for beta in (0.0, 1e-30, 1e-20, 1e-9):
+        params = ProtocolParams(alpha=1.0 / 600.0, beta=beta, delta=10.0)
+        universal = delay_upper_universal(params, ts).raw_value
+        assert (universal >= delay_upper(params, ts).raw_value * (1 - 1e-12)).all()
 
 
 def test_delay_upper_decreasing_in_t():
@@ -237,12 +249,33 @@ def test_delay_upper_without_adversary():
 
 @pytest.mark.parametrize("params", [BITCOIN_10, BITCOIN_25], ids=["10pct", "25pct"])
 def test_delay_upper_monotone_where_vacuous(params):
-    # near the u -> 0 edge the objective is roundoff around its limit 0; the
-    # bound must stay exactly 1 there instead of wobbling around it
+    # where the bound is vacuous its minimum sits at the u -> 0 edge of the
+    # Chernoff rate; the race form keeps its digits there, so it cannot wobble
     vals = delay_upper(params, np.arange(900.0, 3601.0)).probability.tolist()
     assert all(b <= a for a, b in zip(vals, vals[1:]))
     first = next((i for i, v in enumerate(vals) if v < 1.0), len(vals))
     assert all(v == 1.0 for v in vals[:first])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    share=st.floats(0.0, 0.45),
+    rate_per_hour=st.floats(6.0, 600.0),
+    alpha_delta=st.floats(1e-4, 0.5),
+)
+def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour, alpha_delta):
+    # from t = 0, where the bound is vacuous, to twice its 1/2 crossing:
+    # non-increasing, and never below the unachievable level
+    params = ProtocolParams.from_adversary_share(
+        rate_per_hour / 3600.0, share, alpha_delta / ((1.0 - share) * rate_per_hour / 3600.0)
+    )
+    if params.beta >= params.alpha * math.exp(-2.0 * alpha_delta):
+        return
+    ts = np.linspace(0.0, 2.0 * _delay_upper_crossing(params, 0.5), 97)
+    upper = delay_upper(params, ts).probability
+    assert upper[0] > 1.0 - 1e-12 and upper[-1] <= 0.5
+    assert (np.diff(upper) <= 0.0).all()
+    assert (delay_lower(params, ts).probability <= upper).all()
 
 
 # --- t as an array -------------------------------------------------------
@@ -255,7 +288,7 @@ def _bits(x):
 
 
 def _array_models():
-    """Random models (shares 0-45%, 6-600/h, alpha*delta 1e-4..0.5) and the edge-rule model."""
+    """Random models (shares 0-45%, 6-600/h, alpha*delta 1e-4..0.5) and Bitcoin at 10%."""
     rng = np.random.default_rng(20260)
     models = [(1.0 / 600.0, 0.10, 10.0)]
     for _ in range(12):
@@ -280,7 +313,7 @@ def test_array_t_is_bit_identical_to_scalar_calls(name):
             rate, share, 0.0 if name.startswith("zero") else delta
         )
         ts = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 60.0 / params.alpha, 9))])
-        if i == 0:  # the first-cell edge rule's region, past one block of t
+        if i == 0:  # across delay_upper's vacuous edge (~1754 s), past one block of t
             ts = np.concatenate([ts, np.arange(1300.0, 1900.0, 10.0)])
         try:
             whole = fn(params, ts)

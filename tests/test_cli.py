@@ -204,7 +204,7 @@ def reference_latency_sweep(params, grid, kinds):
     [
         ("0", "0.9", "0:40000:41"),
         ("10", "0.9", "0:40000:41"),
-        ("10", "0.9", "1300:1890:60"),  # the first-cell edge rule of delay_upper
+        ("10", "0.9", "1300:1890:60"),  # across delay_upper's vacuous edge (~1754 s)
         ("10", "0.6", "3600,7200,14400,28800,57600"),
         ("10", "0.5", "3600,7200"),  # infeasible: blank cells
     ],
@@ -264,6 +264,9 @@ def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
 def test_sweep_bad_grid(capsys):
     code, _ = run_cli(capsys, "sweep", "--var", "latency", "--grid", "10,5")
     assert code == 3
+    assert_schema_error(capsys, "sweep", "--var", "rate", "--grid=-6,60")
+    assert_schema_error(capsys, "sweep", "--var", "rate", "--grid", "nan,60")
+    assert_schema_error(capsys, "sweep", "--var", "throughput", "--grid=-1,1")
 
 
 def test_sweep_rate_emits_empty_cell_on_infeasible(capsys):

@@ -1,10 +1,18 @@
-"""The two series-based lower bounds and the Skellam pmf against 50-digit mpmath re-evaluations."""
+"""The two series-based lower bounds, the Skellam pmf and the double-lagger MGF against
+50-digit mpmath re-evaluations."""
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from powbounds.bounds import ProtocolParams, postmine_gain_pmf, zero_delay_lower
+from powbounds.bounds import (
+    ProtocolParams,
+    RaceSpec,
+    double_lagger_mgf,
+    postmine_gain_pmf,
+    renewal_race_bound,
+    zero_delay_lower,
+)
 from powbounds.distributions import skellam_pmf
 
 # (adversarial share, total rate per hour, t in seconds)
@@ -109,3 +117,29 @@ def test_skellam_pmf_matches_mpmath(mu1, mu2, k):
             k, 2 * mp.sqrt(m1 * m2), maxterms=10**6
         )
         assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("frac", [1e-13, 0.5])
+@pytest.mark.parametrize("a", [1e-4, 0.015, 0.025, 0.5])
+def test_mgf_excess_matches_mpmath(a, frac):
+    # phi(u) - 1 keeps its relative precision down to the u -> 0 edge
+    mgf = double_lagger_mgf(a)
+    u = frac * mgf.roc_sup
+    got = float(mgf.excess(u))
+    with mp.workdps(50):
+        am, um = mpf(a), mpf(u)
+        g = um * um - am * um - am * um * mp.exp(um - am) + am * am * mp.exp(2 * (um - am))
+        want = (am * um - um * um) / g
+        assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("b", [0.0, 0.0015])
+def test_renewal_race_bound_array_u_is_bit_identical_to_scalar_calls(b):
+    mgf = double_lagger_mgf(0.015)
+    spec = RaceSpec(mu=1.0, nu=1.0, n=1, t=1440.0)
+    us = mgf.roc_sup * np.array([1e-13, 1e-10, 1e-7, 1e-4, *np.linspace(0.05, 0.85, 37)])
+    whole = renewal_race_bound(mgf, b, spec, us)
+    each = [renewal_race_bound(mgf, b, spec, float(u)) for u in us]
+    for field in ("raw_value", "probability", "optimizer_v"):
+        got = np.asarray(getattr(whole, field)).tobytes()
+        assert got == np.array([getattr(r, field) for r in each]).tobytes(), field
