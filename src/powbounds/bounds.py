@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import optimize, special
@@ -368,6 +368,28 @@ def _grid_minimize(f, hi, coarse=None):
     return u, val
 
 
+def _delay_coarse(mgf: Mgf, b: float):
+    """(log c^2, psi) of the delay race on _coarse_grid(u0), shared by every t and every level."""
+    return _race_log_terms(mgf, b, _DELAY_SPEC, _coarse_grid(mgf.roc_sup))
+
+
+def _delay_upper_rows(mgf: Mgf, b: float, d: float, coarse, ts: np.ndarray):
+    """delay_upper's kernel: (raw value, optimizer v per second) at each time in ts (s).
+
+    Each time is one row of the minimization; coarse is _delay_coarse(mgf, b).
+    """
+    tau = (ts / d)[:, None]
+
+    def objective(terms):
+        log_c2, psi = terms
+        return log_c2 - psi * tau
+
+    u_best, log_obj = _grid_minimize(
+        lambda u: objective(_race_log_terms(mgf, b, _DELAY_SPEC, u)), mgf.roc_sup, objective(coarse)
+    )
+    return _exp_each(log_obj), u_best / d
+
+
 def delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     """Achievable security level with propagation delay (minimized over the Chernoff rate).
 
@@ -375,20 +397,13 @@ def delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     grid are shared by every t, and each t is one row of the minimization.
     """
     mgf, b = _delay_norm(params)
-    u0, d = mgf.roc_sup, params.delta
-    coarse_c2, coarse_psi = _race_log_terms(mgf, b, _DELAY_SPEC, _coarse_grid(u0))
+    coarse = _delay_coarse(mgf, b)
 
     def kernel(ts):
-        tau = (ts / d)[:, None]
+        raw, v = _delay_upper_rows(mgf, b, params.delta, coarse, ts)
+        return {"raw_value": raw, "optimizer_v": v}
 
-        def objective(u):
-            log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u)
-            return log_c2 - psi * tau
-
-        u_best, log_obj = _grid_minimize(objective, u0, coarse_c2 - coarse_psi * tau)
-        return {"raw_value": _exp_each(log_obj), "optimizer_v": u_best / d}
-
-    return _per_t(t, kernel, theta=u0 / d)
+    return _per_t(t, kernel, theta=mgf.roc_sup / params.delta)
 
 
 def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
@@ -412,20 +427,28 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     )
 
 
-def _delay_upper_crossing(params: ProtocolParams, eps: float) -> float:
-    """Real t (s) where delay_upper reaches eps: delta * min_u (log c^2(u) - log eps) / psi(u).
+def _delay_crossings(mgf: Mgf, b: float, coarse, log_eps: np.ndarray) -> np.ndarray:
+    """Normalized real crossing min_u (log c^2(u) - log eps) / psi(u) of each level, one row each.
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
     """
-    mgf, b = _delay_norm(params)
-    log_eps = math.log(eps)
+    log_eps = log_eps[:, None]
 
-    def ratio(u):
-        log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u)
+    def ratio(terms):
+        log_c2, psi = terms
         return (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
 
-    return float(_grid_minimize(ratio, mgf.roc_sup)[1][0]) * params.delta
+    return _grid_minimize(
+        lambda u: ratio(_race_log_terms(mgf, b, _DELAY_SPEC, u)), mgf.roc_sup, ratio(coarse)
+    )[1]
+
+
+def _delay_upper_crossing(params: ProtocolParams, eps: float) -> float:
+    """Real t (s) where delay_upper reaches eps."""
+    mgf, b = _delay_norm(params)
+    log_eps = np.array([math.log(eps)])
+    return float(_delay_crossings(mgf, b, _delay_coarse(mgf, b), log_eps)[0]) * params.delta
 
 
 # ---------------------------------------------------------------------------
@@ -578,24 +601,46 @@ def _smallest_true(ok: Callable[[int], bool], start: int) -> int:
 
 
 def invert_latency(
-    bound_fn: Callable[[ProtocolParams, float], BoundResult],
+    bound_fn: Callable[[ProtocolParams, float | np.ndarray], BoundResult],
     params: ProtocolParams,
-    eps: float,
-) -> int:
+    eps: float | Sequence[float],
+) -> int | list[int]:
     """Smallest whole-second latency t with bound_fn(params, t).probability <= eps.
 
-    For delay_upper and zero_delay_upper the real crossing t* is solved
-    directly and the search starts at ceil(t*), so it usually confirms
-    bound_fn(t) <= eps < bound_fn(t - 1) in two evaluations; other bounds
-    start at 600 s.  Raises BracketError past 600 * 2^30 s.
+    eps is a level, giving an int, or a 1-D sequence of levels, giving a list
+    of ints.  Each level's search starts at ceil(t*), its real crossing, for
+    delay_upper and zero_delay_upper, else at 600 s, and one array call
+    confirms bound_fn(t) <= eps < bound_fn(t - 1) at t = ceil(t*); a pair
+    that does not bracket falls back to a stepping search.  For delay_upper
+    the model is solved once for all levels: one root, one coarse grid, one
+    row per level in the crossing and two in the confirmation, whose values
+    are delay_upper's bit for bit.  bound_fn takes t as a float or a 1-D
+    array.  Raises BracketError past 600 * 2^30 s.
     """
-    if not 0 < eps < 1:
+    levels = np.asarray(eps, dtype=float)
+    if levels.ndim > 1 or not ((levels > 0) & (levels < 1)).all():
         raise ValueError(f"target level must be in (0,1), got {eps}")
+    flat = levels.reshape(-1).tolist()
     if bound_fn is delay_upper:
-        t_star = _delay_upper_crossing(params, eps)
+        mgf, b = _delay_norm(params)
+        coarse = _delay_coarse(mgf, b)
+        log_eps = np.array([math.log(e) for e in flat])
+        t_star = (_delay_crossings(mgf, b, coarse, log_eps) * params.delta).tolist()
     elif bound_fn is zero_delay_upper:
-        t_star = _zero_delay_upper_crossing(params, eps)
+        t_star = [_zero_delay_upper_crossing(params, e) for e in flat]
     else:
-        t_star = 600.0
-    start = math.ceil(min(max(t_star, 1.0), float(_LATENCY_HORIZON)))
-    return _smallest_true(lambda t: bound_fn(params, t).probability <= eps, start)
+        t_star = [600.0] * len(flat)
+    starts = [math.ceil(min(max(t, 1.0), float(_LATENCY_HORIZON))) for t in t_star]
+    pairs = np.array([[s - 1, s] for s in starts], dtype=float).reshape(-1, 2)
+    if bound_fn is delay_upper:
+        raw = _delay_upper_rows(mgf, b, params.delta, coarse, pairs.reshape(-1))[0]
+        probs = np.clip(raw, 0.0, 1.0).reshape(-1, 2).tolist()
+    else:
+        probs = [bound_fn(params, pair).probability.tolist() for pair in pairs]
+    latencies = [
+        start
+        if at <= e and (start == 1 or before > e)
+        else _smallest_true(lambda t, e=e: bound_fn(params, t).probability <= e, start)
+        for e, start, (before, at) in zip(flat, starts, probs)
+    ]
+    return latencies[0] if levels.ndim == 0 else latencies

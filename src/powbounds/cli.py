@@ -9,9 +9,9 @@ invalid model, 4 self-test failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import re
@@ -79,22 +79,31 @@ def _params_from(args) -> ProtocolParams:
 
 
 def _emit(obj, args):
-    """Write a record (dict) or table (list of dicts) as JSON or CSV."""
-    if args.format == "json":
-        text = json.dumps(obj, indent=2, default=float) + "\n"
-    else:
+    """Write a record (dict) or table (list of dicts) as JSON or CSV.
+
+    A CSV table's columns are every key of its rows in first-seen order; a
+    row without a key leaves its cell empty.
+    """
+    if args.format == "csv":
         rows = obj if isinstance(obj, list) else [obj]
-        buf = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        text = buf.getvalue()
+        names = list(dict.fromkeys(k for row in rows for k in row))
+        _emit_csv(names, ([row.get(k, "") for k in names] for row in rows), args)
+        return
+    text = json.dumps(obj, indent=2, default=float) + "\n"
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_csv(names, rows, args):
+    """Write a header and an iterable of value rows as CSV, row by row, to --out or stdout."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as f:
+        if names:  # an empty table writes nothing
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(names)
+            writer.writerows(rows)
 
 
 def _bound_record(kind: str, res) -> dict:
@@ -180,7 +189,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     if args.var != "latency" and not all(math.isfinite(x) and x > 0 for x in grid):
         raise SchemaError(f"{args.var} grid must be finite and positive, got {args.grid!r}")
-    rows = []
+    names, rows = ["x", "latency_s"], []
     if args.var == "latency":
         params = _params_from(args)
         if not all(t >= 0 for t in grid):
@@ -194,13 +203,13 @@ def cmd_sweep(args) -> int:
             except (InfeasibleParametersError, ValueError):
                 columns[kind] = [""] * len(grid)
         names = ["x", *columns]
-        rows = [dict(zip(names, values)) for values in zip(grid, *columns.values())]
+        rows = zip(grid, *columns.values())
     elif args.var == "rate":
         share = 1.0 - args.alpha_frac
         for rate_per_hour in grid:
             params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, args.delta)
             t = _try_latency(params, args.level)
-            rows.append({"x": rate_per_hour, "latency_s": t if t is not None else ""})
+            rows.append((rate_per_hour, t if t is not None else ""))
     else:  # throughput
         share = 1.0 - args.alpha_frac
         model = DelayModel(a=args.delay_a, b=args.delay_b)
@@ -214,8 +223,11 @@ def cmd_sweep(args) -> int:
                 t = _try_latency(params, args.level)
                 if t is not None and (best is None or t < best):
                     best = t
-            rows.append({"x": tp, "latency_s": best if best is not None else ""})
-    _emit(rows, args)
+            rows.append((tp, best if best is not None else ""))
+    if args.format == "csv":  # streamed as value rows, no per-row dicts
+        _emit_csv(names, rows, args)
+    else:
+        _emit([dict(zip(names, row)) for row in rows], args)
     return 0
 
 

@@ -110,14 +110,12 @@ def build_comparison_table(
     for spec in specs:
         delta = protocol_delay(spec, model)
         params = ProtocolParams.from_adversary_share(spec.total_rate, adversary_fraction, delta)
-        latencies = {}
         note = None
-        for level in levels:
-            try:
-                latencies[level] = invert_latency(delay_upper, params, level)
-            except InfeasibleParametersError as e:
-                latencies[level] = None
-                note = str(e)
+        try:  # one call for all levels: they share the model's root and coarse grid
+            latencies = dict(zip(levels, invert_latency(delay_upper, params, levels)))
+        except InfeasibleParametersError as e:
+            latencies = dict.fromkeys(levels)
+            note = str(e)
         rows.append(
             {
                 "name": spec.name,

@@ -33,7 +33,12 @@ from powbounds.bounds import (
     zero_delay_upper,
 )
 from powbounds.errors import BracketError, InfeasibleParametersError
-from powbounds.protocols import default_config_path, load_config, protocol_delay
+from powbounds.protocols import (
+    build_comparison_table,
+    default_config_path,
+    load_config,
+    protocol_delay,
+)
 
 BITCOIN_10 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.10, 10.0)
 BITCOIN_25 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.25, 10.0)
@@ -257,19 +262,28 @@ def test_delay_upper_monotone_where_vacuous(params):
     assert all(v == 1.0 for v in vals[:first])
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(
+def _feasible_model(share, rate_per_hour, alpha_delta):
+    """The model at this share, rate and alpha*delta; None past beta < alpha e^{-2 alpha delta}."""
+    params = ProtocolParams.from_adversary_share(
+        rate_per_hour / 3600.0, share, alpha_delta / ((1.0 - share) * rate_per_hour / 3600.0)
+    )
+    return None if params.beta >= params.alpha * math.exp(-2.0 * alpha_delta) else params
+
+
+MODEL_REGION = dict(
     share=st.floats(0.0, 0.45),
     rate_per_hour=st.floats(6.0, 600.0),
     alpha_delta=st.floats(1e-4, 0.5),
 )
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(**MODEL_REGION)
 def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour, alpha_delta):
     # from t = 0, where the bound is vacuous, to twice its 1/2 crossing:
     # non-increasing, and never below the unachievable level
-    params = ProtocolParams.from_adversary_share(
-        rate_per_hour / 3600.0, share, alpha_delta / ((1.0 - share) * rate_per_hour / 3600.0)
-    )
-    if params.beta >= params.alpha * math.exp(-2.0 * alpha_delta):
+    params = _feasible_model(share, rate_per_hour, alpha_delta)
+    if params is None:
         return
     ts = np.linspace(0.0, 2.0 * _delay_upper_crossing(params, 0.5), 97)
     upper = delay_upper(params, ts).probability
@@ -406,6 +420,35 @@ def test_delay_lower_truncation_tail_is_nonnegative():
     ts = np.linspace(0.0, 400000.0, 41)
     for params in (BITCOIN_10, BITCOIN_25, p33):
         assert (delay_lower(params, ts).truncation_tail >= 0.0).all()
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(**MODEL_REGION)
+def test_postmine_pmf_sums_to_one_and_is_nonnegative_property(share, rate_per_hour, alpha_delta):
+    # criterion 10's gates, across the whole feasible region
+    params = _feasible_model(share, rate_per_hour, alpha_delta)
+    if params is None:
+        return
+    q = postmine_gain_pmf(params)
+    assert abs(q.sum() - 1.0) <= 1e-9
+    assert q.min() >= -1e-12
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(**MODEL_REGION)
+def test_delay_lower_truncation_tail_envelopes_the_discarded_terms_property(
+    share, rate_per_hour, alpha_delta
+):
+    # doubling n_max and k_max adds discarded terms back: the value may rise by
+    # no more than the reported tail, give or take roundoff
+    params = _feasible_model(share, rate_per_hour, alpha_delta)
+    if params is None:
+        return
+    ts = np.array([0.0, 1.0, 10.0, 100.0, 1000.0]) / params.alpha
+    kept = delay_lower(params, ts)
+    more = delay_lower(params, ts, n_max=256, k_max=1024)
+    rise = more.raw_value - kept.raw_value
+    assert (rise <= kept.truncation_tail + 64.0 * np.spacing(kept.raw_value)).all()
 
 
 def test_delay_lower_below_upper():
@@ -587,3 +630,96 @@ def test_invert_latency_matches_bisection_property(alpha_delta, share, delta, lo
     if beta >= alpha * math.exp(-2.0 * alpha_delta):
         return
     _same_latency(delay_upper, ProtocolParams(alpha, beta, delta), 10.0**log10_eps)
+
+
+def _latencies_or_error(bound_fn, params, levels):
+    """invert_latency per level, or the type of the first level's error."""
+    try:
+        return [invert_latency(bound_fn, params, eps) for eps in levels]
+    except (InfeasibleParametersError, BracketError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("params,eps", INVERSION_CASES)
+def test_invert_latency_batched_levels_equal_per_level_calls(params, eps):
+    levels = [1e-3, eps, 1e-6, 1e-9]
+    want = _latencies_or_error(delay_upper, params, levels)
+    if isinstance(want, type):
+        with pytest.raises(want):
+            invert_latency(delay_upper, params, levels)
+    else:
+        assert invert_latency(delay_upper, params, levels) == want
+        assert invert_latency(delay_upper, params, np.array(levels)) == want
+
+
+def test_invert_latency_other_bounds_take_levels():
+    levels = [1e-3, 1e-6]
+    p0 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.25, 0.0)
+    for bound_fn, params in ((zero_delay_upper, p0), (delay_upper_universal, BITCOIN_10)):
+        assert invert_latency(bound_fn, params, levels) == [
+            invert_latency(bound_fn, params, eps) for eps in levels
+        ]
+    assert invert_latency(delay_upper, BITCOIN_10, []) == []
+    for bad in ([1e-3, 1.0], [[1e-3]], 0.0):
+        with pytest.raises(ValueError):
+            invert_latency(delay_upper, BITCOIN_10, bad)
+
+
+def test_invert_latency_confirms_with_delay_upper_values(monkeypatch):
+    # the confirmation's values at ceil(t*) - 1 and ceil(t*) are the public
+    # delay_upper's, bit for bit
+    seen = []
+    rows = bounds._delay_upper_rows
+
+    def recording(mgf, b, d, coarse, ts):
+        out = rows(mgf, b, d, coarse, ts)
+        seen.append((ts.copy(), *out))
+        return out
+
+    monkeypatch.setattr(bounds, "_delay_upper_rows", recording)
+    levels = [1e-3, 1e-6, 1e-9]
+    for params in (BITCOIN_10, BITCOIN_25, *_protocol_params(0.25)):
+        seen.clear()
+        latencies = invert_latency(delay_upper, params, levels)
+        assert len(seen) == 1
+        ts, raw, v = seen[0]
+        assert ts.tolist() == [x for t in latencies for x in (t - 1.0, t)]
+        public = delay_upper(params, ts)
+        assert _bits(raw) == _bits(public.raw_value)
+        assert _bits(v) == _bits(public.optimizer_v)
+
+
+def test_invert_latency_solves_each_model_once(monkeypatch):
+    calls = []
+    root = bounds._smallest_root_norm
+
+    def counting(a):
+        calls.append(a)
+        return root(a)
+
+    monkeypatch.setattr(bounds, "_smallest_root_norm", counting)
+    for eps in (1e-3, [1e-3, 1e-6, 1e-9]):
+        calls.clear()
+        invert_latency(delay_upper, BITCOIN_10, eps)
+        assert len(calls) == 1
+    calls.clear()
+    specs, model = load_config(default_config_path())
+    build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
+    assert len(calls) == len(specs) == 6
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(
+    **MODEL_REGION,
+    log10_levels=st.lists(st.floats(-12.0, -1.0), min_size=4, max_size=4),
+)
+def test_invert_latency_monotone_in_eps_property(share, rate_per_hour, alpha_delta, log10_levels):
+    # a smaller level never needs a shorter latency; the batched call agrees
+    # with a scalar call per level
+    params = _feasible_model(share, rate_per_hour, alpha_delta)
+    if params is None:
+        return
+    levels = [10.0**x for x in sorted(log10_levels, reverse=True)]
+    latencies = invert_latency(delay_upper, params, levels)
+    assert all(b >= a for a, b in zip(latencies, latencies[1:]))
+    assert latencies == [invert_latency(delay_upper, params, eps) for eps in levels]

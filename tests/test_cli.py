@@ -325,6 +325,17 @@ def test_protocol_table_empty_config(tmp_path, capsys):
     code, out = run_cli(capsys, "protocol-table", "--config", str(cfg))
     assert code == 0
     assert json.loads(out) == []
+    assert run_cli(capsys, "--format", "csv", "protocol-table", "--config", str(cfg)) == (0, "")
+
+
+def test_protocol_table_csv_keeps_a_later_rows_note(capsys):
+    # at 45% Zcash alone is infeasible: its note gets a column, empty on the
+    # rows before and after it
+    code, out = run_cli(capsys, "--format", "csv", "protocol-table", "--adversary", "0.45")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [bool(r["note"]) for r in rows] == [r["name"] == "Zcash" for r in rows]
+    assert rows[4]["latency_s_1e-09"] == "" and rows[5]["latency_s_1e-09"] != ""
 
 
 def test_protocol_table_missing_config_key(tmp_path, capsys):
