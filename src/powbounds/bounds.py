@@ -31,7 +31,7 @@ from .distributions import (
     series_div,
     skellam_pmf,
 )
-from .errors import BracketError, InfeasibleParametersError
+from .errors import BracketError, InfeasibleParametersError, SchemaError
 
 # Coarse cells over (0, u0) in the Chernoff-rate minimizations, and points
 # either side of the incumbent in each refinement pass.
@@ -58,9 +58,9 @@ class ProtocolParams:
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"honest rate must be positive, got {self.alpha}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"adversarial rate must be nonnegative, got {self.beta}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delay bound must be nonnegative, got {self.delta}")
 
     @classmethod
@@ -105,7 +105,7 @@ def _per_t(t, kernel, **fixed) -> BoundResult:
     blocks = [kernel(flat[i : i + _T_BLOCK]) for i in range(0, max(flat.size, 1), _T_BLOCK)]
     per_t = {k: np.concatenate([blk[k] for blk in blocks]) for k in blocks[0]}
     raw = per_t.pop("raw_value")
-    probability = np.array([min(max(x, 0.0), 1.0) for x in raw.tolist()])  # as from_raw
+    probability = np.clip(raw, 0.0, 1.0)
     if ts.ndim == 0:
         raw, probability = float(raw[0]), float(probability[0])
         per_t = {k: float(v[0]) for k, v in per_t.items()}
@@ -339,19 +339,19 @@ def _coarse_grid(hi):
     return hi * np.arange(1, _GRID_CELLS) / _GRID_CELLS
 
 
-def _grid_minimize(f, hi, coarse=None):
-    """Minimize each row of a vectorized objective over (0, hi); returns (u, f(u)) per row.
+def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
+    """Minimize the delay race's objective over (0, u0) row by row; returns (u, value) per row.
 
-    f maps a (rows, n) array of points to their (rows, n) values, nan outside
-    (0, hi) and at inadmissible points; coarse, if given, holds the values on
-    _coarse_grid(hi), shape (rows, _GRID_CELLS - 1), else they come from f.
-    The coarse grid finds each row's basin.  Each refinement pass then
-    evaluates a finer grid spanning one old spacing either side of the row's
-    incumbent, with the incumbent itself as its middle point, so no row's best
-    value ever worsens.
+    objective maps the race's (log c^2, psi) at (rows or 1, n) points to
+    (rows, n) values, nan at inadmissible points; coarse is
+    _delay_coarse(mgf, b).  The coarse grid finds each row's basin.  Each
+    refinement pass then evaluates a finer grid spanning one old spacing
+    either side of the row's incumbent, with the incumbent itself as its
+    middle point, so no row's best value ever worsens.
     """
+    hi = mgf.roc_sup
     us = _coarse_grid(hi)
-    vals = f(us[None, :]) if coarse is None else coarse
+    vals = objective(*coarse)
     if np.isnan(vals).all(axis=1).any():
         raise BracketError("no admissible point for the Chernoff-rate optimization")
     rows = np.arange(vals.shape[0])
@@ -361,7 +361,7 @@ def _grid_minimize(f, hi, coarse=None):
     step = hi / _GRID_CELLS
     while step > 1e-12 * hi:
         xs = u[:, None] + step * offsets
-        vals = f(xs)
+        vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, xs))
         i = np.nanargmin(vals, axis=1)
         u, val = xs[rows, i], vals[rows, i]
         step /= _REFINE
@@ -369,8 +369,8 @@ def _grid_minimize(f, hi, coarse=None):
 
 
 def _delay_coarse(mgf: Mgf, b: float):
-    """(log c^2, psi) of the delay race on _coarse_grid(u0), shared by every t and every level."""
-    return _race_log_terms(mgf, b, _DELAY_SPEC, _coarse_grid(mgf.roc_sup))
+    """(log c^2, psi) of the delay race on _coarse_grid(u0), one row shared by every t and level."""
+    return _race_log_terms(mgf, b, _DELAY_SPEC, _coarse_grid(mgf.roc_sup)[None, :])
 
 
 def _delay_upper_rows(mgf: Mgf, b: float, d: float, coarse, ts: np.ndarray):
@@ -379,14 +379,7 @@ def _delay_upper_rows(mgf: Mgf, b: float, d: float, coarse, ts: np.ndarray):
     Each time is one row of the minimization; coarse is _delay_coarse(mgf, b).
     """
     tau = (ts / d)[:, None]
-
-    def objective(terms):
-        log_c2, psi = terms
-        return log_c2 - psi * tau
-
-    u_best, log_obj = _grid_minimize(
-        lambda u: objective(_race_log_terms(mgf, b, _DELAY_SPEC, u)), mgf.roc_sup, objective(coarse)
-    )
+    u_best, log_obj = _grid_minimize(mgf, b, coarse, lambda log_c2, psi: log_c2 - psi * tau)
     return _exp_each(log_obj), u_best / d
 
 
@@ -417,7 +410,7 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     """
     mgf, b = _delay_norm(params)
     d = params.delta
-    u_best, _ = _grid_minimize(lambda u: -_race_log_terms(mgf, b, _DELAY_SPEC, u)[1], mgf.roc_sup)
+    u_best, _ = _grid_minimize(mgf, b, _delay_coarse(mgf, b), lambda _, psi: -psi)
     log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u_best)
     return _per_t(
         t,
@@ -434,21 +427,9 @@ def _delay_crossings(mgf: Mgf, b: float, coarse, log_eps: np.ndarray) -> np.ndar
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
     """
     log_eps = log_eps[:, None]
-
-    def ratio(terms):
-        log_c2, psi = terms
-        return (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
-
     return _grid_minimize(
-        lambda u: ratio(_race_log_terms(mgf, b, _DELAY_SPEC, u)), mgf.roc_sup, ratio(coarse)
+        mgf, b, coarse, lambda log_c2, psi: (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
     )[1]
-
-
-def _delay_upper_crossing(params: ProtocolParams, eps: float) -> float:
-    """Real t (s) where delay_upper reaches eps."""
-    mgf, b = _delay_norm(params)
-    log_eps = np.array([math.log(eps)])
-    return float(_delay_crossings(mgf, b, _delay_coarse(mgf, b), log_eps)[0]) * params.delta
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +590,12 @@ def invert_latency(
 
     eps is a level, giving an int, or a 1-D sequence of levels, giving a list
     of ints.  Each level's search starts at ceil(t*), its real crossing, for
-    delay_upper and zero_delay_upper, else at 600 s, and one array call
-    confirms bound_fn(t) <= eps < bound_fn(t - 1) at t = ceil(t*); a pair
-    that does not bracket falls back to a stepping search.  For delay_upper
-    the model is solved once for all levels: one root, one coarse grid, one
-    row per level in the crossing and two in the confirmation, whose values
-    are delay_upper's bit for bit.  bound_fn takes t as a float or a 1-D
-    array.  Raises BracketError past 600 * 2^30 s.
+    delay_upper and zero_delay_upper, else at 600 s.  One array call for all
+    levels confirms bound_fn(t) <= eps < bound_fn(t - 1) at t = ceil(t*), and
+    a level whose pair does not bracket steps outward through the same
+    probability function.  For delay_upper that is delay_upper's per-t kernel
+    on the model solved once per call (one root, one coarse grid), so its
+    values are delay_upper's bit for bit.  Raises BracketError past 600 * 2^30 s.
     """
     levels = np.asarray(eps, dtype=float)
     if levels.ndim > 1 or not ((levels > 0) & (levels < 1)).all():
@@ -626,21 +606,40 @@ def invert_latency(
         coarse = _delay_coarse(mgf, b)
         log_eps = np.array([math.log(e) for e in flat])
         t_star = (_delay_crossings(mgf, b, coarse, log_eps) * params.delta).tolist()
-    elif bound_fn is zero_delay_upper:
-        t_star = [_zero_delay_upper_crossing(params, e) for e in flat]
+
+        def probability(ts):
+            return np.clip(_delay_upper_rows(mgf, b, params.delta, coarse, ts)[0], 0.0, 1.0)
     else:
-        t_star = [600.0] * len(flat)
+        zero_delay = bound_fn is zero_delay_upper
+        t_star = [_zero_delay_upper_crossing(params, e) if zero_delay else 600.0 for e in flat]
+
+        def probability(ts):
+            return bound_fn(params, ts).probability
+
     starts = [math.ceil(min(max(t, 1.0), float(_LATENCY_HORIZON))) for t in t_star]
-    pairs = np.array([[s - 1, s] for s in starts], dtype=float).reshape(-1, 2)
-    if bound_fn is delay_upper:
-        raw = _delay_upper_rows(mgf, b, params.delta, coarse, pairs.reshape(-1))[0]
-        probs = np.clip(raw, 0.0, 1.0).reshape(-1, 2).tolist()
-    else:
-        probs = [bound_fn(params, pair).probability.tolist() for pair in pairs]
+    pairs = np.array([x for s in starts for x in (s - 1, s)], dtype=float)
+    probs = probability(pairs).reshape(-1, 2).tolist()
     latencies = [
         start
         if at <= e and (start == 1 or before > e)
-        else _smallest_true(lambda t, e=e: bound_fn(params, t).probability <= e, start)
+        else _smallest_true(lambda t, e=e: probability(np.array([float(t)]))[0] <= e, start)
         for e, start, (before, at) in zip(flat, starts, probs)
     ]
     return latencies[0] if levels.ndim == 0 else latencies
+
+
+# Bound kind -> names of its (zero-delay, delay) forms, looked up at call time so that a
+# wrapped form is found (invert_latency recognises delay_upper by identity).
+BOUND_KINDS = {
+    "upper": ("zero_delay_upper", "delay_upper"),
+    "lower": ("zero_delay_lower", "delay_lower"),
+    "upper-universal": ("zero_delay_upper", "delay_upper_universal"),
+}
+
+
+def bound_of_kind(kind: str, params: ProtocolParams):
+    """The bound of this kind for these parameters: its zero-delay form when delta = 0."""
+    if kind not in BOUND_KINDS:
+        raise SchemaError(f"unknown bound kind {kind!r}")
+    zero_delay, delay = BOUND_KINDS[kind]
+    return globals()[zero_delay if params.delta == 0 else delay]

@@ -117,40 +117,25 @@ def _bound_record(kind: str, res) -> dict:
     }
 
 
-# Bound kind -> names in `bounds` of its (zero-delay, delay) forms.  Looked up
-# at call time, so the function is the one `bounds` exports then (invert_latency
-# recognises delay_upper by identity).
-_BOUND_FORMS = {
-    "upper": ("zero_delay_upper", "delay_upper"),
-    "lower": ("zero_delay_lower", "delay_lower"),
-    "upper-universal": ("zero_delay_upper", "delay_upper_universal"),
-}
-
-
-def _bound_fn(kind: str, params):
-    """The bound of this kind for these parameters: its zero-delay form when delta = 0."""
-    if kind not in _BOUND_FORMS:
-        raise SchemaError(f"unknown bound kind {kind!r}")
-    zero_delay, delay = _BOUND_FORMS[kind]
-    return getattr(bounds, zero_delay if params.delta == 0 else delay)
-
-
 def cmd_bound(args) -> int:
     params = _params_from(args)
-    res = _bound_fn(args.kind, params)(params, parse_time(args.t))
+    res = bounds.bound_of_kind(args.kind, params)(params, parse_time(args.t))
     _emit(_bound_record(args.kind, res), args)
     return 0
 
 
+def _check_fraction(name: str, x: float):
+    if not 0 < x < 1:
+        raise SchemaError(f"{name} must be in (0,1), got {x}")
+
+
 def cmd_latency(args) -> int:
     params = _params_from(args)
-    if not 0 < args.level < 1:
-        raise SchemaError(f"--level must be in (0,1), got {args.level}")
-    if not 0 < args.split < 1:
-        raise SchemaError(f"--split must be in (0,1), got {args.split}")
+    _check_fraction("--level", args.level)
+    _check_fraction("--split", args.split)
     eps_time = args.split * args.level
     eps_depth = (1.0 - args.split) * args.level
-    t = bounds.invert_latency(_bound_fn("upper", params), params, eps_time)
+    t = bounds.invert_latency(bounds.bound_of_kind("upper", params), params, eps_time)
     depth = bounds.depth_from_time(params, t, eps_depth)
     _emit(
         {
@@ -180,24 +165,26 @@ def _parse_grid(text: str):
 
 def _try_latency(params, level):
     try:
-        return bounds.invert_latency(_bound_fn("upper", params), params, level)
+        return bounds.invert_latency(bounds.bound_of_kind("upper", params), params, level)
     except (InfeasibleParametersError, BracketError):
         return None
 
 
 def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
-    if args.var != "latency" and not all(math.isfinite(x) and x > 0 for x in grid):
-        raise SchemaError(f"{args.var} grid must be finite and positive, got {args.grid!r}")
+    params = _params_from(args)  # checks the model flags for every sweep, not only a latency one
+    if args.var != "latency":
+        if not all(math.isfinite(x) and x > 0 for x in grid):
+            raise SchemaError(f"{args.var} grid must be finite and positive, got {args.grid!r}")
+        _check_fraction("--level", args.level)
     names, rows = ["x", "latency_s"], []
     if args.var == "latency":
-        params = _params_from(args)
         if not all(t >= 0 for t in grid):
             raise SchemaError(f"latency grid must be nonnegative, got {args.grid!r}")
         ts = np.array(grid)
         columns = {}
         for kind in args.bounds.split(","):
-            fn = _bound_fn(kind, params)
+            fn = bounds.bound_of_kind(kind, params)
             try:  # one call per column: the bound takes the whole grid at once
                 columns[kind] = fn(params, ts).probability.tolist()
             except (InfeasibleParametersError, ValueError):
@@ -212,7 +199,10 @@ def cmd_sweep(args) -> int:
             rows.append((rate_per_hour, t if t is not None else ""))
     else:  # throughput
         share = 1.0 - args.alpha_frac
-        model = DelayModel(a=args.delay_a, b=args.delay_b)
+        try:
+            model = DelayModel(a=args.delay_a, b=args.delay_b)
+        except ValueError as e:
+            raise SchemaError(str(e)) from e
         rate_grid = np.geomspace(6.0, 600.0, 80)
         for tp in grid:
             best = None
@@ -268,8 +258,8 @@ def cmd_simulate(args) -> int:
     if args.mode == "attack":
         params, t, post, cfg = _campaign(args)
         est = simulator.estimate_attack_success(cfg, t, post)
-        lower = _bound_fn("lower", params)(params, t).probability
-        upper = _bound_fn("upper", params)(params, t).probability
+        lower = bounds.bound_of_kind("lower", params)(params, t).probability
+        upper = bounds.bound_of_kind("upper", params)(params, t).probability
         ok = est.value <= upper + 3.0 * est.stderr and est.value >= lower - 3.0 * est.stderr
         report = {
             "mode": "attack",
@@ -336,7 +326,14 @@ def cmd_simulate(args) -> int:
 def cmd_protocol_table(args) -> int:
     path = args.config or default_config_path()
     specs, model = load_config(path)
-    levels = [float(x) for x in args.levels.split(",")]
+    try:
+        levels = [float(x) for x in args.levels.split(",")]
+    except ValueError as e:
+        raise SchemaError(f"bad --levels {args.levels!r}") from e
+    for level in levels:
+        _check_fraction("--levels entry", level)
+    if not 0 <= args.adversary < 1:
+        raise SchemaError(f"--adversary must be in [0,1), got {args.adversary}")
     rows = build_comparison_table(specs, model, args.adversary, levels)
     flat = []
     failures = []
@@ -389,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="evaluate one bound at one time")
-    p.add_argument("kind", choices=["upper", "lower", "upper-universal"])
+    p.add_argument("kind", choices=list(bounds.BOUND_KINDS))
     _add_param_flags(p)
     p.add_argument("--t", required=True, help="confirmation latency, e.g. 4h or 10h40m")
     p.set_defaults(func=cmd_bound)

