@@ -466,6 +466,23 @@ def postmine_gain_pmf(params: ProtocolParams, n_max: int = 128) -> np.ndarray:
     return np.concatenate([[xi[0] + xi[1]], xi[2:]])
 
 
+def _geometric_poisson(pois: np.ndarray, r: float) -> np.ndarray:
+    """Each row of pois convolved with the geometric pmf (1-r) r^k, cut to pois's length.
+
+    The convolution is the recurrence pk[k] = r pk[k-1] + (1-r) pois[k], run
+    as a doubling scan: after the pass of stride s, pk[k] sums the terms of
+    lag < 2s, so ceil(log2(length)) elementwise passes finish it.  Every term
+    is nonnegative, so nothing cancels, and each row's arithmetic is the same
+    whatever the number of rows.
+    """
+    pk = (1.0 - r) * pois
+    s = 1
+    while s < pk.shape[-1]:
+        pk[..., s:] += r**s * pk[..., :-s]
+        s *= 2
+    return pk
+
+
 def delay_lower(
     params: ProtocolParams, t: float | np.ndarray, n_max: int = 128, k_max: int = 512
 ) -> BoundResult:
@@ -474,8 +491,9 @@ def delay_lower(
     sum_{n,k, n+k>0} q(n) P(A_{0,t}+L = k) ErlangCCDF(t-(n+k)delta; n+k, alpha),
     with P(A_{0,t}+L = k) evaluated as the geometric-Poisson convolution so no
     e^{(alpha-beta)t} factor is ever formed.  Partial sums remain valid
-    unachievable levels.  t is a float or a 1-D array of times (s); q, the
-    geometric row and the Erlang shapes are shared by every t.
+    unachievable levels.  t is a float or a 1-D array of times (s); every t
+    shares q and the Erlang shapes, and one doubling scan forms every row's
+    geometric-Poisson pmf.
 
     truncation_tail adds the Poisson and geometric mass past k_max, in closed
     form, and the shortfall of q's sum below 1.
@@ -488,7 +506,6 @@ def delay_lower(
         )
     r = params.beta / params.alpha
     ks = np.arange(k_max + 1)
-    geo = (1.0 - r) * r**ks
     m = np.arange(1, q.size + k_max)  # n + k over the convolution, m = 0 excluded
     tail_fixed = r ** (k_max + 1) + max(0.0, 1.0 - q.sum())
 
@@ -496,10 +513,10 @@ def delay_lower(
         lam = params.beta * ts
         pois = np.exp(log_poisson_pmf_vec(ks, lam[:, None]))
         ccdf = erlang_ccdf_vec(ts[:, None] - m * params.delta, m, params.alpha)
+        pk = _geometric_poisson(pois, r)
         raw = np.empty(ts.size)
         for j in range(ts.size):  # row by row, so each sum adds in the one-t order
-            pk = np.convolve(geo, pois[j])[: k_max + 1]
-            s = np.convolve(q, pk)  # s[m] = sum_{n+k=m} q(n) pk(k)
+            s = np.convolve(q, pk[j])  # s[m] = sum_{n+k=m} q(n) pk(k)
             raw[j] = np.dot(s[1:], ccdf[j])
         return {"raw_value": raw, "truncation_tail": special.pdtrc(k_max, lam) + tail_fixed}
 

@@ -189,20 +189,26 @@ def load_config(path: str):
     for key in ("a_s_per_kb", "b_s"):
         if key not in dm:
             raise SchemaError(f"delay_model missing key {key!r}")
-    model = DelayModel(a=float(dm["a_s_per_kb"]), b=float(dm["b_s"]))
+    try:  # a non-numeric or out-of-range value is a bad config, not a crash
+        model = DelayModel(a=float(dm["a_s_per_kb"]), b=float(dm["b_s"]))
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"bad delay_model: {e}") from e
     specs = []
     for i, entry in enumerate(doc["protocols"]):
         for key in ("name", "block_size_kb", "blocks_per_hour"):
             if key not in entry:
                 raise SchemaError(f"protocol entry {i} missing key {key!r}")
-        specs.append(
-            ProtocolSpec(
-                name=str(entry["name"]),
-                block_size_kb=float(entry["block_size_kb"]),
-                blocks_per_hour=float(entry["blocks_per_hour"]),
-                delay_override_s=(
-                    float(entry["delay_override_s"]) if "delay_override_s" in entry else None
-                ),
+        try:
+            specs.append(
+                ProtocolSpec(
+                    name=str(entry["name"]),
+                    block_size_kb=float(entry["block_size_kb"]),
+                    blocks_per_hour=float(entry["blocks_per_hour"]),
+                    delay_override_s=(
+                        float(entry["delay_override_s"]) if "delay_override_s" in entry else None
+                    ),
+                )
             )
-        )
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"bad protocol entry {i}: {e}") from e
     return specs, model

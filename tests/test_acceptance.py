@@ -119,6 +119,13 @@ def test_criterion_03_lower_bound_crossings(capsys):
     )
 
 
+@pytest.mark.parametrize("params", [P10, P25], ids=["10pct", "25pct"])
+def test_delay_lower_inversion_matches_criterion_3_crossing(params):
+    # invert_latency's whole-second answer is criterion 3's bisected crossing
+    levels = [1e-3, 1e-6, 1e-9]
+    assert invert_latency(delay_lower, params, levels) == [crossing(params, e) for e in levels]
+
+
 def test_criterion_04_protocol_table(capsys):
     start = time.time()
     specs, model = load_config(default_config_path())

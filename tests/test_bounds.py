@@ -16,6 +16,7 @@ from powbounds.bounds import (
     ProtocolParams,
     RaceSpec,
     _g_norm,
+    _geometric_poisson,
     _smallest_root_norm,
     _zeta_norm,
     delay_lower,
@@ -31,6 +32,7 @@ from powbounds.bounds import (
     zero_delay_lower,
     zero_delay_upper,
 )
+from powbounds.distributions import log_poisson_pmf_vec
 from powbounds.errors import BracketError, InfeasibleParametersError
 from powbounds.protocols import (
     build_comparison_table,
@@ -422,6 +424,29 @@ def test_delay_lower_truncation_tail_is_nonnegative():
     ts = np.linspace(0.0, 400000.0, 41)
     for params in (BITCOIN_10, BITCOIN_25, p33):
         assert (delay_lower(params, ts).truncation_tail >= 0.0).all()
+
+
+@pytest.mark.parametrize(
+    "share, per_hour, delta, ts",
+    [
+        (0.10, 6.0, 10.0, [0.0]),  # lam = 0: the geometric pmf itself
+        (0.33, 6.0, 10.0, [0.0, 7200.0, 36000.0]),  # r = 0.49
+        (0.45, 6.0, 0.1, [0.0, 7200.0, 36000.0]),  # r = 0.82, the largest share MODEL_REGION draws
+        (0.25, 600.0, 10.0, [600.0, 36000.0]),  # lam = 1500, far past k_max
+    ],
+)
+def test_geometric_poisson_scan_matches_direct_convolution(share, per_hour, delta, ts):
+    params = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta)
+    r = params.beta / params.alpha
+    ks = np.arange(513)
+    pois = np.exp(log_poisson_pmf_vec(ks, params.beta * np.array(ts)[:, None]))
+    pk = _geometric_poisson(pois, r)
+    for j in range(len(ts)):
+        want = np.convolve((1.0 - r) * r**ks, pois[j])[: ks.size]
+        kept = want >= 1e-290
+        assert kept.any()
+        np.testing.assert_allclose(pk[j, kept], want[kept], rtol=1e-14, atol=0.0)
+        assert (pk[j, ~kept] < 1e-280).all()
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)

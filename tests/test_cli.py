@@ -384,6 +384,24 @@ def test_protocol_table_missing_config_key(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "delay_model, protocol",
+    [
+        ({"a_s_per_kb": -1, "b_s": 0.2}, {"block_size_kb": 1000}),
+        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 0}),
+        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": "abc"}),
+    ],
+    ids=["negative-a", "zero-block-size", "non-numeric-block-size"],
+)
+def test_protocol_table_bad_config_value_exit_code(tmp_path, capsys, delay_model, protocol):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "delay_model": delay_model,
+        "protocols": [dict({"name": "Bitcoin", "blocks_per_hour": 6}, **protocol)],
+    }))
+    assert_schema_error(capsys, "protocol-table", "--config", str(cfg))
+
+
 def test_simulate_attack_self_test(capsys):
     code, out = run_cli(
         capsys, "--seed", "7", "simulate", "attack", "--delta", "0",
