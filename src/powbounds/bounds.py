@@ -220,8 +220,8 @@ def zero_delay_lower(
 
 def _g_norm(u, a):
     """Denominator polynomial-exponential g_a(u) = u^2 - a u - a u e^{u-a} + a^2 e^{2(u-a)}."""
-    u = np.asarray(u, dtype=float)
-    return u * u - a * u - a * u * np.exp(u - a) + a * a * np.exp(2.0 * (u - a))
+    au, d = a * u, u - a
+    return u * u - au - au * np.exp(d) + a * a * np.exp(2.0 * d)
 
 
 def _g_scalar(u: float, a: float) -> float:
@@ -255,7 +255,6 @@ def _smallest_root_norm(a: float) -> float:
 
 def _zeta_norm(u, a):
     """phi(u) - 1 for the inter-double-lagger MGF in normalized units."""
-    u = np.asarray(u, dtype=float)
     return (a * u - u * u) / _g_norm(u, a)
 
 
@@ -339,7 +338,12 @@ def _coarse_grid(hi):
     return hi * np.arange(1, _GRID_CELLS) / _GRID_CELLS
 
 
-def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
+def _nan_argmin(vals):
+    """Each row's np.nanargmin index; the caller guarantees no row is all nan."""
+    return np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=1)
+
+
+def _grid_minimize(mgf: Mgf, b: float, coarse, objective, stop: float = 1e-12):
     """Minimize the delay race's objective over (0, u0) row by row; returns (u, value) per row.
 
     objective maps the race's (log c^2, psi) at (rows or 1, n) points to
@@ -347,7 +351,9 @@ def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
     _delay_coarse(mgf, b).  The coarse grid finds each row's basin.  Each
     refinement pass then evaluates a finer grid spanning one old spacing
     either side of the row's incumbent, with the incumbent itself as its
-    middle point, so no row's best value ever worsens.
+    middle point, so no row's best value ever worsens and no refinement row
+    is all nan.  Passes run while the spacing exceeds stop * u0: the default
+    1e-12 gives five, 1e-9 three.
     """
     hi = mgf.roc_sup
     us = _coarse_grid(hi)
@@ -355,14 +361,14 @@ def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
     if np.isnan(vals).all(axis=1).any():
         raise BracketError("no admissible point for the Chernoff-rate optimization")
     rows = np.arange(vals.shape[0])
-    i = np.nanargmin(vals, axis=1)
+    i = _nan_argmin(vals)
     u, val = us[i], vals[rows, i]
     offsets = np.arange(-_REFINE, _REFINE + 1) / _REFINE
     step = hi / _GRID_CELLS
-    while step > 1e-12 * hi:
+    while step > stop * hi:
         xs = u[:, None] + step * offsets
         vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, xs))
-        i = np.nanargmin(vals, axis=1)
+        i = _nan_argmin(vals)
         u, val = xs[rows, i], vals[rows, i]
         step /= _REFINE
     return u, val
@@ -425,10 +431,17 @@ def _delay_crossings(mgf: Mgf, b: float, coarse, log_eps: np.ndarray) -> np.ndar
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
+    The crossing only picks the whole second where invert_latency confirms
+    with delay_upper's own values, so it refines to 1e-9 u0 (three passes),
+    not delay_upper's 1e-12 u0.
     """
     log_eps = log_eps[:, None]
     return _grid_minimize(
-        mgf, b, coarse, lambda log_c2, psi: (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
+        mgf,
+        b,
+        coarse,
+        lambda log_c2, psi: (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan),
+        stop=1e-9,
     )[1]
 
 
@@ -483,6 +496,24 @@ def _geometric_poisson(pois: np.ndarray, r: float) -> np.ndarray:
     return pk
 
 
+# log 2^-60: an upper Poisson tail below e^this leaves its complement 1.0 in float64.
+_LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
+
+
+def _erlang_cut(m: np.ndarray, lam: float) -> int:
+    """Index of the first shape in the ascending array m past which every Erlang ccdf is 1.0.
+
+    For m > lam, P(Poisson(lam) >= m) <= e^{m - lam - m ln(m/lam)} (Chernoff),
+    an exponent that falls as m grows; the first m where it is at most
+    _LOG_NEGLIGIBLE bounds the tail at every mean up to lam.  m.size if none.
+    """
+    if lam <= 0.0:
+        return 0
+    with np.errstate(all="ignore"):  # a subnormal or infinite lam: inf or nan, compared below
+        past = (m > lam) & (m - lam - m * np.log(m / lam) <= _LOG_NEGLIGIBLE)
+    return int(np.argmax(past)) if past.any() else m.size
+
+
 def delay_lower(
     params: ProtocolParams, t: float | np.ndarray, n_max: int = 128, k_max: int = 512
 ) -> BoundResult:
@@ -493,7 +524,11 @@ def delay_lower(
     e^{(alpha-beta)t} factor is ever formed.  Partial sums remain valid
     unachievable levels.  t is a float or a 1-D array of times (s); every t
     shares q and the Erlang shapes, and one doubling scan forms every row's
-    geometric-Poisson pmf.
+    geometric-Poisson pmf.  The Erlang ccdf is evaluated only below its
+    Chernoff cut: from the first shape m > lam = alpha max(t) with
+    m - lam - m ln(m/lam) <= -60 ln 2 on, P(Poisson(alpha(t - m delta)) >= m)
+    < 2^-60 for every t of the block, so the ccdf there is 1.0 in floating
+    point and is set to 1.0 without a call.
 
     truncation_tail adds the Poisson and geometric mass past k_max, in closed
     form, and the shortfall of q's sum below 1.
@@ -512,7 +547,9 @@ def delay_lower(
     def kernel(ts):
         lam = params.beta * ts
         pois = np.exp(log_poisson_pmf_vec(ks, lam[:, None]))
-        ccdf = erlang_ccdf_vec(ts[:, None] - m * params.delta, m, params.alpha)
+        cut = _erlang_cut(m, params.alpha * ts.max(initial=0.0))
+        ccdf = np.ones((ts.size, m.size))
+        ccdf[:, :cut] = erlang_ccdf_vec(ts[:, None] - m[:cut] * params.delta, m[:cut], params.alpha)
         pk = _geometric_poisson(pois, r)
         raw = np.empty(ts.size)
         for j in range(ts.size):  # row by row, so each sum adds in the one-t order

@@ -53,7 +53,7 @@ def parse_rate(text: str) -> float:
 
 
 def parse_time(text: str) -> float:
-    """Duration string like '4h', '10h40m', '90s', '30m', or plain seconds; never negative."""
+    """Duration like '4h', '10h40m', '90s', '30m', or plain seconds; finite and nonnegative."""
     text = text.strip().lower()
     try:
         t = float(text)
@@ -63,8 +63,8 @@ def parse_time(text: str) -> float:
             raise SchemaError(f"bad duration {text!r}")
         h, mi, s = (float(g) if g else 0.0 for g in m.groups())
         t = 3600.0 * h + 60.0 * mi + s
-    if not t >= 0:
-        raise SchemaError(f"duration must be nonnegative, got {text!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise SchemaError(f"duration must be finite and nonnegative, got {text!r}")
     return t
 
 
@@ -179,8 +179,8 @@ def cmd_sweep(args) -> int:
         _check_fraction("--level", args.level)
     names, rows = ["x", "latency_s"], []
     if args.var == "latency":
-        if not all(t >= 0 for t in grid):
-            raise SchemaError(f"latency grid must be nonnegative, got {args.grid!r}")
+        if not all(math.isfinite(t) and t >= 0 for t in grid):
+            raise SchemaError(f"latency grid must be finite and nonnegative, got {args.grid!r}")
         ts = np.array(grid)
         columns = {}
         for kind in args.bounds.split(","):

@@ -449,6 +449,43 @@ def test_geometric_poisson_scan_matches_direct_convolution(share, per_hour, delt
         assert (pk[j, ~kept] < 1e-280).all()
 
 
+def _erlang_regimes():
+    """Feasible delay_lower models over shares x block rates x delay bounds."""
+    for share in (0.01, 0.10, 0.25, 0.33, 0.45):
+        for per_hour in (6.0, 60.0, 600.0):
+            for delta in (0.3, 1.0, 10.0, 60.0):
+                params = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta)
+                try:
+                    postmine_gain_pmf(params)
+                except InfeasibleParametersError:
+                    continue
+                yield params
+
+
+def test_delay_lower_erlang_cut_skips_only_exact_ones(monkeypatch):
+    # every ccdf past a block's Chernoff cut is 1.0 in scipy's own arithmetic,
+    # so skipping them changes no bit of delay_lower
+    ts = np.linspace(0.0, 4e5, 80)
+    m = np.arange(1, 129 + 512)  # the shapes n + k >= 1 at the default n_max, k_max
+    checked = skipped = 0
+    for params in _erlang_regimes():
+        for i in range(0, ts.size, bounds._T_BLOCK):
+            block = ts[i : i + bounds._T_BLOCK]
+            cut = bounds._erlang_cut(m, params.alpha * block.max())
+            x = block[:, None] - m[cut:] * params.delta
+            mm = np.broadcast_to(m[cut:], x.shape)
+            assert (special.gammaincc(mm[x > 0], params.alpha * x[x > 0]) == 1.0).all()
+            skipped += x.size
+        got = delay_lower(params, ts)
+        with monkeypatch.context() as patched:  # the reference evaluates every ccdf
+            patched.setattr(bounds, "_erlang_cut", lambda m, lam: m.size)
+            full = delay_lower(params, ts)
+        assert _bits(got.raw_value) == _bits(full.raw_value)
+        assert _bits(got.truncation_tail) == _bits(full.truncation_tail)
+        checked += 1
+    assert checked >= 40 and skipped > 0
+
+
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(**MODEL_REGION)
 def test_postmine_pmf_sums_to_one_and_is_nonnegative_property(share, rate_per_hour, alpha_delta):
@@ -714,6 +751,24 @@ def test_invert_latency_confirms_with_delay_upper_values(monkeypatch):
         public = delay_upper(params, ts)
         assert _bits(raw) == _bits(public.raw_value)
         assert _bits(v) == _bits(public.optimizer_v)
+
+
+def test_invert_latency_crossing_never_needs_the_fallback(monkeypatch):
+    # the crossing, refined to 1e-9 u0, always starts the search at the answer
+    calls = []
+    search = bounds._smallest_true
+    monkeypatch.setattr(bounds, "_smallest_true", lambda *a: calls.append(a) or search(*a))
+    bitcoin = [(p, eps) for p in (BITCOIN_10, BITCOIN_25) for eps in (1e-3, 1e-6, 1e-9)]
+    assert all(case in INVERSION_CASES for case in bitcoin)
+    inverted = 0
+    for params, eps in INVERSION_CASES:
+        try:
+            invert_latency(delay_upper, params, eps)
+        except (InfeasibleParametersError, BracketError):
+            continue
+        inverted += 1
+    assert inverted >= 60
+    assert calls == []
 
 
 def test_invert_latency_solves_each_model_once(monkeypatch):

@@ -247,6 +247,15 @@ def test_negative_times_are_schema_errors(capsys):
     assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=-20:10:3")
 
 
+def test_infinite_times_are_schema_errors(capsys):
+    # an infinite time once printed a nan probability (lower) or 0.0 (upper) with exit 0
+    assert_schema_error(capsys, "bound", "lower", "--t", "inf")
+    assert_schema_error(capsys, "bound", "lower", "--delta", "0", "--t", "inf")
+    assert_schema_error(capsys, "bound", "upper", "--t", "inf")
+    assert_schema_error(capsys, "simulate", "attack", "--t", "inf", "--trials", "10")
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--grid", "1,inf")
+
+
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, out = run_cli(
