@@ -34,7 +34,7 @@ from .distributions import (
 from .errors import BracketError, InfeasibleParametersError, SchemaError
 
 # Coarse cells over (0, u0) in the Chernoff-rate minimizations, and points
-# either side of the incumbent in each refinement pass.
+# either side of the incumbent in their one refinement pass.
 _GRID_CELLS = 512
 _REFINE = 128
 
@@ -343,17 +343,20 @@ def _nan_argmin(vals):
     return np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=1)
 
 
-def _grid_minimize(mgf: Mgf, b: float, coarse, objective, stop: float = 1e-12):
+def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
     """Minimize the delay race's objective over (0, u0) row by row; returns (u, value) per row.
 
     objective maps the race's (log c^2, psi) at (rows or 1, n) points to
     (rows, n) values, nan at inadmissible points; coarse is
-    _delay_coarse(mgf, b).  The coarse grid finds each row's basin.  Each
-    refinement pass then evaluates a finer grid spanning one old spacing
-    either side of the row's incumbent, with the incumbent itself as its
-    middle point, so no row's best value ever worsens and no refinement row
-    is all nan.  Passes run while the spacing exceeds stop * u0: the default
-    1e-12 gives five, 1e-9 three.
+    _delay_coarse(mgf, b).  The coarse grid finds each row's basin.  One
+    refinement pass then evaluates 2 _REFINE + 1 points spaced u0 / 65536
+    across one coarse spacing either side of the row's incumbent, which is
+    its middle point, so no row's best value worsens and no pass row is all
+    nan.  Last, the parabola through the pass minimum and its two neighbours
+    gives one vertex per row (successive parabolic interpolation; Brent
+    1973, ch. 5).  Where both neighbours are admissible and the parabola is
+    convex, the vertex lies within half a spacing, and it replaces the pass
+    minimum only if its value is lower.  Every step is elementwise per row.
     """
     hi = mgf.roc_sup
     us = _coarse_grid(hi)
@@ -361,17 +364,20 @@ def _grid_minimize(mgf: Mgf, b: float, coarse, objective, stop: float = 1e-12):
     if np.isnan(vals).all(axis=1).any():
         raise BracketError("no admissible point for the Chernoff-rate optimization")
     rows = np.arange(vals.shape[0])
-    i = _nan_argmin(vals)
-    u, val = us[i], vals[rows, i]
-    offsets = np.arange(-_REFINE, _REFINE + 1) / _REFINE
     step = hi / _GRID_CELLS
-    while step > stop * hi:
-        xs = u[:, None] + step * offsets
-        vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, xs))
-        i = _nan_argmin(vals)
-        u, val = xs[rows, i], vals[rows, i]
-        step /= _REFINE
-    return u, val
+    xs = us[_nan_argmin(vals)][:, None] + step * (np.arange(-_REFINE, _REFINE + 1) / _REFINE)
+    vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, xs))
+    i = _nan_argmin(vals)
+    u, val = xs[rows, i], vals[rows, i]
+    k = np.clip(i, 1, 2 * _REFINE - 1)  # a pass-edge minimum gets no vertex
+    below, above = vals[rows, k - 1], vals[rows, k + 1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        curv = below - 2.0 * val + above
+        fit = (k == i) & (curv > 0)  # nan (an inadmissible neighbour) compares false
+        u_fit = np.where(fit, u + (0.5 * step / _REFINE) * (below - above) / curv, u)
+    val_fit = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u_fit[:, None]))[:, 0]
+    better = val_fit < val
+    return np.where(better, u_fit, u), np.where(better, val_fit, val)
 
 
 def _delay_coarse(mgf: Mgf, b: float):
@@ -410,9 +416,9 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
 
     As beta -> 0+ the maximizer of psi = u - beta z nears the root u0, where
     c^2 diverges, so the value grows like 1/beta.  Once the maximizer is
-    within the minimizer's 1e-12 u0 resolution of u0, as at beta = 0 where
-    psi = u, that resolution sets the value.  It stays at or above
-    delay_upper there: valid, but loose.
+    within one refinement spacing (u0 / 65536) of u0, as at beta = 0 where
+    psi = u and the pass's last admissible point wins, that spacing sets the
+    value.  It stays at or above delay_upper there: valid, but loose.
     """
     mgf, b = _delay_norm(params)
     d = params.delta
@@ -431,17 +437,13 @@ def _delay_crossings(mgf: Mgf, b: float, coarse, log_eps: np.ndarray) -> np.ndar
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
-    The crossing only picks the whole second where invert_latency confirms
-    with delay_upper's own values, so it refines to 1e-9 u0 (three passes),
-    not delay_upper's 1e-12 u0.
+    The ratio is minimized as delay_upper's rows are, with the same one pass
+    and vertex step; the crossing only picks the whole second where
+    invert_latency confirms with delay_upper's own values.
     """
     log_eps = log_eps[:, None]
     return _grid_minimize(
-        mgf,
-        b,
-        coarse,
-        lambda log_c2, psi: (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan),
-        stop=1e-9,
+        mgf, b, coarse, lambda log_c2, psi: (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
     )[1]
 
 

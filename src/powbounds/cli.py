@@ -150,16 +150,23 @@ def cmd_latency(args) -> int:
 
 
 def _parse_grid(text: str):
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise SchemaError(f"grid range must be start:stop:count, got {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    """--grid's values: a comma list, or start:stop:count with finite ends and a count >= 1."""
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise SchemaError(f"grid range must be start:stop:count, got {text!r}")
+    try:
+        if len(parts) == 1:
+            grid = [float(x) for x in text.split(",")]
+        else:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as e:
+        raise SchemaError(f"bad grid value in {text!r}") from e
+    if len(parts) == 3:
+        if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
+            raise SchemaError(f"grid range needs finite ends and a count >= 1, got {text!r}")
         grid = list(np.linspace(start, stop, count))
-    else:
-        grid = [float(x) for x in text.split(",")]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise SchemaError("grid must be nonempty and strictly increasing")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise SchemaError("grid must be strictly increasing")
     return grid
 
 

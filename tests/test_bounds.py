@@ -296,6 +296,85 @@ def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour,
     assert (delay_lower(params, ts).probability <= upper).all()
 
 
+def _five_pass_minimize(mgf, b, coarse, objective):
+    """Reference: the minimizer before its vertex step, five passes each 128x finer to 1e-12 u0."""
+    hi = mgf.roc_sup
+    vals = objective(*coarse)
+    rows = np.arange(vals.shape[0])
+    u = bounds._coarse_grid(hi)[bounds._nan_argmin(vals)]
+    offsets = np.arange(-bounds._REFINE, bounds._REFINE + 1) / bounds._REFINE
+    step = hi / bounds._GRID_CELLS
+    while step > 1e-12 * hi:
+        xs = u[:, None] + step * offsets
+        vals = objective(*bounds._race_log_terms(mgf, b, bounds._DELAY_SPEC, xs))
+        i = bounds._nan_argmin(vals)
+        u, val = xs[rows, i], vals[rows, i]
+        step /= bounds._REFINE
+    return u, val
+
+
+def _grid_delay_models():
+    """Feasible delay_upper models over shares x block rates x delay bounds, 97 times to 4e5 s."""
+    ts = np.linspace(0.0, 4e5, 97)
+    for share in (0.01, 0.10, 0.25, 0.33, 0.45):
+        for per_hour in (6.0, 60.0, 600.0):
+            for delta in (0.3, 1.0, 10.0, 60.0):
+                params = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta)
+                if params.beta < params.alpha * math.exp(-2.0 * params.alpha * delta):
+                    yield params, ts
+
+
+def _edge_delay_models():
+    """Random alpha*delta in [1e-4, 0.5], beta up to 0.999 of the edge, 97 times to twice the 1e-9 crossing."""
+    rng = np.random.default_rng(1973)
+    for _ in range(40):
+        alpha_delta = math.exp(rng.uniform(math.log(1e-4), math.log(0.5)))
+        alpha = math.exp(rng.uniform(math.log(6.0), math.log(600.0))) / 3600.0
+        beta = rng.uniform(0.0, 0.999) * alpha * math.exp(-2.0 * alpha_delta)
+        params = ProtocolParams(alpha=alpha, beta=beta, delta=alpha_delta / alpha)
+        mgf, b = bounds._delay_norm(params)
+        log_eps = np.array([math.log(1e-9)])
+        t_star = float(bounds._delay_crossings(mgf, b, bounds._delay_coarse(mgf, b), log_eps)[0])
+        yield params, np.linspace(0.0, 2.0 * t_star * params.delta, 97)
+
+
+@pytest.mark.parametrize("models", [_grid_delay_models, _edge_delay_models], ids=["grid", "edge"])
+def test_vertex_step_matches_five_pass_refinement(monkeypatch, models):
+    # one pass plus a parabolic vertex reaches the minimum that five passes to
+    # 1e-12 u0 reach, wherever the bound is not vacuous
+    checked = 0
+    for params, ts in models():
+        got = delay_upper(params, ts).raw_value
+        with monkeypatch.context() as patched:
+            patched.setattr(bounds, "_grid_minimize", _five_pass_minimize)
+            want = delay_upper(params, ts).raw_value
+        live = want < 0.999
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-11, atol=0.0)
+        checked += live.sum()
+    assert checked >= 1000
+
+
+def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
+    # delay_upper: coarse grid, one pass, one vertex; invert_latency: the shared
+    # coarse grid, then pass and vertex for the crossing and for the confirmation
+    calls = []
+    kernel = bounds._race_log_terms
+    monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(a) or kernel(*a))
+    delay_upper(BITCOIN_10, np.linspace(3600.0, 36000.0, 30))
+    assert len(calls) == 3
+    calls.clear()
+    invert_latency(delay_upper, BITCOIN_10, [1e-3, 1e-6, 1e-9])
+    assert len(calls) == 5
+
+
+def test_delay_upper_reads_one_where_vacuous():
+    # the minimum sits at the u -> 0 edge, where the pass's smallest u keeps the
+    # value at or above 1 rather than 1 - ulp
+    res = delay_upper(BITCOIN_25, np.array([0.0, 100.0, 1000.0, 2000.0]))
+    assert res.probability.tolist() == [1.0] * 4
+    assert (res.raw_value >= 1.0).all()
+
+
 # --- t as an array -------------------------------------------------------
 
 FIELDS = ("raw_value", "probability", "optimizer_v", "theta", "truncation_tail")
@@ -754,7 +833,7 @@ def test_invert_latency_confirms_with_delay_upper_values(monkeypatch):
 
 
 def test_invert_latency_crossing_never_needs_the_fallback(monkeypatch):
-    # the crossing, refined to 1e-9 u0, always starts the search at the answer
+    # the crossing, minimized as delay_upper is, always starts the search at the answer
     calls = []
     search = bounds._smallest_true
     monkeypatch.setattr(bounds, "_smallest_true", lambda *a: calls.append(a) or search(*a))

@@ -256,6 +256,26 @@ def test_infinite_times_are_schema_errors(capsys):
     assert_schema_error(capsys, "sweep", "--var", "latency", "--grid", "1,inf")
 
 
+def test_malformed_grids_are_schema_errors(capsys):
+    # each once exited 1 with a traceback, or (0:inf:3) warned from numpy first
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=0:10:-1")
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=0:10:abc")
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=a,b")
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=0:inf:3")
+
+
+def test_infinite_grid_range_writes_one_stderr_line():
+    # in a fresh process, so that a numpy warning would reach stderr uncaptured
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "powbounds.cli", "sweep", "--var", "latency", "--grid=0:inf:3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+
 def test_parser_is_built_once_and_keeps_no_options(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, out = run_cli(
