@@ -46,6 +46,9 @@ _T_BLOCK = 32
 # Latest whole-second latency (s) invert_latency searches; past it, BracketError.
 _LATENCY_HORIZON = 600 * 2**30
 
+# Times (s) where invert_latency probes a form other than delay_upper for its start.
+_PROBES = np.array([0.0, 600.0])
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -180,13 +183,6 @@ def zero_delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResu
     return _per_t(t, lambda ts: {"raw_value": prefactor * _exp_each(-rate * ts)})
 
 
-def _zero_delay_upper_crossing(params: ProtocolParams, eps: float) -> float:
-    """Real t (s) where zero_delay_upper reaches eps, in closed form."""
-    _require_minority(params)
-    a, b = params.alpha, params.beta
-    return (2.0 * math.log1p(math.sqrt(b / a)) - math.log(eps)) / (math.sqrt(a) - math.sqrt(b)) ** 2
-
-
 def zero_delay_lower(
     params: ProtocolParams, t: float | np.ndarray, k_max: int = 512
 ) -> BoundResult:
@@ -194,7 +190,9 @@ def zero_delay_lower(
 
     sum_k skellam(k-1; alpha t, beta t) (beta/alpha)^k (1 + k (1 - beta/alpha)).
     Truncation discards nonnegative terms only, so the partial sum stays a
-    valid unachievable level.
+    valid unachievable level.  One skellam_pmf call per block of times takes
+    every t's means as a column and evaluates only the orders whose weight
+    is nonzero; past the weight's underflow each term is 0.0 either way.
     """
     _require_minority(params)
     a, b = params.alpha, params.beta
@@ -203,12 +201,14 @@ def zero_delay_lower(
     r = b / a
     ks = np.arange(k_max + 1)
     weights = geometric_sum_ccdf(ks, r)
+    live = weights > 0.0
 
     def kernel(ts):
-        # one Skellam row per t: its Bessel orders and means change with t
-        rows = [skellam_pmf(ks - 1, a * x, b * x) for x in ts.tolist()]
-        terms = np.array(rows).reshape(ts.size, ks.size) * weights
+        terms = np.zeros((ts.size, ks.size))
+        col = ts[:, None]  # one Skellam row per t, its means a t and b t
+        terms[:, live] = skellam_pmf(ks[live] - 1, a * col, b * col) * weights[live]
         tail = terms[:, -1] * r / (1.0 - r)  # geometric envelope on the discarded terms
+        # sum all k_max + 1 terms, zeros too: numpy's pairwise sum groups terms by position
         return {"raw_value": terms.sum(axis=1), "truncation_tail": tail}
 
     return _per_t(t, kernel)
@@ -502,18 +502,19 @@ def _geometric_poisson(pois: np.ndarray, r: float) -> np.ndarray:
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
 
-def _erlang_cut(m: np.ndarray, lam: float) -> int:
-    """Index of the first shape in the ascending array m past which every Erlang ccdf is 1.0.
+def _erlang_cuts(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Per mean in the 1-D array lam: the index of the first shape in m past which every ccdf is 1.0.
 
-    For m > lam, P(Poisson(lam) >= m) <= e^{m - lam - m ln(m/lam)} (Chernoff),
-    an exponent that falls as m grows; the first m where it is at most
-    _LOG_NEGLIGIBLE bounds the tail at every mean up to lam.  m.size if none.
+    m is ascending.  For m > lam, P(Poisson(lam) >= m) <= e^{m - lam - m ln(m/lam)}
+    (Chernoff), an exponent that falls as m grows and rises with lam; the
+    first m where it is at most _LOG_NEGLIGIBLE bounds the tail at every mean
+    up to lam.  m.size if none; 0 at lam = 0.
     """
-    if lam <= 0.0:
-        return 0
-    with np.errstate(all="ignore"):  # a subnormal or infinite lam: inf or nan, compared below
-        past = (m > lam) & (m - lam - m * np.log(m / lam) <= _LOG_NEGLIGIBLE)
-    return int(np.argmax(past)) if past.any() else m.size
+    lam = lam[:, None]
+    past = np.ones((lam.size, m.size + 1), dtype=bool)  # the last column makes m.size the default
+    with np.errstate(all="ignore"):  # lam = 0 or subnormal: m / lam is inf, the exponent -inf
+        past[:, :-1] = (m > lam) & (m - lam - m * np.log(m / lam) <= _LOG_NEGLIGIBLE)
+    return np.argmax(past, axis=1)
 
 
 def delay_lower(
@@ -526,11 +527,13 @@ def delay_lower(
     e^{(alpha-beta)t} factor is ever formed.  Partial sums remain valid
     unachievable levels.  t is a float or a 1-D array of times (s); every t
     shares q and the Erlang shapes, and one doubling scan forms every row's
-    geometric-Poisson pmf.  The Erlang ccdf is evaluated only below its
-    Chernoff cut: from the first shape m > lam = alpha max(t) with
-    m - lam - m ln(m/lam) <= -60 ln 2 on, P(Poisson(alpha(t - m delta)) >= m)
-    < 2^-60 for every t of the block, so the ccdf there is 1.0 in floating
-    point and is set to 1.0 without a call.
+    geometric-Poisson pmf pk.  Each row j has its own Chernoff cut c_j, the
+    first shape m > lam = alpha t_j with m - lam - m ln(m/lam) <= -60 ln 2:
+    past it P(Poisson(alpha(t_j - m delta)) >= m) < 2^-60, so every ccdf is
+    1.0 in floating point.  The row convolves q with pk_j and evaluates the
+    ccdf only for m <= c_j; the shapes past c_j add sum_n q(n) T_j[c_j + 1 - n],
+    T_j the reverse cumulative sum of pk_j.  A row's cut and sums depend on
+    its own t alone, so array calls equal one-t calls bit for bit.
 
     truncation_tail adds the Poisson and geometric mass past k_max, in closed
     form, and the shortfall of q's sum below 1.
@@ -544,19 +547,32 @@ def delay_lower(
     r = params.beta / params.alpha
     ks = np.arange(k_max + 1)
     m = np.arange(1, q.size + k_max)  # n + k over the convolution, m = 0 excluded
+    back = 1 - np.arange(q.size)  # c + 1 - n: where q(n)'s share of the shapes past c starts
     tail_fixed = r ** (k_max + 1) + max(0.0, 1.0 - q.sum())
 
     def kernel(ts):
         lam = params.beta * ts
-        pois = np.exp(log_poisson_pmf_vec(ks, lam[:, None]))
-        cut = _erlang_cut(m, params.alpha * ts.max(initial=0.0))
-        ccdf = np.ones((ts.size, m.size))
-        ccdf[:, :cut] = erlang_ccdf_vec(ts[:, None] - m[:cut] * params.delta, m[:cut], params.alpha)
+        log_pois = log_poisson_pmf_vec(ks, lam[:, None])
+        pois = np.zeros(log_pois.shape)
+        np.exp(log_pois, out=pois, where=log_pois > -746.0)  # exp is 0.0 below, by a slow path
         pk = _geometric_poisson(pois, r)
+        # tails[j, i] = sum_{k >= i} pk[j, k], 0.0 past k_max
+        tails = np.zeros((ts.size, k_max + 2))
+        tails[:, :-1] = np.cumsum(pk[:, ::-1], axis=1)[:, ::-1]
+        lam_a = params.alpha * ts
+        top = _erlang_cuts(m, lam_a.max(initial=0.0, keepdims=True))[0]
+        cuts = _erlang_cuts(m[:top], lam_a)  # the exponent rises with lam: none lies past top
+        x = ts[:, None] - m[:top] * params.delta
+        live = np.arange(top) < cuts[:, None]
+        ccdf = np.ones(x.shape)
+        ccdf[live] = erlang_ccdf_vec(x[live], np.broadcast_to(m[:top], x.shape)[live], params.alpha)
+        # the ccdf is 1.0 at every m > c: those shapes add sum_n q(n) tails[c + 1 - n]
+        past = np.take_along_axis(tails, np.clip(cuts[:, None] + back, 0, k_max + 1), axis=1)
         raw = np.empty(ts.size)
-        for j in range(ts.size):  # row by row, so each sum adds in the one-t order
-            s = np.convolve(q, pk[j])  # s[m] = sum_{n+k=m} q(n) pk(k)
-            raw[j] = np.dot(s[1:], ccdf[j])
+        for j, c in enumerate(cuts.tolist()):  # row by row, so each sum adds in the one-t order
+            # s[m] = sum_{n+k=m} q(n) pk(k) for m = 1..c
+            head = np.convolve(q[: c + 1], pk[j, : c + 1])[1 : c + 1]
+            raw[j] = np.dot(head, ccdf[j, :c]) + np.dot(q, past[j])
         return {"raw_value": raw, "truncation_tail": special.pdtrc(k_max, lam) + tail_fixed}
 
     return _per_t(t, kernel)
@@ -645,29 +661,36 @@ def invert_latency(
     """Smallest whole-second latency t with bound_fn(params, t).probability <= eps.
 
     eps is a level, giving an int, or a 1-D sequence of levels, giving a list
-    of ints.  Each level's search starts at ceil(t*), its real crossing, for
-    delay_upper and zero_delay_upper, else at 600 s.  One array call for all
-    levels confirms bound_fn(t) <= eps < bound_fn(t - 1) at t = ceil(t*), and
-    a level whose pair does not bracket steps outward through the same
-    probability function.  For delay_upper that is delay_upper's per-t kernel
-    on the model solved once per call (one root, one coarse grid), so its
-    values are delay_upper's bit for bit.  Raises BracketError past 600 * 2^30 s.
+    of ints.  Each level's search starts at ceil(t*), its real crossing: for
+    delay_upper the minimized one, for any other form the secant through
+    log raw_value at _PROBES (one array call), which is the crossing of a
+    form c e^{-rate t}; a non-finite secant starts at 600 s.  One array call
+    for all levels confirms bound_fn(t) <= eps < bound_fn(t - 1) at
+    t = ceil(t*), and a level whose pair does not bracket steps outward
+    through the same probability function.  For delay_upper that is
+    delay_upper's per-t kernel on the model solved once per call (one root,
+    one coarse grid), so its values are delay_upper's bit for bit.  Raises
+    BracketError past 600 * 2^30 s.
     """
     levels = np.asarray(eps, dtype=float)
     if levels.ndim > 1 or not ((levels > 0) & (levels < 1)).all():
         raise ValueError(f"target level must be in (0,1), got {eps}")
     flat = levels.reshape(-1).tolist()
+    log_eps = np.array([math.log(e) for e in flat])
     if bound_fn is delay_upper:
         mgf, b = _delay_norm(params)
         coarse = _delay_coarse(mgf, b)
-        log_eps = np.array([math.log(e) for e in flat])
         t_star = (_delay_crossings(mgf, b, coarse, log_eps) * params.delta).tolist()
 
         def probability(ts):
             return np.clip(_delay_upper_rows(mgf, b, params.delta, coarse, ts)[0], 0.0, 1.0)
     else:
-        zero_delay = bound_fn is zero_delay_upper
-        t_star = [_zero_delay_upper_crossing(params, e) if zero_delay else 600.0 for e in flat]
+        # the secant through log raw_value at the two probes: exact for a form
+        # c e^{-rate t}, such as zero_delay_upper and delay_upper_universal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_p = np.log(bound_fn(params, _PROBES).raw_value)
+            secant = _PROBES[1] * (log_p[0] - log_eps) / (log_p[0] - log_p[1])
+        t_star = np.where(np.isfinite(secant), secant, _PROBES[1]).tolist()
 
         def probability(ts):
             return bound_fn(params, ts).probability

@@ -70,19 +70,35 @@ _DEBYE_U = [
 ]
 
 
-def _log_ive(nus: np.ndarray, z: float) -> np.ndarray:
+def _log_ive(nus: np.ndarray, z: float | np.ndarray) -> np.ndarray:
     """log(I_nu(z) e^{-z}) over an order array nus >= 0, for z > 0.
+
+    z is one argument or an array that broadcasts against nus; each element
+    equals the one-z value bit for bit.
 
     Where ive underflows (below 1e-290) the uniform asymptotic expansion in nu
     (DLMF 10.41.3) takes over: its relative error is ~1e-10 at nu = 50 and
     below 2e-12 from nu = 100, and that region has nu < 50 only for z < 1e-5.
+    Where ive gives nan (z past 2^30, AMOS's limit) the large-argument
+    expansion (DLMF 10.40.1) takes over: for nu^2 far below z, as for every
+    order a bound uses there, its terms fall by (4 nu^2) / (8 z) < 1e-3 each.
     """
+    nus, z = np.broadcast_arrays(np.asarray(nus, dtype=float), np.asarray(z, dtype=float))
     with np.errstate(divide="ignore"):
         out = np.asarray(np.log(special.ive(nus, z)))
-    far = out < math.log(1e-290)
+    far = out < math.log(1e-290)  # nan compares false
+    big = np.isnan(out)
+    if big.any():
+        mu, zb = 4.0 * nus[big] ** 2, z[big]
+        term, series = np.ones(zb.shape), np.ones(zb.shape)
+        for k in range(1, 7):
+            term = term * -(mu - (2 * k - 1) ** 2) / (8.0 * k * zb)
+            series = series + term
+        with np.errstate(divide="ignore"):  # z = inf: log ive = -inf, a zero pmf
+            out[big] = np.log(series) - 0.5 * np.log(2.0 * np.pi * zb)
     if far.any():
         n = nus[far]
-        x = z / n
+        x = z[far] / n
         s = np.sqrt(1.0 + x * x)
         t = 1.0 / s
         series = sum(
@@ -97,25 +113,37 @@ def _log_ive(nus: np.ndarray, z: float) -> np.ndarray:
     return out
 
 
-def skellam_pmf(ks: np.ndarray, mu1: float, mu2: float) -> np.ndarray:
+def skellam_pmf(ks: np.ndarray, mu1: float | np.ndarray, mu2: float | np.ndarray) -> np.ndarray:
     """P(P1 - P2 = k) over an integer array, for independent Poissons with means mu1, mu2.
 
     Bessel form e^{-(sqrt mu1 - sqrt mu2)^2} (mu1/mu2)^{k/2} ive(|k|, 2 sqrt(mu1 mu2)),
     combined in the log domain, so the pmf stays exact where ive alone would
     underflow (near the mode of large, unequal means); a zero mean leaves a
-    Poisson pmf.
+    Poisson pmf.  mu1 and mu2 are means or arrays of means that broadcast
+    against ks (columns of shape (T, 1) against ks of shape (K,) give one
+    row per pair).  Each pair's factors use math's sqrt and log, so a row
+    equals the one-pair call bit for bit.
     """
-    if mu1 < 0 or mu2 < 0:
+    mu1, mu2 = np.broadcast_arrays(np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float))
+    if (mu1 < 0).any() or (mu2 < 0).any():
         raise ValueError("Skellam means must be nonnegative")
     ks = np.asarray(ks, dtype=float)
-    if mu2 == 0:
-        return np.exp(log_poisson_pmf_vec(ks, mu1))
-    if mu1 == 0:
-        return np.exp(log_poisson_pmf_vec(-ks, mu2))
-    log_bessel = _log_ive(np.abs(ks), 2.0 * math.sqrt(mu1 * mu2))
-    return np.exp(
-        -((math.sqrt(mu1) - math.sqrt(mu2)) ** 2) + 0.5 * ks * math.log(mu1 / mu2) + log_bessel
+    pairs = list(zip(mu1.ravel().tolist(), mu2.ravel().tolist()))
+    both = (mu1 > 0) & (mu2 > 0)
+
+    def per_pair(f):
+        return np.array([f(x, y) if x > 0 and y > 0 else 0.0 for x, y in pairs]).reshape(mu1.shape)
+
+    drift = per_pair(lambda x, y: -((math.sqrt(x) - math.sqrt(y)) ** 2))
+    tilt = per_pair(lambda x, y: math.log(x / y))
+    z = per_pair(lambda x, y: 2.0 * math.sqrt(x * y))
+    out = np.exp(drift + 0.5 * ks * tilt + _log_ive(np.abs(ks), np.where(both, z, 1.0)))
+    if both.all():
+        return out
+    poisson = np.where(
+        mu2 == 0, np.exp(log_poisson_pmf_vec(ks, mu1)), np.exp(log_poisson_pmf_vec(-ks, mu2))
     )
+    return np.where(both, out, poisson)
 
 
 def geometric_sum_ccdf(ns: np.ndarray, q: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from powbounds.bounds import (
     zero_delay_lower,
     zero_delay_upper,
 )
-from powbounds.distributions import log_poisson_pmf_vec
+from powbounds.distributions import erlang_ccdf_vec, log_poisson_pmf_vec
 from powbounds.errors import BracketError, InfeasibleParametersError
 from powbounds.protocols import (
     build_comparison_table,
@@ -95,6 +95,31 @@ def test_zero_delay_sandwich():
 
 def test_zero_delay_lower_no_adversary():
     assert zero_delay_lower(ProtocolParams(alpha=1.0, beta=0.0), 5.0).probability == 0.0
+
+
+@pytest.mark.parametrize("share", [0.1, 0.45, 0.4999])
+def test_zero_delay_lower_is_finite_at_long_horizons(share):
+    # 2 sqrt(alpha beta) t passes ive's 2^30 limit (t ~ 1.2e12 s at 10%, 6/h)
+    for per_hour in (6.0, 600.0):
+        p = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, 0.0)
+        res = zero_delay_lower(p, np.array([1e12, 1e300]))
+        for field in (res.raw_value, res.probability, res.truncation_tail):
+            assert np.isfinite(field).all() and (field >= 0.0).all()
+        assert (res.raw_value <= 1.0).all()
+
+
+def test_zero_delay_lower_makes_one_skellam_call_per_block(monkeypatch):
+    # every row's means in one call, over the orders whose weight is nonzero
+    calls = []
+    skellam = bounds.skellam_pmf
+    monkeypatch.setattr(bounds, "skellam_pmf", lambda *a: calls.append(a) or skellam(*a))
+    p = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.10, 0.0)
+    zero_delay_lower(p, np.linspace(0.0, 36000.0, 30))
+    assert len(calls) == 1
+    ks, mu1, mu2 = calls[0]
+    assert mu1.shape == mu2.shape == (30, 1)
+    weights = bounds.geometric_sum_ccdf(np.arange(513), p.beta / p.alpha)
+    assert ks.tolist() == (np.flatnonzero(weights) - 1).tolist() and ks.size < 513
 
 
 # --- rate-function machinery ---------------------------------------------
@@ -541,28 +566,37 @@ def _erlang_regimes():
                 yield params
 
 
-def test_delay_lower_erlang_cut_skips_only_exact_ones(monkeypatch):
-    # every ccdf past a block's Chernoff cut is 1.0 in scipy's own arithmetic,
-    # so skipping them changes no bit of delay_lower
+def _unsplit_delay_lower(params, ts, n_max=128, k_max=512):
+    """Reference: delay_lower's raw value as one dot of q * pk with every shape's Erlang ccdf, per row."""
+    q = postmine_gain_pmf(params, n_max)
+    ks = np.arange(k_max + 1)
+    m = np.arange(1, q.size + k_max)
+    pois = np.exp(log_poisson_pmf_vec(ks, params.beta * ts[:, None]))
+    pk = _geometric_poisson(pois, params.beta / params.alpha)
+    ccdf = erlang_ccdf_vec(ts[:, None] - m * params.delta, m, params.alpha)
+    return np.array([np.dot(np.convolve(q, pk[j])[1:], ccdf[j]) for j in range(ts.size)])
+
+
+def test_delay_lower_erlang_cut_skips_only_exact_ones():
+    # every ccdf past a row's Chernoff cut is 1.0 in scipy's own arithmetic, and
+    # the shapes past it, summed through pk's reverse cumulative sum, give the
+    # one dot over every shape to roundoff: the split only reorders the sum
     ts = np.linspace(0.0, 4e5, 80)
     m = np.arange(1, 129 + 512)  # the shapes n + k >= 1 at the default n_max, k_max
     checked = skipped = 0
     for params in _erlang_regimes():
-        for i in range(0, ts.size, bounds._T_BLOCK):
-            block = ts[i : i + bounds._T_BLOCK]
-            cut = bounds._erlang_cut(m, params.alpha * block.max())
-            x = block[:, None] - m[cut:] * params.delta
-            mm = np.broadcast_to(m[cut:], x.shape)
-            assert (special.gammaincc(mm[x > 0], params.alpha * x[x > 0]) == 1.0).all()
-            skipped += x.size
-        got = delay_lower(params, ts)
-        with monkeypatch.context() as patched:  # the reference evaluates every ccdf
-            patched.setattr(bounds, "_erlang_cut", lambda m, lam: m.size)
-            full = delay_lower(params, ts)
-        assert _bits(got.raw_value) == _bits(full.raw_value)
-        assert _bits(got.truncation_tail) == _bits(full.truncation_tail)
-        checked += 1
-    assert checked >= 40 and skipped > 0
+        cuts = bounds._erlang_cuts(m, params.alpha * ts)
+        x = ts[:, None] - m * params.delta
+        past = (np.arange(m.size) >= cuts[:, None]) & (x > 0)
+        shapes = np.broadcast_to(m, x.shape)
+        assert (special.gammaincc(shapes[past], params.alpha * x[past]) == 1.0).all()
+        skipped += past.sum()
+        got = delay_lower(params, ts).raw_value
+        want = _unsplit_delay_lower(params, ts)
+        live = want >= 1e-300
+        np.testing.assert_allclose(got[live], want[live], rtol=2e-15, atol=0.0)
+        checked += live.sum()
+    assert checked >= 2000 and skipped > 0
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -754,7 +788,17 @@ def test_invert_latency_zero_delay_matches_bisection(share):
         _same_latency(zero_delay_upper, p, eps)
 
 
-def test_invert_latency_other_bounds_search_from_600s():
+def test_invert_latency_log_linear_forms_start_at_the_crossing():
+    # c e^{-rate t}: the secant through the start probes is the crossing, so one
+    # probe call and one confirmation call find the latency
+    calls = []
+
+    def universal(params, t):
+        calls.append(t)
+        return delay_upper_universal(params, t)
+
+    assert invert_latency(universal, BITCOIN_10, 1e-6) == 25670
+    assert len(calls) <= 2
     _same_latency(delay_upper_universal, BITCOIN_10, 1e-6)
     # a bound already below the level at 1 s
     assert invert_latency(zero_delay_upper, ProtocolParams(alpha=50.0, beta=0.0), 1e-3) == 1

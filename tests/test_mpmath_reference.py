@@ -3,11 +3,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
+from test_bounds import MODEL_REGION, _feasible_model
 
 from powbounds.bounds import (
     ProtocolParams,
     RaceSpec,
+    delay_lower,
     double_lagger_mgf,
     postmine_gain_pmf,
     renewal_race_bound,
@@ -23,6 +27,7 @@ ZERO_DELAY_POINTS = [
     (0.01, 60.0, 600.0),
     (0.30, 600.0, 60.0),
     (0.45, 6.0, 2e5),
+    (0.4999, 6.0, 1e12),  # 2 sqrt(alpha beta) t = 1.7e9, past ive's 2^30 limit
 ]
 
 # (adversarial share, total rate per hour, delta in seconds)
@@ -49,6 +54,81 @@ def test_zero_delay_lower_matches_mpmath(share, rate_per_hour, t):
             for k in range(513)
         )
         assert abs(got - want) <= 1e-11 * want
+
+
+def _zero_delay_lower_reference(params, t):
+    """zero_delay_lower's series, truncated at k = 512, in mpf arithmetic.
+
+    A term is at most its weight r^k (1 + k (1 - r)), which falls with k, so
+    the sum stops once the weights left are below 1e-20 of it.
+    """
+    m1, m2 = mpf(params.alpha) * t, mpf(params.beta) * t
+    r = mpf(params.beta) / mpf(params.alpha)
+    z = 2 * mp.sqrt(m1 * m2)
+    total = mpf(0)
+    for k in range(513):
+        weight = r**k * (1 + k * (1 - r))
+        if (513 - k) * weight <= mpf(10) ** -20 * total:
+            break
+        j = k - 1
+        if m2 == 0:  # t = 0: all mass at 0
+            pmf = mpf(1) if j == 0 else mpf(0)
+        else:
+            pmf = mp.exp(-(m1 + m2)) * (m1 / m2) ** (mpf(j) / 2) * mp.besseli(abs(j), z)
+        total += pmf * weight
+    return total
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(**MODEL_REGION, blocks=st.floats(0.0, 1000.0))
+def test_zero_delay_lower_matches_mpmath_at_random_points(share, rate_per_hour, alpha_delta, blocks):
+    # alpha_delta is unused: the region's shares and rates, at delta = 0
+    params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, 0.0)
+    t = blocks / params.alpha
+    got = zero_delay_lower(params, t).raw_value
+    if params.beta == 0:
+        assert got == 0.0
+        return
+    with mp.workdps(50):
+        want = _zero_delay_lower_reference(params, t)
+        assert abs(got - want) <= 1e-11 * want + 1e-300
+
+
+def _delay_lower_reference(params, t, q):
+    """delay_lower's double sum, truncated at k = 512, in mpf arithmetic from the float q.
+
+    pk(k) = r pk(k-1) + (1-r) P(A = k), A ~ Poisson(beta t), and each Erlang
+    ccdf is the upper regularized gamma function, so none is rounded to 1.
+    """
+    a, b, d = mpf(params.alpha), mpf(params.beta), mpf(params.delta)
+    r, lam = b / a, b * t
+    pk, pois, acc = [], mp.exp(-lam), mpf(0)
+    for k in range(513):
+        acc = r * acc + (1 - r) * pois
+        pk.append(acc)
+        pois = pois * lam / (k + 1)
+    s = [mpf(0)] * (len(q) + 512)  # s[m] = sum_{n+k=m} q(n) pk(k)
+    for n, qn in enumerate(mpf(x) for x in q):
+        for k, p in enumerate(pk):
+            s[n + k] += qn * p
+    return mp.fsum(
+        s[m] * (mp.gammainc(m, a * (t - m * d), mp.inf, regularized=True) if t > m * d else 1)
+        for m in range(1, len(s))
+    )
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(**MODEL_REGION, blocks=st.floats(0.0, 300.0))
+def test_delay_lower_matches_mpmath_at_random_points(share, rate_per_hour, alpha_delta, blocks):
+    params = _feasible_model(share, rate_per_hour, alpha_delta)
+    if params is None:
+        return
+    t = blocks / params.alpha
+    got = delay_lower(params, t).raw_value
+    with mp.workdps(50):
+        want = _delay_lower_reference(params, t, postmine_gain_pmf(params))
+        if want >= 1e-290:
+            assert abs(got - want) <= 1e-13 * want
 
 
 @pytest.mark.parametrize("share,rate_per_hour,delta", POSTMINE_POINTS)
