@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .distributions import (
     erlang_ccdf_vec,
@@ -115,9 +115,49 @@ def _per_t(t, kernel, **fixed) -> BoundResult:
     return BoundResult(raw_value=raw, probability=probability, **per_t, **fixed)
 
 
-def _exp_each(log_raw: np.ndarray) -> np.ndarray:
-    """math.exp of each element, inf from 700 on (np.exp can differ from it in the last bit)."""
-    return np.array([math.exp(x) if x < 700 else math.inf for x in log_raw.tolist()])
+def _exp_raw(log_raw: np.ndarray) -> np.ndarray:
+    """e^x of each element of an array, inf from 700 on (and at nan)."""
+    with np.errstate(over="ignore"):
+        return np.where(log_raw < 700.0, np.exp(log_raw), np.inf)
+
+
+def bracketed_root(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
+    """A zero of f in [lo, hi] to within xtol, where f(lo) and f(hi) differ in sign.
+
+    Regula falsi with the Illinois modification (Dowell and Jarratt 1971):
+    when one end is kept twice in a row its function value is halved, so
+    both ends close in superlinearly.  A secant point that rounding puts
+    outside (lo, hi) is replaced by the midpoint.  Returns the end of the
+    final bracket that moved last.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ValueError(f"f({lo}) and f({hi}) must differ in sign")
+    x, kept = lo, 0  # kept: -1 if the last step kept hi, +1 if it kept lo
+    while hi - lo > xtol:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:  # no float strictly inside
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi = x, fx
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+    return x
 
 
 @dataclass(frozen=True)
@@ -180,7 +220,7 @@ def zero_delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResu
     a, b = params.alpha, params.beta
     prefactor = (1.0 + math.sqrt(b / a)) ** 2
     rate = (math.sqrt(a) - math.sqrt(b)) ** 2
-    return _per_t(t, lambda ts: {"raw_value": prefactor * _exp_each(-rate * ts)})
+    return _per_t(t, lambda ts: {"raw_value": prefactor * _exp_raw(-rate * ts)})
 
 
 def zero_delay_lower(
@@ -193,6 +233,11 @@ def zero_delay_lower(
     valid unachievable level.  One skellam_pmf call per block of times takes
     every t's means as a column and evaluates only the orders whose weight
     is nonzero; past the weight's underflow each term is 0.0 either way.
+
+    skellam_pmf's drift -(sqrt mu1 - sqrt mu2)^2 is exact for the means it is
+    given, but a t and b t rounded to doubles move it: at large, nearly equal
+    means (0.4999, 6/h, t = 1e12 s) by ~1e-11.  Every term of a row shares
+    the drift, so each row is rescaled to the exact drift -t (sqrt a - sqrt b)^2.
     """
     _require_minority(params)
     a, b = params.alpha, params.beta
@@ -202,11 +247,17 @@ def zero_delay_lower(
     ks = np.arange(k_max + 1)
     weights = geometric_sum_ccdf(ks, r)
     live = weights > 0.0
+    drift_rate = ((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2  # (sqrt a - sqrt b)^2
 
     def kernel(ts):
         terms = np.zeros((ts.size, ks.size))
         col = ts[:, None]  # one Skellam row per t, its means a t and b t
-        terms[:, live] = skellam_pmf(ks[live] - 1, a * col, b * col) * weights[live]
+        mu1, mu2 = a * col, b * col
+        with np.errstate(all="ignore"):  # e^{exact drift - drift of the rounded means}
+            fix = np.exp(((mu1 - mu2) / (np.sqrt(mu1) + np.sqrt(mu2))) ** 2 - drift_rate * col)
+        # t = 0 gives nan and a t whose terms are all 0.0 anyway may give inf: both keep 1
+        fix = np.where(np.isfinite(fix), fix, 1.0)
+        terms[:, live] = skellam_pmf(ks[live] - 1, mu1, mu2) * fix * weights[live]
         tail = terms[:, -1] * r / (1.0 - r)  # geometric envelope on the discarded terms
         # sum all k_max + 1 terms, zeros too: numpy's pairwise sum groups terms by position
         return {"raw_value": terms.sum(axis=1), "truncation_tail": tail}
@@ -242,7 +293,7 @@ def _smallest_root_norm(a: float) -> float:
     g_a(0) > 0 and g_a(a) = 0 with positive slope, so the first zero sits at
     the left edge of a narrow negative dip just below a (width of order a^2
     for small a).  A uniform grid alone can miss it, hence the geometric
-    refinement toward a.  Brent's method polishes the first sign change.
+    refinement toward a.  bracketed_root polishes the first sign change.
     """
     grid = a * _ROOT_GRID
     neg = np.flatnonzero(_g_norm(grid, a) < 0.0)
@@ -250,7 +301,7 @@ def _smallest_root_norm(a: float) -> float:
         return a
     i = neg[0]
     lo = grid[i - 1] if i > 0 else 0.0
-    return optimize.brentq(_g_scalar, lo, grid[i], args=(a,), xtol=1e-15 * a)
+    return bracketed_root(lambda u: _g_scalar(u, a), float(lo), float(grid[i]), 1e-15 * a)
 
 
 def _zeta_norm(u, a):
@@ -309,7 +360,7 @@ def renewal_race_bound(
     log_c, psi = _race_log_terms(mgf, beta, spec, us)
     if np.isnan(log_c).any():
         raise ValueError(f"u must lie in the admissible part of (0, {mgf.roc_sup}), got {u}")
-    raw = _exp_each((log_c - psi * spec.t).reshape(-1)).reshape(us.shape)
+    raw = _exp_raw((log_c - psi * spec.t).reshape(-1)).reshape(us.shape)
     if us.ndim == 0:
         return BoundResult.from_raw(float(raw), optimizer_v=float(us))
     return BoundResult(raw_value=raw, probability=np.clip(raw, 0.0, 1.0), optimizer_v=us)
@@ -339,8 +390,13 @@ def _coarse_grid(hi):
 
 
 def _nan_argmin(vals):
-    """Each row's np.nanargmin index; the caller guarantees no row is all nan."""
+    """Each row's np.nanargmin index, 0 for a row that is all nan."""
     return np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=1)
+
+
+# Geometric points below the coarse grid's first one (u0 / 512), as fractions of
+# u0: near the feasibility edge every admissible u lies there.
+_EDGE_GRID = 0.5 ** np.arange(10, 64)
 
 
 def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
@@ -348,24 +404,33 @@ def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
 
     objective maps the race's (log c^2, psi) at (rows or 1, n) points to
     (rows, n) values, nan at inadmissible points; coarse is
-    _delay_coarse(mgf, b).  The coarse grid finds each row's basin.  One
-    refinement pass then evaluates 2 _REFINE + 1 points spaced u0 / 65536
-    across one coarse spacing either side of the row's incumbent, which is
-    its middle point, so no row's best value worsens and no pass row is all
-    nan.  Last, the parabola through the pass minimum and its two neighbours
-    gives one vertex per row (successive parabolic interpolation; Brent
-    1973, ch. 5).  Where both neighbours are admissible and the parabola is
-    convex, the vertex lies within half a spacing, and it replaces the pass
-    minimum only if its value is lower.  Every step is elementwise per row.
+    _delay_coarse(mgf, b).  The coarse grid finds each row's basin.  A row
+    with no admissible coarse point (near the feasibility edge, where every
+    admissible u lies below u0 / 512) finds it on the geometric points
+    u0 2^-10 .. u0 2^-63 instead, with the incumbent itself as its spacing;
+    only such rows pay for that grid.  One refinement pass then evaluates
+    2 _REFINE + 1 points across one spacing (u0 / 512 on the coarse grid)
+    either side of the row's incumbent, which is its middle point, so no
+    row's best value worsens and no pass row is all nan.  Last, the parabola
+    through the pass minimum and its two neighbours gives one vertex per row
+    (successive parabolic interpolation; Brent 1973, ch. 5).  Where both
+    neighbours are admissible and the parabola is convex, the vertex lies
+    within half a pass spacing, and it replaces the pass minimum only if its
+    value is lower.  Every step is elementwise per row.
     """
     hi = mgf.roc_sup
-    us = _coarse_grid(hi)
     vals = objective(*coarse)
-    if np.isnan(vals).all(axis=1).any():
-        raise BracketError("no admissible point for the Chernoff-rate optimization")
-    rows = np.arange(vals.shape[0])
-    step = hi / _GRID_CELLS
-    xs = us[_nan_argmin(vals)][:, None] + step * (np.arange(-_REFINE, _REFINE + 1) / _REFINE)
+    u = _coarse_grid(hi)[_nan_argmin(vals)]
+    step = np.full(u.shape, hi / _GRID_CELLS)
+    empty = np.isnan(vals).all(axis=1)
+    if empty.any():
+        edge = hi * _EDGE_GRID
+        edge_vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, edge[None, :]))[empty]
+        if np.isnan(edge_vals).all(axis=1).any():
+            raise BracketError("no admissible point for the Chernoff-rate optimization")
+        u[empty] = step[empty] = edge[_nan_argmin(edge_vals)]
+    rows = np.arange(u.size)
+    xs = u[:, None] + step[:, None] * (np.arange(-_REFINE, _REFINE + 1) / _REFINE)
     vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, xs))
     i = _nan_argmin(vals)
     u, val = xs[rows, i], vals[rows, i]
@@ -392,7 +457,7 @@ def _delay_upper_rows(mgf: Mgf, b: float, d: float, coarse, ts: np.ndarray):
     """
     tau = (ts / d)[:, None]
     u_best, log_obj = _grid_minimize(mgf, b, coarse, lambda log_c2, psi: log_c2 - psi * tau)
-    return _exp_each(log_obj), u_best / d
+    return _exp_raw(log_obj), u_best / d
 
 
 def delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
@@ -426,7 +491,7 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u_best)
     return _per_t(
         t,
-        lambda ts: {"raw_value": _exp_each(log_c2[0] - psi[0] * (ts / d))},
+        lambda ts: {"raw_value": _exp_raw(log_c2[0] - psi[0] * (ts / d))},
         optimizer_v=float(u_best[0]) / d,
         theta=mgf.roc_sup / d,
     )

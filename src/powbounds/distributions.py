@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 
 def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
@@ -119,9 +119,10 @@ def skellam_pmf(ks: np.ndarray, mu1: float | np.ndarray, mu2: float | np.ndarray
     Bessel form e^{-(sqrt mu1 - sqrt mu2)^2} (mu1/mu2)^{k/2} ive(|k|, 2 sqrt(mu1 mu2)),
     combined in the log domain, so the pmf stays exact where ive alone would
     underflow (near the mode of large, unequal means); a zero mean leaves a
-    Poisson pmf.  mu1 and mu2 are means or arrays of means that broadcast
-    against ks (columns of shape (T, 1) against ks of shape (K,) give one
-    row per pair).  Each pair's factors use math's sqrt and log, so a row
+    Poisson pmf.  The drift is formed as -((mu1 - mu2) / (sqrt mu1 + sqrt mu2))^2,
+    which keeps its digits at large, nearly equal means.  mu1 and mu2 are
+    means or arrays of means that broadcast against ks (columns of shape
+    (T, 1) against ks of shape (K,) give one row per pair).  Each pair's factors use math's sqrt and log, so a row
     equals the one-pair call bit for bit.
     """
     mu1, mu2 = np.broadcast_arrays(np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float))
@@ -134,7 +135,7 @@ def skellam_pmf(ks: np.ndarray, mu1: float | np.ndarray, mu2: float | np.ndarray
     def per_pair(f):
         return np.array([f(x, y) if x > 0 and y > 0 else 0.0 for x, y in pairs]).reshape(mu1.shape)
 
-    drift = per_pair(lambda x, y: -((math.sqrt(x) - math.sqrt(y)) ** 2))
+    drift = per_pair(lambda x, y: -(((x - y) / (math.sqrt(x) + math.sqrt(y))) ** 2))
     tilt = per_pair(lambda x, y: math.log(x / y))
     z = per_pair(lambda x, y: 2.0 * math.sqrt(x * y))
     out = np.exp(drift + 0.5 * ks * tilt + _log_ive(np.abs(ks), np.where(both, z, 1.0)))
@@ -162,12 +163,21 @@ def geometric_sum_ccdf(ns: np.ndarray, q: float) -> np.ndarray:
 def series_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Taylor coefficients of num/den, to the shorter of the two orders.
 
-    Solves den * quotient = num, a lower-triangular Toeplitz system; requires a
-    nonzero constant term in the divisor.
+    The reciprocal r of den comes from Newton's iteration r <- r (2 - den r),
+    which doubles the number of correct coefficients each step, so
+    ceil(log2(n)) pairs of convolutions give all n; one more convolution
+    with num gives the quotient.  Requires a nonzero constant term in the
+    divisor.
     """
     n = min(len(num), len(den))
     num = np.asarray(num, dtype=float)[:n]
     den = np.asarray(den, dtype=float)[:n]
     if den[0] == 0.0:
         raise ZeroDivisionError("series division by a series with zero constant term")
-    return linalg.solve_triangular(linalg.toeplitz(den, np.zeros(n)), num, lower=True)
+    inv = np.array([1.0 / den[0]])
+    while inv.size < n:
+        k = min(2 * inv.size, n)
+        fix = -np.convolve(den[:k], inv)[:k]  # 2 - den r, to order k
+        fix[0] += 2.0
+        inv = np.convolve(inv, fix)[:k]
+    return np.convolve(num, inv)[:n]

@@ -8,16 +8,13 @@ latency comparison table.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from scipy import optimize
-
-from .bounds import ProtocolParams, bound_of_kind, invert_latency
+from .bounds import ProtocolParams, bound_of_kind, bracketed_root, invert_latency
 from .errors import InfeasibleParametersError, SchemaError
-
-import math
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,11 @@ def fault_tolerance(spec: ProtocolSpec, model: DelayModel, criterion: str = "ult
     mining rate must exceed the adversarial rate).  'ultimate' is the
     asymptotic consistency threshold with the total generation rate per delay
     period in the denominator, beta/alpha < 1/(1 + (alpha+beta) delta), which
-    is the convention the published protocol comparisons follow.  Total rate
-    is held at the spec's value.
+    is the convention the published protocol comparisons follow; with
+    f = beta/rate it reads (1 - f)/(1 + rate delta) > f, so its threshold is
+    1/(2 + rate delta) in closed form.  The loner-rate threshold is the root
+    of its margin on (1e-12, 0.5 - 1e-12), to 1e-12.  Total rate is held at
+    the spec's value.
     """
     rate = spec.total_rate
     delta = protocol_delay(spec, model)
@@ -94,7 +94,9 @@ def fault_tolerance(spec: ProtocolSpec, model: DelayModel, criterion: str = "ult
         return 0.5
     if margin(1e-12) <= 0:
         return 0.0  # even a sliver of adversarial power breaks the condition
-    return float(optimize.brentq(margin, 1e-12, 0.5 - 1e-12, xtol=1e-12))
+    if criterion == "ultimate":
+        return 1.0 / (2.0 + rate * delta)
+    return bracketed_root(margin, 1e-12, 0.5 - 1e-12, 1e-12)
 
 
 def build_comparison_table(

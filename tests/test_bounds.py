@@ -226,6 +226,36 @@ def test_delay_upper_feasibility_gate():
         delay_upper(ProtocolParams(alpha=0.01, beta=0.001, delta=0.0), 3600.0)
 
 
+def _edge_model(frac, per_hour, delta=10.0):
+    """beta = frac alpha e^{-2 alpha delta} with alpha + beta = per_hour, at delay delta (s)."""
+    total = per_hour / 3600.0
+    alpha = total
+    for _ in range(60):  # a contraction: its slope is below total * delta
+        alpha = total / (1.0 + frac * math.exp(-2.0 * alpha * delta))
+    return ProtocolParams(alpha=alpha, beta=frac * alpha * math.exp(-2.0 * alpha * delta), delta=delta)
+
+
+@pytest.mark.parametrize("per_hour,frac", [(6.0, 0.999), (60.0, 0.999), (60.0, 0.9999)])
+def test_latency_is_finite_next_to_the_feasibility_edge(per_hour, frac):
+    # every admissible u lies below the coarse grid's first point u0 / 512 here; an
+    # all-nan row retries on geometric points toward 0 instead of raising BracketError
+    params = _edge_model(frac, per_hour)
+    t = invert_latency(delay_upper, params, 1e-3)
+    assert 1e9 < t < bounds._LATENCY_HORIZON
+    res = delay_upper(params, np.array([t - 1.0, float(t)]))
+    assert res.probability[1] <= 1e-3 < res.probability[0]
+
+
+def test_delay_upper_is_finite_at_0_9999_of_the_edge_at_6_per_hour():
+    # the bound is defined; its 1e-3 crossing (3.9e12 s) lies past the latency horizon
+    params = _edge_model(0.9999, 6.0)
+    res = delay_upper(params, np.array([0.0, 1e12, 4e12, 1e13]))
+    assert np.isfinite(res.raw_value).all() and (np.diff(res.probability) <= 0.0).all()
+    assert res.probability[-1] < 1e-3 < res.probability[1]
+    with pytest.raises(BracketError, match="horizon"):
+        invert_latency(delay_upper, params, 1e-3)
+
+
 def test_delay_upper_objective_pointwise_consistency():
     # the reported optimizer must actually achieve the reported value: the
     # theorem's objective at v is the race bound at u = v delta in delay units

@@ -451,19 +451,38 @@ def test_simulate_species_report(capsys):
     assert code in (0, 4)
 
 
+HEAVY_SCIPY = (
+    "scipy.signal",
+    "scipy.stats",
+    "scipy.optimize",
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy.fft",
+)
+
+
 def test_cli_import_loads_no_heavy_scipy_module():
-    # scipy.signal and scipy.stats each add a large share of the start-up time
+    # each of these adds a large share of the start-up time; they are checked after
+    # the import and again after a table check and a latency query in the same
+    # interpreter, so an import deferred into a command fails too
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
-        "import sys, powbounds.cli\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "import contextlib, io, sys\n"
+        "import powbounds.cli\n"
+        f"heavy = {HEAVY_SCIPY!r}\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [powbounds.cli.main(['protocol-table', '--check']),\n"
+        "             powbounds.cli.main(['latency', '--level', '1e-9'])]\n"
+        "print(codes)\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[0, 0]", "[]"]
 
 
 def assert_schema_error(capsys, *argv):

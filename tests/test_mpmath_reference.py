@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from test_bounds import MODEL_REGION, _feasible_model
 
+from powbounds import bounds
 from powbounds.bounds import (
     ProtocolParams,
     RaceSpec,
@@ -28,6 +29,7 @@ ZERO_DELAY_POINTS = [
     (0.30, 600.0, 60.0),
     (0.45, 6.0, 2e5),
     (0.4999, 6.0, 1e12),  # 2 sqrt(alpha beta) t = 1.7e9, past ive's 2^30 limit
+    (0.4999, 600.0, 6.5e9),  # large, nearly equal means: the drift must not cancel
 ]
 
 # (adversarial share, total rate per hour, delta in seconds)
@@ -175,6 +177,59 @@ def test_postmine_gain_pmf_keeps_relative_precision(share, rate_per_hour, delta)
         for g, w in zip(got, want):
             if w > 1e-30:
                 assert abs(g - w) <= 1e-12 * w
+
+
+@pytest.mark.parametrize("share", [0.10, 0.25, 0.45])
+def test_postmine_gain_pmf_matches_mpmath_series_quotient(share):
+    # the Newton-doubling reciprocal of h keeps every coefficient above 1e-30 to 1e-14
+    params = ProtocolParams.from_adversary_share(6.0 / 3600.0, share, 10.0)
+    got = postmine_gain_pmf(params)
+    with mp.workdps(50):
+        want = _postmine_reference(params, got.size - 1)
+        for g, w in zip(got, want):
+            if w > 1e-30:
+                assert abs(g - w) <= 1e-14 * w
+
+
+def _g_mp(u, a):
+    return u * u - a * u - a * u * mp.exp(u - a) + a * a * mp.exp(2 * (u - a))
+
+
+def _smallest_root_mp(a):
+    """The smallest positive zero of g_a at 60 digits: the first sign change on the
+    root-search grid, evaluated in mpf, then 200 bisection steps."""
+    with mp.workdps(60):
+        am = mpf(a)
+        pts = [mpf(x) for x in a * bounds._ROOT_GRID]
+        i = next(j for j, u in enumerate(pts) if _g_mp(u, am) < 0)
+        lo, hi = pts[i - 1], pts[i]
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _g_mp(mid, am) > 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("a", [1e-4, 1e-3, 1e-2, 0.1, 0.5, 2.0])
+def test_smallest_root_matches_mpmath(a):
+    got = bounds._smallest_root_norm(a)
+    assert type(got) is float
+    with mp.workdps(60):
+        want = _smallest_root_mp(a)
+        assert abs(got - want) <= 2e-12 * want
+
+
+# roots that scipy's brentq polished on the same grid, frozen: below a = 1e-4 the float
+# evaluation of g_a, not the polish, limits the root (relative errors 2.4e-10, 7.2e-11
+# and 1.1e-11 against the 60-digit root)
+BRENTQ_ROOTS = {1e-7: 9.999999002364404e-08, 1e-6: 9.999990000711947e-07, 1e-5: 9.999899999109611e-06}
+
+
+@pytest.mark.parametrize("a", sorted(BRENTQ_ROOTS))
+def test_smallest_root_no_worse_than_brentq_at_tiny_alpha_delta(a):
+    got = bounds._smallest_root_norm(a)
+    with mp.workdps(60):
+        want = _smallest_root_mp(a)
+        assert abs(got - want) <= abs(BRENTQ_ROOTS[a] - want)
 
 
 # (mu1, mu2, k): modes and tails of large, unequal means, where ive(|k|, 2 sqrt(mu1 mu2))

@@ -1,6 +1,7 @@
 """Protocol parameter mapping: delay model, throughput, fault tolerance, table."""
 
 import json
+import math
 
 import pytest
 
@@ -71,6 +72,28 @@ def test_ultimate_criterion_dominates_loner_rate():
         assert fault_tolerance(spec, model, "ultimate") >= fault_tolerance(
             spec, model, "loner-rate"
         )
+
+
+def test_ultimate_criterion_closed_form():
+    # (1 - f) / (1 + rate delta) = f at f = 1 / (2 + rate delta)
+    specs, model = load_config(default_config_path())
+    for spec in specs:
+        rate, delta = spec.total_rate, protocol_delay(spec, model)
+        assert fault_tolerance(spec, model, "ultimate") == 1.0 / (2.0 + rate * delta)
+
+
+def test_loner_rate_criterion_brackets_its_sign_change():
+    # alpha e^{-2 alpha delta} - beta changes sign within 1e-12 of the returned share
+    specs, model = load_config(default_config_path())
+    assert len(specs) == 6
+    for spec in specs:
+        rate, delta = spec.total_rate, protocol_delay(spec, model)
+        f = fault_tolerance(spec, model, "loner-rate")
+
+        def margin(x):
+            return (1.0 - x) * rate * math.exp(-2.0 * (1.0 - x) * rate * delta) - x * rate
+
+        assert margin(f - 1e-12) > 0.0 >= margin(f + 1e-12)
 
 
 def test_unknown_criterion_rejected():
