@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .distributions import (
     erlang_ccdf_vec,
@@ -638,13 +637,31 @@ def delay_lower(
             # s[m] = sum_{n+k=m} q(n) pk(k) for m = 1..c
             head = np.convolve(q[: c + 1], pk[j, : c + 1])[1 : c + 1]
             raw[j] = np.dot(head, ccdf[j, :c]) + np.dot(q, past[j])
-        return {"raw_value": raw, "truncation_tail": special.pdtrc(k_max, lam) + tail_fixed}
+        # P(Poisson(lam) > k_max), as the Erlang cdf of shape k_max + 1 at rate 1
+        return {"raw_value": raw, "truncation_tail": erlang_cdf(lam, k_max + 1, 1.0) + tail_fixed}
 
     return _per_t(t, kernel)
 
 
 # ---------------------------------------------------------------------------
 # growth, liveness, depth conversion, inversion
+
+
+def _poisson_window(lam: float, log_mass: float) -> tuple[int, int]:
+    """Counts (lo, hi) with P(Poisson(lam) < lo) and P(Poisson(lam) > hi) each <= e^log_mass.
+
+    Bernstein's forms of the Chernoff bounds, P(X >= lam + d) <= e^{-d^2 / (2 (lam + d/3))}
+    and P(X <= lam - d) <= e^{-d^2 / (2 lam)}, are both <= e^{-L} at
+    d = sqrt(2 lam L) + 2L/3, L = -log_mass; lo is at least 0.
+    """
+    L = -log_mass
+    d = math.sqrt(2.0 * lam * L) + 2.0 * L / 3.0
+    return max(0, math.floor(lam - d)), math.ceil(lam + d)
+
+
+def _poisson_tails(ks: np.ndarray, lam: float) -> np.ndarray:
+    """P(k <= X <= ks[-1]) for each k of the ascending contiguous counts ks, X ~ Poisson(lam)."""
+    return np.cumsum(np.exp(log_poisson_pmf_vec(ks, lam))[::-1])[::-1]
 
 
 def growth_bound(params: ProtocolParams, n: int, t: float) -> float:
@@ -661,30 +678,38 @@ def liveness_bound(params: ProtocolParams, n: int, t: float) -> float:
     if t <= params.delta:
         raise ValueError("liveness bound requires t > delta")
     lam = params.beta * t
-    # i adversarial blocks over t, summed up to past the 1 - 1e-15 Poisson quantile
-    i = np.arange(int(special.pdtrik(1.0 - 1e-15, lam)) + 2)
+    # i adversarial blocks over t, summed up to a count past which the Poisson mass is < 1e-15
+    i = np.arange(_poisson_window(lam, math.log(1e-15))[1] + 1)
     pois = np.exp(log_poisson_pmf_vec(i, lam))
     total = np.dot(pois, erlang_cdf(t - (i + n + 1) * params.delta, i + n, params.alpha))
     return min(float(total), 1.0)  # the pmf sum can exceed 1 by roundoff
 
 
 def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:
-    """Confirmation depth whose observation implies >= tau seconds elapsed except w.p. eps."""
+    """Confirmation depth whose observation implies >= tau seconds elapsed except w.p. eps.
+
+    The smallest k >= 1 with P(X >= k) <= eps, X ~ Poisson(lam) the blocks
+    mined in tau seconds, in one array pass: the pmf over _poisson_window's
+    counts, whose top leaves a mass below eps 2^-60 beyond it, summed from
+    the top into P(X >= k) for every k of the window.  Where the window's
+    lowest count already meets eps the answer may lie below it, and the
+    window widens down to k = 1.  BracketError if no count meets eps.
+    """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     lam = params.total_rate * tau
-    cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 1000)
-    k, block = 1, 64
-    while k <= cap:
-        ks = np.arange(k, min(k + block, cap + 1))
-        hit = np.flatnonzero(special.gammainc(ks, lam) <= eps)  # upper Poisson tail P(X >= k)
-        if hit.size:
-            return int(ks[hit[0]])
-        k += block
-        block = min(2 * block, 4096)
-    raise BracketError("confirmation depth search did not terminate")
+    lo, hi = _poisson_window(lam, math.log(eps) + _LOG_NEGLIGIBLE)
+    ks = np.arange(max(lo, 1), hi + 1)
+    tails = _poisson_tails(ks, lam)
+    if tails[0] <= eps and ks[0] > 1:
+        ks = np.arange(1, hi + 1)
+        tails = _poisson_tails(ks, lam)
+    hit = np.flatnonzero(tails <= eps)
+    if not hit.size:
+        raise BracketError("confirmation depth search did not terminate")
+    return int(ks[hit[0]])
 
 
 def _smallest_true(ok: Callable[[int], bool], start: int) -> int:

@@ -4,8 +4,12 @@ Each distribution takes numpy arrays of indices or points (scalars broadcast)
 and returns an array of their shape, so a bound over an index range is one
 expression.  Pmf values are formed in the log domain and exponentiated last,
 so factors like e^{lambda} with lambda in the hundreds never overflow.
-Cumulative Poisson/Erlang probabilities go through the regularized incomplete
-gamma function, which is the same partial sum in closed form.
+
+The Poisson pmf, and so the Skellam pmf at a zero mean, runs on numpy
+alone.  The Erlang cdf/ccdf (the regularized incomplete gamma function, the
+Poisson partial sum in closed form) and the Skellam pmf's Bessel factor come
+from scipy.special, which `_special` imports on the first call that needs
+it, so code that never calls them never loads scipy.
 """
 
 from __future__ import annotations
@@ -13,15 +17,46 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+
+
+def _special():
+    """scipy.special, imported on first use: it alone costs most of a cold start."""
+    from scipy import special
+
+    return special
+
+
+# log k! for k = 0..15; Stirling's series takes over from 16
+_LOG_FACT_SMALL = np.log([float(math.factorial(k)) for k in range(16)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial(ks: np.ndarray) -> np.ndarray:
+    """log k! over an array of integers k >= 0 (as floats).
+
+    From k = 16, Stirling's series k (ln k - 1) + ln(2 pi k)/2 plus the
+    error term 1/(12k) - 1/(360k^3) + 1/(1260k^5) - 1/(1680k^7) + 1/(1188k^9)
+    (Loader 2000, "Fast and accurate computation of binomial probabilities"),
+    whose first omitted term, 691/(360360 k^11), is below 1.1e-16 there;
+    below 16, a table.  Within 4e-16 relative of 50-digit values for k <= 1e7.
+    """
+    k = np.maximum(ks, 16.0)
+    log_k = np.log(k)
+    r = 1.0 / (k * k)
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
+    out = k * (log_k - 1.0) + (0.5 * log_k + (_HALF_LOG_2PI + stirlerr))
+    small = ks < 16
+    if small.any():
+        out[small] = _LOG_FACT_SMALL[ks[small].astype(int)]
+    return out
 
 
 def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Log Poisson pmf over an integer array; -inf outside the support.
 
     lam is one rate or an array of rates that broadcasts against ks (rates of
-    shape (T, 1) against ks of shape (K,) give one row per rate).  Each rate's
-    log is math.log's, so a row equals the one-rate call bit for bit.
+    shape (T, 1) against ks of shape (K,) give one row per rate); a row
+    equals the one-rate call bit for bit.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
@@ -29,10 +64,9 @@ def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     ok = ks >= 0
     log_fact = np.full(ks.shape, np.inf)
-    log_fact[ok] = special.gammaln(ks[ok] + 1)
-    log_lam = np.array([math.log(x) if x != 0 else -math.inf for x in lam.ravel().tolist()])
-    with np.errstate(invalid="ignore"):
-        out = ks * log_lam.reshape(lam.shape) - lam - log_fact
+    log_fact[ok] = _log_factorial(ks[ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = ks * np.log(lam) - lam - log_fact
     # a zero rate puts all mass at 0 (where 0 * log 0 above is nan)
     return np.where(lam == 0, np.where(ks == 0, 0.0, -np.inf), out)
 
@@ -46,7 +80,7 @@ def erlang_cdf(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
         raise ValueError(f"Erlang shape must be a positive integer, got {ns}")
     out = np.zeros(xs.shape)
     pos = xs > 0
-    out[pos] = special.gammainc(ns[pos], rate * xs[pos])  # P(Poisson(rate x) >= n)
+    out[pos] = _special().gammainc(ns[pos], rate * xs[pos])  # P(Poisson(rate x) >= n)
     return out
 
 
@@ -55,7 +89,7 @@ def erlang_ccdf_vec(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
     xs, ns = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ns, dtype=float))
     out = np.ones(xs.shape)
     pos = xs > 0
-    out[pos] = special.gammaincc(ns[pos], rate * xs[pos])
+    out[pos] = _special().gammaincc(ns[pos], rate * xs[pos])
     return out
 
 
@@ -85,7 +119,7 @@ def _log_ive(nus: np.ndarray, z: float | np.ndarray) -> np.ndarray:
     """
     nus, z = np.broadcast_arrays(np.asarray(nus, dtype=float), np.asarray(z, dtype=float))
     with np.errstate(divide="ignore"):
-        out = np.asarray(np.log(special.ive(nus, z)))
+        out = np.asarray(np.log(_special().ive(nus, z)))
     far = out < math.log(1e-290)  # nan compares false
     big = np.isnan(out)
     if big.any():
@@ -122,23 +156,20 @@ def skellam_pmf(ks: np.ndarray, mu1: float | np.ndarray, mu2: float | np.ndarray
     Poisson pmf.  The drift is formed as -((mu1 - mu2) / (sqrt mu1 + sqrt mu2))^2,
     which keeps its digits at large, nearly equal means.  mu1 and mu2 are
     means or arrays of means that broadcast against ks (columns of shape
-    (T, 1) against ks of shape (K,) give one row per pair).  Each pair's factors use math's sqrt and log, so a row
-    equals the one-pair call bit for bit.
+    (T, 1) against ks of shape (K,) give one row per pair); a row equals the
+    one-pair call bit for bit.
     """
     mu1, mu2 = np.broadcast_arrays(np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float))
     if (mu1 < 0).any() or (mu2 < 0).any():
         raise ValueError("Skellam means must be nonnegative")
     ks = np.asarray(ks, dtype=float)
-    pairs = list(zip(mu1.ravel().tolist(), mu2.ravel().tolist()))
     both = (mu1 > 0) & (mu2 > 0)
-
-    def per_pair(f):
-        return np.array([f(x, y) if x > 0 and y > 0 else 0.0 for x, y in pairs]).reshape(mu1.shape)
-
-    drift = per_pair(lambda x, y: -(((x - y) / (math.sqrt(x) + math.sqrt(y))) ** 2))
-    tilt = per_pair(lambda x, y: math.log(x / y))
-    z = per_pair(lambda x, y: 2.0 * math.sqrt(x * y))
-    out = np.exp(drift + 0.5 * ks * tilt + _log_ive(np.abs(ks), np.where(both, z, 1.0)))
+    x, y = np.where(both, mu1, 1.0), np.where(both, mu2, 1.0)  # a zero mean is the Poisson case
+    drift = -(((x - y) / (np.sqrt(x) + np.sqrt(y))) ** 2)
+    tilt = np.log(x / y)
+    with np.errstate(over="ignore"):  # x y = inf leaves z = inf, where log ive is -inf
+        z = 2.0 * np.sqrt(x * y)
+    out = np.exp(drift + 0.5 * ks * tilt + _log_ive(np.abs(ks), z))
     if both.all():
         return out
     poisson = np.where(

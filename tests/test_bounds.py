@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -701,15 +700,13 @@ def test_depth_from_time_worked_example():
 
 
 def _depth_scalar(params, tau, eps):
-    """Reference: the one-k-at-a-time search that depth_from_time vectorizes."""
+    """Reference: the first k in 1..cap with scipy's gammainc(k, lam) = P(X >= k) <= eps."""
     lam = params.total_rate * tau
-    k = 1
-    cap = int(lam + 60.0 * math.sqrt(lam + 1.0) + 1000)
-    while k <= cap:
-        if special.gammainc(k, lam) <= eps:
-            return k
-        k += 1
-    raise BracketError("confirmation depth search did not terminate")
+    ks = np.arange(1, int(lam + 60.0 * math.sqrt(lam + 1.0) + 1000) + 1)
+    hit = np.flatnonzero(special.gammainc(ks, lam) <= eps)
+    if not hit.size:
+        raise BracketError("confirmation depth search did not terminate")
+    return int(ks[hit[0]])
 
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 7.3, 26.1, 100.0, 600.0, 2500.0, 1e4])
@@ -720,19 +717,55 @@ def test_depth_from_time_matches_scalar_search(lam):
         assert depth_from_time(p, tau, eps) == _depth_scalar(p, tau, eps)
 
 
+def test_depth_from_time_matches_gammainc_on_a_grid():
+    # 240 geometric rates from 0.01 to 3e4 blocks, at levels from 0.9 down to 1e-12
+    p = ProtocolParams(alpha=0.009, beta=0.001)
+    for lam in np.geomspace(0.01, 3e4, 240):
+        tau = lam / p.total_rate
+        for eps in (0.9, 0.5, 1e-2, 5e-4, 1e-6, 1e-9, 1e-12):
+            assert depth_from_time(p, tau, eps) == _depth_scalar(p, tau, eps), (lam, eps)
+
+
 def test_depth_from_time_keeps_cap(monkeypatch):
-    # a tail that never falls to eps is searched up to the cap, then fails
+    # a tail that never falls to eps is searched up to the window's top, then fails
     seen = []
 
-    def never(k, lam):
-        seen.append(np.max(k))
-        return np.ones(np.shape(k))
+    def never(ks, lam):
+        seen.append(ks[-1])
+        return np.ones(ks.shape)
 
-    monkeypatch.setattr(bounds, "special", types.SimpleNamespace(gammainc=never))
+    monkeypatch.setattr(bounds, "_poisson_tails", never)
     p = ProtocolParams(alpha=0.009, beta=0.001)
+    tau = 600.0 / p.total_rate
     with pytest.raises(BracketError):
-        depth_from_time(p, 600.0 / p.total_rate, 1e-6)
-    assert max(seen) == int(600.0 + 60.0 * math.sqrt(601.0) + 1000)
+        depth_from_time(p, tau, 1e-6)
+    log_mass = math.log(1e-6) + bounds._LOG_NEGLIGIBLE
+    assert seen == [bounds._poisson_window(p.total_rate * tau, log_mass)[1]]
+
+
+def test_depth_from_time_widens_a_window_above_the_answer(monkeypatch):
+    # a window whose lowest count already meets eps widens down to k = 1
+    window = bounds._poisson_window
+
+    def high(lam, log_mass):
+        hi = window(lam, log_mass)[1]
+        return hi - 3, hi
+
+    monkeypatch.setattr(bounds, "_poisson_window", high)
+    p = ProtocolParams(alpha=0.009, beta=0.001)
+    for lam in (0.5, 26.1, 600.0):
+        tau = lam / p.total_rate
+        assert depth_from_time(p, tau, 1e-6) == _depth_scalar(p, tau, 1e-6)
+
+
+def test_poisson_window_bounds_both_tails():
+    # the mass outside (lo, hi) is at most e^log_mass on each side
+    for lam in (0.0, 0.01, 3.0, 26.1, 600.0, 3e4):
+        for log_mass in (math.log(1e-15), math.log(1e-9) + bounds._LOG_NEGLIGIBLE):
+            lo, hi = bounds._poisson_window(lam, log_mass)
+            assert special.gammainc(hi + 1, lam) <= math.exp(log_mass)  # P(X > hi)
+            if lo > 0:
+                assert special.gammaincc(lo, lam) <= math.exp(log_mass)  # P(X < lo)
 
 
 def test_depth_from_time_monotone_in_eps():

@@ -485,6 +485,44 @@ def test_cli_import_loads_no_heavy_scipy_module():
     assert proc.stdout.splitlines() == ["[]", "[0, 0]", "[]"]
 
 
+def test_designer_commands_load_no_scipy():
+    # the designer's commands run on numpy alone; scipy.special loads with the
+    # first lower-bound kernel, which shows where the boundary lies
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import contextlib, io, sys\n"
+        "import powbounds.cli\n"
+        "def report(name, argv=None):\n"
+        "    if argv is not None:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            assert powbounds.cli.main(argv) == 0, argv\n"
+        "    print(name, sorted(m for m in sys.modules if m.startswith('scipy')) == [],\n"
+        "          'scipy.special' in sys.modules)\n"
+        "report('import')\n"
+        "report('table', ['protocol-table', '--check'])\n"
+        "report('latency', ['latency', '--level', '1e-9'])\n"
+        "report('upper', ['bound', 'upper', '--delta', '10', '--t', '3600'])\n"
+        "report('sweep', ['sweep', '--var', 'throughput', '--grid', '1,2'])\n"
+        "report('curves', ['sweep', '--var', 'latency', '--grid', '600,3600',\n"
+        "                  '--bounds', 'upper,upper-universal'])\n"
+        "report('lower', ['bound', 'lower', '--delta', '10', '--t', '3600'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "import True False",
+        "table True False",
+        "latency True False",
+        "upper True False",
+        "sweep True False",
+        "curves True False",
+        "lower False True",
+    ]
+
+
 def assert_schema_error(capsys, *argv):
     code, out, err = run_cli_err(capsys, *argv)
     assert code == 3

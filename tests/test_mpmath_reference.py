@@ -1,11 +1,11 @@
-"""The two series-based lower bounds, the Skellam pmf and the double-lagger MGF against
-50-digit mpmath re-evaluations."""
+"""The two series-based lower bounds, the Skellam pmf, log k! and the double-lagger MGF
+against 50-digit mpmath re-evaluations."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import loggamma, mp, mpf
 from test_bounds import MODEL_REGION, _feasible_model
 
 from powbounds import bounds
@@ -18,7 +18,7 @@ from powbounds.bounds import (
     renewal_race_bound,
     zero_delay_lower,
 )
-from powbounds.distributions import skellam_pmf
+from powbounds.distributions import _log_factorial, skellam_pmf
 
 # (adversarial share, total rate per hour, t in seconds)
 ZERO_DELAY_POINTS = [
@@ -252,6 +252,16 @@ def test_skellam_pmf_matches_mpmath(mu1, mu2, k):
             k, 2 * mp.sqrt(m1 * m2), maxterms=10**6
         )
         assert abs(got - want) <= 1e-10 * want
+
+
+def test_log_factorial_matches_mpmath():
+    # every k below 2000, then 2000 geometric points up to 1e7 rounded to integers
+    ks = np.unique(np.concatenate([np.arange(2000), np.round(np.geomspace(2000, 1e7, 2000))]))
+    got = _log_factorial(ks)
+    with mp.workdps(50):
+        want = np.array([float(loggamma(mpf(int(k)) + 1)) for k in ks])
+    assert got[:2].tolist() == [0.0, 0.0]
+    assert np.all(np.abs(got[2:] - want[2:]) <= 4e-16 * want[2:])
 
 
 @pytest.mark.parametrize("frac", [1e-13, 0.5])
