@@ -10,6 +10,7 @@ from .bounds import (
     delay_upper_universal,
     depth_from_time,
     double_lagger_mgf,
+    invert_latencies,
     invert_latency,
     renewal_race_bound,
     zero_delay_lower,
@@ -32,6 +33,7 @@ __all__ = [
     "delay_upper_universal",
     "depth_from_time",
     "double_lagger_mgf",
+    "invert_latencies",
     "invert_latency",
     "renewal_race_bound",
     "zero_delay_lower",

@@ -45,8 +45,11 @@ _T_BLOCK = 32
 # Latest whole-second latency (s) invert_latency searches; past it, BracketError.
 _LATENCY_HORIZON = 600 * 2**30
 
-# Times (s) where invert_latency probes a form other than delay_upper for its start.
+# Times (s) of the first secant of invert_latency for a form other than delay_upper.
 _PROBES = np.array([0.0, 600.0])
+
+# The whole seconds invert_latency confirms a crossing with, from ceil(t*).
+_PAIR = np.array([-1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -286,21 +289,54 @@ _ROOT_GRID = np.unique(
 )
 
 
+def _dip_start(a: float) -> int:
+    """Index of the last _ROOT_GRID point at or below the dip of g_a, 0 if a >= 1.
+
+    With x = u/a and s = 1 - x, g_a / a^2 = E (E - 1 + s) - s (1 - s), E = e^{-a s}.
+    E >= 1 - a s gives g_a >= 0 wherever s >= a / (1 - a + a^2), so for a < 1
+    g_a is negative only where s < a / (1 - a)^2, a larger bound.
+    """
+    if a >= 1.0:
+        return 0
+    return max(int(np.searchsorted(_ROOT_GRID, 1.0 - a / (1.0 - a) ** 2, side="right")) - 1, 0)
+
+
 def _smallest_root_norm(a: float) -> float:
     """Smallest positive zero of g_a on (0, a].
 
     g_a(0) > 0 and g_a(a) = 0 with positive slope, so the first zero sits at
     the left edge of a narrow negative dip just below a (width of order a^2
     for small a).  A uniform grid alone can miss it, hence the geometric
-    refinement toward a.  bracketed_root polishes the first sign change.
+    refinement toward a.  The scan covers only the grid points from
+    _dip_start(a) on; if the first of them is already negative, roundoff has
+    reached the bound, and the scan covers the whole grid.  bracketed_root
+    polishes the first sign change.  Where g_a is at roundoff level the
+    scan's np.exp and the polish's math.exp can disagree in sign at the
+    bracket's ends; where the polish's own g_a has one sign, nonzero, at
+    both, the end on that side of the root moves outward along the grid
+    until it does not (g_a(0) > 0, and _g_scalar(a, a) is exactly 0).
     """
-    grid = a * _ROOT_GRID
-    neg = np.flatnonzero(_g_norm(grid, a) < 0.0)
+    start = _dip_start(a)
+    neg = np.flatnonzero(_g_norm(a * _ROOT_GRID[start:], a) < 0.0)
+    if start and neg.size and neg[0] == 0:
+        start = 0
+        neg = np.flatnonzero(_g_norm(a * _ROOT_GRID, a) < 0.0)
     if neg.size == 0:
         return a
-    i = neg[0]
-    lo = grid[i - 1] if i > 0 else 0.0
-    return bracketed_root(lambda u: _g_scalar(u, a), float(lo), float(grid[i]), 1e-15 * a)
+
+    def g(u):
+        return _g_scalar(u, a)
+
+    def point(j):
+        return 0.0 if j < 0 else float(a * _ROOT_GRID[j]) if j < _ROOT_GRID.size else a
+
+    hi = start + int(neg[0])
+    lo = hi - 1
+    while g(point(lo)) < 0.0 and g(point(hi)) < 0.0:
+        lo -= 1
+    while g(point(lo)) > 0.0 and g(point(hi)) > 0.0:
+        hi += 1
+    return bracketed_root(g, point(lo), point(hi), 1e-15 * a)
 
 
 def _zeta_norm(u, a):
@@ -389,72 +425,87 @@ def _coarse_grid(hi):
 
 
 def _nan_argmin(vals):
-    """Each row's np.nanargmin index, 0 for a row that is all nan."""
-    return np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=1)
+    """np.nanargmin's index along the last axis, 0 where all is nan."""
+    return np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=-1)
+
+
+def _pick(vals, i):
+    """Each row's value at its index in i, where i has vals's shape but 1 along the last axis."""
+    flat = vals.reshape(-1, vals.shape[-1])
+    return flat[np.arange(flat.shape[0]), i.reshape(-1)].reshape(i.shape)
 
 
 # Geometric points below the coarse grid's first one (u0 / 512), as fractions of
 # u0: near the feasibility edge every admissible u lies there.
 _EDGE_GRID = 0.5 ** np.arange(10, 64)
 
+# The refinement pass's points, in spacings either side of the incumbent.
+_PASS = np.arange(-_REFINE, _REFINE + 1) / _REFINE
 
-def _grid_minimize(mgf: Mgf, b: float, coarse, objective):
+_NO_ADMISSIBLE_POINT = "no admissible point for the Chernoff-rate optimization"
+
+
+def _grid_minimize(mgf: Mgf, b, coarse, objective):
     """Minimize the delay race's objective over (0, u0) row by row; returns (u, value) per row.
 
-    objective maps the race's (log c^2, psi) at (rows or 1, n) points to
-    (rows, n) values, nan at inadmissible points; coarse is
-    _delay_coarse(mgf, b).  The coarse grid finds each row's basin.  A row
-    with no admissible coarse point (near the feasibility edge, where every
-    admissible u lies below u0 / 512) finds it on the geometric points
-    u0 2^-10 .. u0 2^-63 instead, with the incumbent itself as its spacing;
-    only such rows pay for that grid.  One refinement pass then evaluates
-    2 _REFINE + 1 points across one spacing (u0 / 512 on the coarse grid)
-    either side of the row's incumbent, which is its middle point, so no
-    row's best value worsens and no pass row is all nan.  Last, the parabola
-    through the pass minimum and its two neighbours gives one vertex per row
-    (successive parabolic interpolation; Brent 1973, ch. 5).  Where both
-    neighbours are admissible and the parabola is convex, the vertex lies
-    within half a pass spacing, and it replaces the pass minimum only if its
-    value is lower.  Every step is elementwise per row.
+    The model is one delay race (mgf a double-lagger MGF, b a float) or
+    several, as columns of shape (models, 1, 1) in mgf's excess, roc_sup and
+    mean and in b; coarse is _delay_coarse(mgf, b), one row per model.
+    objective maps the race's (log c^2, psi) at points of shape (..., n) to
+    values of shape (rows..., n), nan at inadmissible points; the result has
+    shape (rows...).  The coarse grid finds each row's basin.  A row with no
+    admissible coarse point (near the feasibility edge, where every
+    admissible u lies below u0 / 512) finds it on its model's geometric
+    points u0 2^-10 .. u0 2^-63 instead, with the incumbent itself as its
+    spacing; its u and value are nan if none of those is admissible either.
+    One refinement pass then evaluates 2 _REFINE + 1 points across one
+    spacing (u0 / 512 on the coarse grid) either side of the row's
+    incumbent, which is its middle point, so no row's best value worsens.
+    Last, the parabola through the pass minimum and its two neighbours gives
+    one vertex per row (successive parabolic interpolation; Brent 1973,
+    ch. 5).  Where both neighbours are admissible and the parabola is
+    convex, the vertex lies within half a pass spacing, and it replaces the
+    pass minimum only if its value is lower.  Every step is elementwise per
+    row, and the model columns broadcast, so a row's result does not depend
+    on the other rows or models.
     """
     hi = mgf.roc_sup
     vals = objective(*coarse)
-    u = _coarse_grid(hi)[_nan_argmin(vals)]
-    step = np.full(u.shape, hi / _GRID_CELLS)
-    empty = np.isnan(vals).all(axis=1)
+    u = hi * (_nan_argmin(vals)[..., None] + 1) / _GRID_CELLS  # its _coarse_grid(hi) point
+    step = hi / _GRID_CELLS
+    empty = np.isnan(vals).all(axis=-1, keepdims=True)
     if empty.any():
-        edge = hi * _EDGE_GRID
-        edge_vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, edge[None, :]))[empty]
-        if np.isnan(edge_vals).all(axis=1).any():
-            raise BracketError("no admissible point for the Chernoff-rate optimization")
-        u[empty] = step[empty] = edge[_nan_argmin(edge_vals)]
-    rows = np.arange(u.size)
-    xs = u[:, None] + step[:, None] * (np.arange(-_REFINE, _REFINE + 1) / _REFINE)
-    vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, xs))
-    i = _nan_argmin(vals)
-    u, val = xs[rows, i], vals[rows, i]
+        edge_vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, np.atleast_2d(hi * _EDGE_GRID)))
+        edge_u = hi * _EDGE_GRID[_nan_argmin(edge_vals)[..., None]]
+        edge_u[np.isnan(edge_vals).all(axis=-1)] = np.nan
+        u, step = np.where(empty, edge_u, u), np.where(empty, edge_u, step)
+    vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u + step * _PASS))
+    i = _nan_argmin(vals)[..., None]
+    u, val = u + step * _PASS[i], _pick(vals, i)
     k = np.clip(i, 1, 2 * _REFINE - 1)  # a pass-edge minimum gets no vertex
-    below, above = vals[rows, k - 1], vals[rows, k + 1]
+    below, above = _pick(vals, k - 1), _pick(vals, k + 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         curv = below - 2.0 * val + above
         fit = (k == i) & (curv > 0)  # nan (an inadmissible neighbour) compares false
         u_fit = np.where(fit, u + (0.5 * step / _REFINE) * (below - above) / curv, u)
-    val_fit = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u_fit[:, None]))[:, 0]
+    val_fit = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u_fit))
     better = val_fit < val
-    return np.where(better, u_fit, u), np.where(better, val_fit, val)
+    return np.where(better, u_fit, u)[..., 0], np.where(better, val_fit, val)[..., 0]
 
 
-def _delay_coarse(mgf: Mgf, b: float):
-    """(log c^2, psi) of the delay race on _coarse_grid(u0), one row shared by every t and level."""
-    return _race_log_terms(mgf, b, _DELAY_SPEC, _coarse_grid(mgf.roc_sup)[None, :])
+def _delay_coarse(mgf: Mgf, b):
+    """(log c^2, psi) of the delay race on _coarse_grid(u0): one row per model, shared by its rows."""
+    return _race_log_terms(mgf, b, _DELAY_SPEC, np.atleast_2d(_coarse_grid(mgf.roc_sup)))
 
 
-def _delay_upper_rows(mgf: Mgf, b: float, d: float, coarse, ts: np.ndarray):
+def _delay_upper_rows(mgf: Mgf, b, d, coarse, ts: np.ndarray):
     """delay_upper's kernel: (raw value, optimizer v per second) at each time in ts (s).
 
     Each time is one row of the minimization; coarse is _delay_coarse(mgf, b).
+    For models as columns, ts has one row per model and d is a (models, 1)
+    column; the results have ts's shape, nan where no u is admissible.
     """
-    tau = (ts / d)[:, None]
+    tau = (ts / d)[..., None]
     u_best, log_obj = _grid_minimize(mgf, b, coarse, lambda log_c2, psi: log_c2 - psi * tau)
     return _exp_raw(log_obj), u_best / d
 
@@ -470,6 +521,8 @@ def delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
 
     def kernel(ts):
         raw, v = _delay_upper_rows(mgf, b, params.delta, coarse, ts)
+        if np.isnan(v).any():
+            raise BracketError(_NO_ADMISSIBLE_POINT)
         return {"raw_value": raw, "optimizer_v": v}
 
     return _per_t(t, kernel, theta=mgf.roc_sup / params.delta)
@@ -487,6 +540,8 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     mgf, b = _delay_norm(params)
     d = params.delta
     u_best, _ = _grid_minimize(mgf, b, _delay_coarse(mgf, b), lambda _, psi: -psi)
+    if np.isnan(u_best).any():
+        raise BracketError(_NO_ADMISSIBLE_POINT)
     log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, u_best)
     return _per_t(
         t,
@@ -496,14 +551,15 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     )
 
 
-def _delay_crossings(mgf: Mgf, b: float, coarse, log_eps: np.ndarray) -> np.ndarray:
+def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray) -> np.ndarray:
     """Normalized real crossing min_u (log c^2(u) - log eps) / psi(u) of each level, one row each.
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
     The ratio is minimized as delay_upper's rows are, with the same one pass
     and vertex step; the crossing only picks the whole second where
-    invert_latency confirms with delay_upper's own values.
+    invert_latency confirms with delay_upper's own values.  For models as
+    columns the result has one row of levels per model.
     """
     log_eps = log_eps[:, None]
     return _grid_minimize(
@@ -743,6 +799,146 @@ def _smallest_true(ok: Callable[[int], bool], start: int) -> int:
     return hi
 
 
+def _whole_seconds(t: np.ndarray) -> np.ndarray:
+    """ceil(t) of each crossing t clamped to [1, _LATENCY_HORIZON]; 1 where t is nan."""
+    return np.ceil(np.minimum(np.fmax(t, 1.0), float(_LATENCY_HORIZON)))
+
+
+def _confirm(value, levels, starts, pairs) -> list[int]:
+    """Each level's latency: its start if (v(start - 1), v(start)) brackets it, else _smallest_true.
+
+    value maps one whole second to the bound's probability or raw value
+    (the two compare alike with a level in (0, 1)); it runs only for a level
+    whose pair does not bracket.
+    """
+    return [
+        int(s)
+        if at <= e and (s == 1 or before > e)
+        else _smallest_true(lambda t, e=e: value(t) <= e, int(s))
+        for e, s, (before, at) in zip(levels, starts, pairs)
+    ]
+
+
+def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list, log_eps: np.ndarray) -> list:
+    """Per model: invert_latency(delay_upper, model, levels) as a list, or the error it raises.
+
+    Each model's root u0 is solved once.  The feasible models then enter the
+    race kernel as columns (a, b, u0 and the mean, shape (models, 1, 1)),
+    broadcast against each row's points, so the batch makes the race-kernel
+    calls of one model: the coarse grid, a pass and a vertex for every
+    (model, level) crossing t*, and a pass and a vertex for every
+    (ceil(t*) - 1, ceil(t*)) pair.  Every step is elementwise per row, so a
+    model's values are those of a batch of one, bit for bit.  A model whose
+    pair does not bracket steps outward (_smallest_true) through
+    delay_upper's kernel on its own solved model and coarse row.
+    """
+    results = [None] * len(models)
+    solved = []
+    for j, params in enumerate(models):
+        try:
+            solved.append((j, params, *_delay_norm(params)))
+        except InfeasibleParametersError as e:
+            results[j] = e
+    if not solved:
+        return results
+
+    def col(xs):  # one model's columns stay floats: they broadcast alike, at less cost per op
+        return xs[0] if len(xs) == 1 else np.array(xs, dtype=float)[:, None, None]
+
+    _, params, mgfs, bs = zip(*solved)
+    a = col([p.alpha * p.delta for p in params])
+    mgf = Mgf(
+        excess=lambda u: _zeta_norm(u, a),
+        roc_sup=col([m.roc_sup for m in mgfs]),
+        mean=col([m.mean for m in mgfs]),
+    )
+    b, d = col(bs), np.array([p.delta for p in params])[:, None]
+    coarse = _delay_coarse(mgf, b)
+    t_star = _delay_crossings(mgf, b, coarse, log_eps).reshape(len(solved), -1) * d
+    unsolved = np.isnan(t_star).any(axis=1).tolist()  # a row with no admissible u
+    starts = _whole_seconds(t_star)
+    pair_ts = (starts[..., None] + _PAIR).reshape(len(solved), -1)
+    pairs = _delay_upper_rows(mgf, b, d, coarse, pair_ts)[0]
+    for m, (j, p, mgf_m, b_m) in enumerate(solved):
+        if unsolved[m]:
+            results[j] = BracketError(_NO_ADMISSIBLE_POINT)
+            continue
+
+        def raw(t, m=m, mgf_m=mgf_m, b_m=b_m, d_m=p.delta):
+            coarse_m = tuple(x.reshape(-1, 1, x.shape[-1])[m] for x in coarse)
+            return _delay_upper_rows(mgf_m, b_m, d_m, coarse_m, np.array([float(t)]))[0][0]
+
+        try:
+            results[j] = _confirm(raw, levels, starts[m].tolist(), pairs[m].reshape(-1, 2).tolist())
+        except BracketError as e:
+            results[j] = e
+    return results
+
+
+# (model, level) rows one _invert_delay_upper call takes at most: its work arrays
+# are then at most 2 _BATCH_ROWS x 511 floats (~1 MB) each, whatever the number of models.
+_BATCH_ROWS = 128
+
+# Secant steps (one array call each) invert_latency takes for a form other
+# than delay_upper before a level still open steps outward instead.
+_SECANT_STEPS = 10
+
+
+def _invert_by_secant(bound_fn, params: ProtocolParams, levels: list, log_eps: np.ndarray) -> list:
+    """invert_latency for a form other than delay_upper: secant steps on log raw_value - log eps.
+
+    The first secant runs through _PROBES (one array call); it is the
+    crossing itself for a form c e^{-rate t}, and a non-finite one starts at
+    600 s.  Each step is one array call at every open level's (s - 1, s),
+    s = ceil(t): it confirms s where bound(s) <= eps < bound(s - 1), and
+    otherwise gives the next t, the secant through s and the level's
+    previous point, moved to the side of the pair the answer lies on.  A
+    level still open after _SECANT_STEPS steps, or stopped at the horizon,
+    steps outward from its last s (_smallest_true).
+    """
+    eps = np.array(levels)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(bound_fn(params, _PROBES).raw_value)
+        t = _PROBES[1] * (log_p[0] - log_eps) / (log_p[0] - log_p[1])
+    s = _whole_seconds(np.where(np.isfinite(t), t, _PROBES[1]))
+    x_prev, f_prev = np.full(s.shape, _PROBES[1]), log_p[1] - log_eps
+    pair_probs = np.full(s.shape + (2,), np.nan)  # nan: not yet confirmed
+    open_ = np.arange(s.size)
+    for _ in range(_SECANT_STEPS):
+        if not open_.size:
+            break
+        so, eo = s[open_], eps[open_]
+        res = bound_fn(params, (so[:, None] + _PAIR).reshape(-1))
+        probs = res.probability.reshape(-1, 2)
+        before, at = probs.T
+        with np.errstate(all="ignore"):
+            f = np.log(res.raw_value[1::2]) - log_eps[open_]
+            t = so - f * (so - x_prev[open_]) / (f - f_prev[open_])
+        above = at > eo  # the answer lies above s
+        nxt = _whole_seconds(np.where(np.isfinite(t), t, so))
+        nxt = np.where(above, np.maximum(nxt, so + 1.0), np.minimum(nxt, so - 1.0))
+        done = ~above & ((so == 1.0) | (before > eo))
+        stop = done | (nxt > _LATENCY_HORIZON)
+        pair_probs[open_[stop]] = probs[stop]
+        x_prev[open_], f_prev[open_] = so, f
+        s[open_] = np.where(stop, so, nxt)
+        open_ = open_[~stop]
+
+    def probability(t):
+        return bound_fn(params, float(t)).probability
+
+    return _confirm(probability, levels, s.tolist(), pair_probs.tolist())
+
+
+def _levels(eps):
+    """(whether eps is one level, the levels as a list, their logs) of one level or a 1-D sequence."""
+    levels = np.asarray(eps, dtype=float)
+    if levels.ndim > 1 or not ((levels > 0) & (levels < 1)).all():
+        raise ValueError(f"target level must be in (0,1), got {eps}")
+    flat = levels.reshape(-1).tolist()
+    return levels.ndim == 0, flat, np.array([math.log(e) for e in flat])
+
+
 def invert_latency(
     bound_fn: Callable[[ProtocolParams, float | np.ndarray], BoundResult],
     params: ProtocolParams,
@@ -751,50 +947,65 @@ def invert_latency(
     """Smallest whole-second latency t with bound_fn(params, t).probability <= eps.
 
     eps is a level, giving an int, or a 1-D sequence of levels, giving a list
-    of ints.  Each level's search starts at ceil(t*), its real crossing: for
-    delay_upper the minimized one, for any other form the secant through
-    log raw_value at _PROBES (one array call), which is the crossing of a
-    form c e^{-rate t}; a non-finite secant starts at 600 s.  One array call
-    for all levels confirms bound_fn(t) <= eps < bound_fn(t - 1) at
-    t = ceil(t*), and a level whose pair does not bracket steps outward
-    through the same probability function.  For delay_upper that is
-    delay_upper's per-t kernel on the model solved once per call (one root,
-    one coarse grid), so its values are delay_upper's bit for bit.  Raises
-    BracketError past 600 * 2^30 s.
+    of ints.  For delay_upper this is the batch of one model of
+    _invert_delay_upper: the real crossing t* = delta min_u (log c^2(u) -
+    log eps) / psi(u) of every level, then one array call of delay_upper's
+    kernel at every level's (ceil(t*) - 1, ceil(t*)) confirms
+    bound(t) <= eps < bound(t - 1), five race-kernel calls in all, and a
+    level whose pair does not bracket steps outward on the model solved
+    once, so its values are delay_upper's bit for bit.  Any other form takes
+    secant steps on log raw_value from 0 and 600 s, one array call per step
+    for all levels, each step confirming its own pair (_invert_by_secant):
+    two bound calls for a form c e^{-rate t}.  Raises BracketError past
+    600 * 2^30 s.
     """
-    levels = np.asarray(eps, dtype=float)
-    if levels.ndim > 1 or not ((levels > 0) & (levels < 1)).all():
-        raise ValueError(f"target level must be in (0,1), got {eps}")
-    flat = levels.reshape(-1).tolist()
-    log_eps = np.array([math.log(e) for e in flat])
+    scalar, levels, log_eps = _levels(eps)
     if bound_fn is delay_upper:
-        mgf, b = _delay_norm(params)
-        coarse = _delay_coarse(mgf, b)
-        t_star = (_delay_crossings(mgf, b, coarse, log_eps) * params.delta).tolist()
-
-        def probability(ts):
-            return np.clip(_delay_upper_rows(mgf, b, params.delta, coarse, ts)[0], 0.0, 1.0)
+        latencies = _invert_delay_upper([params], levels, log_eps)[0]
+        if isinstance(latencies, Exception):
+            raise latencies
     else:
-        # the secant through log raw_value at the two probes: exact for a form
-        # c e^{-rate t}, such as zero_delay_upper and delay_upper_universal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_p = np.log(bound_fn(params, _PROBES).raw_value)
-            secant = _PROBES[1] * (log_p[0] - log_eps) / (log_p[0] - log_p[1])
-        t_star = np.where(np.isfinite(secant), secant, _PROBES[1]).tolist()
+        latencies = _invert_by_secant(bound_fn, params, levels, log_eps)
+    return latencies[0] if scalar else latencies
 
-        def probability(ts):
-            return bound_fn(params, ts).probability
 
-    starts = [math.ceil(min(max(t, 1.0), float(_LATENCY_HORIZON))) for t in t_star]
-    pairs = np.array([x for s in starts for x in (s - 1, s)], dtype=float)
-    probs = probability(pairs).reshape(-1, 2).tolist()
-    latencies = [
-        start
-        if at <= e and (start == 1 or before > e)
-        else _smallest_true(lambda t, e=e: probability(np.array([float(t)]))[0] <= e, start)
-        for e, start, (before, at) in zip(flat, starts, probs)
-    ]
-    return latencies[0] if levels.ndim == 0 else latencies
+def invert_latencies(
+    kind: str, models: Sequence[ProtocolParams], eps: float | Sequence[float]
+) -> list:
+    """invert_latency(bound_of_kind(kind, p), p, eps) for each model p, in order.
+
+    A model whose call would raise InfeasibleParametersError or BracketError
+    gets that error in its place.  The models whose form is delay_upper are
+    inverted together (_invert_delay_upper), in batches of at most
+    _BATCH_ROWS model x level rows: five race-kernel calls per batch, each
+    model's latencies those of its own call.  The others are inverted one
+    at a time.
+    """
+    scalar, levels, log_eps = _levels(eps)
+    forms = {}
+    for j, params in enumerate(models):
+        forms.setdefault(bound_of_kind(kind, params), []).append(j)
+    results = [None] * len(models)
+    for bound_fn, index in forms.items():
+        if bound_fn is delay_upper:
+            size = max(1, _BATCH_ROWS // max(len(levels), 1))
+            got = [
+                latencies
+                for i in range(0, len(index), size)
+                for latencies in _invert_delay_upper(
+                    [models[j] for j in index[i : i + size]], levels, log_eps
+                )
+            ]
+        else:
+            got = []
+            for j in index:
+                try:
+                    got.append(_invert_by_secant(bound_fn, models[j], levels, log_eps))
+                except (InfeasibleParametersError, BracketError) as e:
+                    got.append(e)
+        for j, latencies in zip(index, got):
+            results[j] = latencies[0] if scalar and isinstance(latencies, list) else latencies
+    return results
 
 
 # Bound kind -> names of its (zero-delay, delay) forms, looked up at call time so that a

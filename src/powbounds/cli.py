@@ -170,11 +170,12 @@ def _parse_grid(text: str):
     return grid
 
 
-def _try_latency(params, level):
-    try:
-        return bounds.invert_latency(bounds.bound_of_kind("upper", params), params, level)
-    except (InfeasibleParametersError, BracketError):
-        return None
+def _try_latencies(models, level):
+    """Each model's upper-bound latency at level, None where infeasible or past the horizon."""
+    return [
+        None if isinstance(t, Exception) else t
+        for t in bounds.invert_latencies("upper", models, level)
+    ]
 
 
 def cmd_sweep(args) -> int:
@@ -200,10 +201,8 @@ def cmd_sweep(args) -> int:
         rows = zip(grid, *columns.values())
     elif args.var == "rate":
         share = 1.0 - args.alpha_frac
-        for rate_per_hour in grid:
-            params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, args.delta)
-            t = _try_latency(params, args.level)
-            rows.append((rate_per_hour, t if t is not None else ""))
+        models = [ProtocolParams.from_adversary_share(r / 3600.0, share, args.delta) for r in grid]
+        rows = [(r, "" if t is None else t) for r, t in zip(grid, _try_latencies(models, args.level))]
     else:  # throughput
         share = 1.0 - args.alpha_frac
         try:
@@ -211,16 +210,15 @@ def cmd_sweep(args) -> int:
         except ValueError as e:
             raise SchemaError(str(e)) from e
         rate_grid = np.geomspace(6.0, 600.0, 80)
-        for tp in grid:
-            best = None
-            for rate_per_hour in rate_grid:
-                size_kb = tp * 3600.0 / rate_per_hour
-                delta = model.a * size_kb + model.b
-                params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, delta)
-                t = _try_latency(params, args.level)
-                if t is not None and (best is None or t < best):
-                    best = t
-            rows.append((tp, best if best is not None else ""))
+        for tp in grid:  # one batch per throughput: its 80 rates, each with its own block size
+            models = [
+                ProtocolParams.from_adversary_share(
+                    rate_per_hour / 3600.0, share, model.a * (tp * 3600.0 / rate_per_hour) + model.b
+                )
+                for rate_per_hour in rate_grid
+            ]
+            feasible = [t for t in _try_latencies(models, args.level) if t is not None]
+            rows.append((tp, min(feasible) if feasible else ""))
     if args.format == "csv":  # streamed as value rows, no per-row dicts
         _emit_csv(names, rows, args)
     else:

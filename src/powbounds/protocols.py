@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .bounds import ProtocolParams, bound_of_kind, bracketed_root, invert_latency
+from .bounds import ProtocolParams, bracketed_root, invert_latencies
 from .errors import InfeasibleParametersError, SchemaError
 
 
@@ -105,21 +105,28 @@ def build_comparison_table(
     """Latency/throughput/fault-tolerance rows, one per protocol.
 
     Latencies are whole seconds from inverting the achievable bound (its
-    zero-delay form for a protocol whose delay is 0); rows whose
-    parameters violate the bound's feasibility condition carry None latencies
-    and a note instead of aborting the table.
+    zero-delay form for a protocol whose delay is 0) in one
+    bounds.invert_latencies call: every protocol with a delay is solved in
+    the same batch, each zero-delay one on its own.  Rows whose parameters
+    violate the bound's feasibility condition carry None latencies and a
+    note instead of aborting the table; a latency past the search horizon
+    raises BracketError.
     """
+    delays = [protocol_delay(spec, model) for spec in specs]
+    models = [
+        ProtocolParams.from_adversary_share(spec.total_rate, adversary_fraction, delta)
+        for spec, delta in zip(specs, delays)
+    ]
     rows = []
-    for spec in specs:
-        delta = protocol_delay(spec, model)
-        params = ProtocolParams.from_adversary_share(spec.total_rate, adversary_fraction, delta)
+    for spec, delta, result in zip(specs, delays, invert_latencies("upper", models, levels)):
         note = None
-        try:  # one call for all levels: they share the model's root and coarse grid
-            bound_fn = bound_of_kind("upper", params)
-            latencies = dict(zip(levels, invert_latency(bound_fn, params, levels)))
-        except InfeasibleParametersError as e:
+        if isinstance(result, InfeasibleParametersError):
             latencies = dict.fromkeys(levels)
-            note = str(e)
+            note = str(result)
+        elif isinstance(result, Exception):
+            raise result
+        else:
+            latencies = dict(zip(levels, result))
         rows.append(
             {
                 "name": spec.name,

@@ -15,6 +15,7 @@ from powbounds.bounds import (
     ProtocolParams,
     RaceSpec,
     _g_norm,
+    _g_scalar,
     _geometric_poisson,
     _smallest_root_norm,
     _zeta_norm,
@@ -24,6 +25,7 @@ from powbounds.bounds import (
     depth_from_time,
     double_lagger_mgf,
     growth_bound,
+    invert_latencies,
     invert_latency,
     liveness_bound,
     postmine_gain_pmf,
@@ -867,6 +869,33 @@ def test_invert_latency_log_linear_forms_start_at_the_crossing():
     assert invert_latency(zero_delay_upper, ProtocolParams(alpha=50.0, beta=0.0), 1e-3) == 1
 
 
+def test_invert_latency_iterates_the_secant_for_delay_lower():
+    # delay_lower is not log-linear near t = 0, so the secant from 0 and 600 s
+    # misses; its steps, one array call for all levels each, reach the latencies
+    calls = []
+
+    def lower(params, t):
+        calls.append(np.size(t))
+        return delay_lower(params, t)
+
+    levels = [1e-3, 1e-6, 1e-9]
+    latencies = invert_latency(lower, BITCOIN_10, levels)
+    assert len(calls) <= 12
+    ts = np.array([x for t in latencies for x in (t - 1.0, t)])
+    before, at = delay_lower(BITCOIN_10, ts).probability.reshape(-1, 2).T
+    assert (at <= levels).all() and (before > levels).all()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_invert_latency_secant_falls_back_to_the_outward_search(monkeypatch, steps):
+    # levels still open when the secant steps run out step outward from where they are
+    want = invert_latency(delay_lower, BITCOIN_10, [1e-3, 1e-9])
+    monkeypatch.setattr(bounds, "_SECANT_STEPS", steps)
+    assert invert_latency(delay_lower, BITCOIN_10, [1e-3, 1e-9]) == want
+    p0 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.25, 0.0)
+    _same_latency(zero_delay_upper, p0, 1e-6)
+
+
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(
     alpha_delta=st.floats(1e-4, 0.5),
@@ -932,7 +961,7 @@ def test_invert_latency_confirms_with_delay_upper_values(monkeypatch):
         seen.clear()
         latencies = invert_latency(delay_upper, params, levels)
         assert len(seen) == 1
-        ts, raw, v = seen[0]
+        ts, raw, v = (np.ravel(x) for x in seen[0])  # one row: the batch of one model
         assert ts.tolist() == [x for t in latencies for x in (t - 1.0, t)]
         public = delay_upper(params, ts)
         assert _bits(raw) == _bits(public.raw_value)
@@ -1015,3 +1044,146 @@ def test_invert_latency_monotone_in_eps_property(share, rate_per_hour, alpha_del
     latencies = invert_latency(delay_upper, params, levels)
     assert all(b >= a for a, b in zip(latencies, latencies[1:]))
     assert latencies == [invert_latency(delay_upper, params, eps) for eps in levels]
+
+
+# --- many models in one inversion -------------------------------------------
+
+
+def _one_model(params, levels):
+    """invert_latency with the upper bound's form for params, or the error it raises."""
+    try:
+        return invert_latency(bounds.bound_of_kind("upper", params), params, levels)
+    except (InfeasibleParametersError, BracketError) as e:
+        return e
+
+
+def _same_result(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+
+
+# Models every batch below carries besides its drawn ones: two next to the
+# feasibility edge (every admissible u below u0 / 512, so the crossing retries on
+# _EDGE_GRID), one whose crossing lies past the horizon, one with no admissible
+# u at all (beta one ulp short of the edge), an infeasible one and two at delta = 0.
+EDGE_AND_ERROR_MODELS = [
+    _edge_model(0.999, 60.0),
+    _edge_model(0.999, 600.0, delta=2.0),
+    _edge_model(0.9999, 6.0),
+    _edge_model(1.0 - 2.0**-52, 60.0),
+    ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.45, 10.0),
+    ProtocolParams.from_adversary_share(6.0 / 3600.0, 0.25, 0.0),
+    ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.0, 0.0),
+]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(
+    region=st.lists(st.tuples(*MODEL_REGION.values()), min_size=0, max_size=10),
+    at=st.integers(0, 10),
+    log10_levels=st.lists(st.floats(-12.0, -1.0), min_size=1, max_size=3),
+)
+def test_invert_latencies_batch_equals_one_model_calls(region, at, log10_levels):
+    # every model's latencies, or its error with its message, are those of its
+    # own invert_latency call, and each latency t has upper(t) <= eps < upper(t - 1)
+    drawn = [
+        ProtocolParams.from_adversary_share(
+            rate / 3600.0, share, alpha_delta / ((1.0 - share) * rate / 3600.0)
+        )
+        for share, rate, alpha_delta in region
+    ]
+    models = drawn[:at] + EDGE_AND_ERROR_MODELS + drawn[at:]
+    levels = [10.0**x for x in log10_levels]
+    for params, got in zip(models, invert_latencies("upper", models, levels), strict=True):
+        want = _one_model(params, levels)
+        _same_result(got, want)
+        if isinstance(want, Exception):
+            continue
+        upper = bounds.bound_of_kind("upper", params)
+        for t, eps in zip(got, levels):
+            before, at_t = upper(params, np.array([t - 1.0, float(t)])).probability
+            assert at_t <= eps and (t == 1 or before > eps)
+
+
+def test_invert_latencies_takes_one_level_or_many():
+    models = [BITCOIN_10, BITCOIN_25, EDGE_AND_ERROR_MODELS[4]]
+    one = invert_latencies("upper", models, 1e-6)
+    assert one[:2] == [invert_latency(delay_upper, p, 1e-6) for p in models[:2]]
+    assert isinstance(one[2], InfeasibleParametersError)
+    assert invert_latencies("upper", models, [1e-6])[:2] == [[t] for t in one[:2]]
+    assert invert_latencies("upper", [], [1e-3]) == []
+    assert invert_latencies("upper-universal", models[:1], 1e-6) == [25670]
+    with pytest.raises(ValueError):
+        invert_latencies("upper", models, [1e-3, 1.0])
+
+
+def _count_race_kernel_calls(monkeypatch):
+    calls = []
+    kernel = bounds._race_log_terms
+    monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(a) or kernel(*a))
+    return calls
+
+
+def test_race_kernel_calls_per_batch(monkeypatch):
+    # the coarse grid, pass and vertex for the crossings, pass and vertex for
+    # the confirmation: five calls for all the table's protocols (five each at
+    # one model per call), and for each throughput's 80 rates
+    calls = _count_race_kernel_calls(monkeypatch)
+    specs, model = load_config(default_config_path())
+    build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
+    assert len(calls) == 5
+    assert all(c[3].shape[0] == len(specs) for c in calls)  # every call carries every model
+    from powbounds import cli
+
+    for grid in ("1", "1,2,5,10"):
+        calls.clear()
+        assert cli.main(["--format", "csv", "sweep", "--var", "throughput", "--grid", grid]) == 0
+        assert len(calls) == 5 * len(grid.split(","))
+    calls.clear()
+    assert cli.main(["--format", "csv", "sweep", "--var", "rate", "--grid", "6:600:80"]) == 0
+    assert len(calls) == 5
+
+
+# --- smallest root ----------------------------------------------------------
+
+
+def _full_scan_root(a):
+    """Reference: the first sign change on the whole root grid, polished without checking its ends."""
+    grid = a * bounds._ROOT_GRID
+    neg = np.flatnonzero(_g_norm(grid, a) < 0.0)
+    if neg.size == 0:
+        return a
+    i = neg[0]
+    lo = grid[i - 1] if i > 0 else 0.0
+    return bounds.bracketed_root(lambda u: _g_scalar(u, a), float(lo), float(grid[i]), 1e-15 * a)
+
+
+def test_smallest_root_polish_checks_its_own_bracket():
+    # g_a is at roundoff level here: the scan's np.exp and the polish's
+    # math.exp disagree in sign at the bracket's ends, and an unchecked
+    # polish raised ValueError
+    a = 1.1958880414736195e-07
+    with pytest.raises(ValueError, match="differ in sign"):
+        _full_scan_root(a)
+    root = _smallest_root_norm(a)
+    assert 0.0 < root < a and root == pytest.approx(a, rel=1e-6)
+
+
+def test_dip_scan_matches_the_full_scan():
+    # 20000 log-spaced a over [1e-8, 60]: the root never raises, and it is the
+    # full scan's bit for bit wherever that one returns
+    raised = 0
+    for a in np.geomspace(1e-8, 60.0, 20000).tolist():
+        got = _smallest_root_norm(a)
+        try:
+            want = _full_scan_root(a)
+        except ValueError:
+            raised += 1
+            assert 0.0 < got <= a
+            continue
+        assert got == want
+    assert raised > 0  # the sweep reaches the roundoff level of the old failures
+    assert bounds._dip_start(0.025) > 0.95 * bounds._ROOT_GRID.size
+    assert bounds._dip_start(0.5) == bounds._dip_start(2.0) == 0

@@ -238,6 +238,21 @@ def test_latency_sweep_memory_is_bounded(tmp_path):
     assert len(target.read_text().splitlines()) == 200_001
 
 
+def test_rate_sweep_memory_is_bounded(tmp_path):
+    # 2000 rates: the models are inverted in batches of at most
+    # bounds._BATCH_ROWS rows, not all at once (~90 MB)
+    target = tmp_path / "sweep.csv"
+    argv = ["--format", "csv", "--out", str(target), "sweep", "--var", "rate", "--grid", "6:600:2000"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert len(target.read_text().splitlines()) == 2001
+
+
 def test_negative_times_are_schema_errors(capsys):
     assert_schema_error(capsys, "bound", "lower", "--t=-20")
     assert_schema_error(capsys, "bound", "lower", "--delta", "0", "--t=-20")
@@ -350,6 +365,78 @@ def test_sweeps_at_zero_delay_invert_the_zero_delay_bound(capsys):
         for r in np.geomspace(6.0, 600.0, 80)
     )
     assert [int(r["latency_s"]) for r in csv.DictReader(io.StringIO(out))] == [want, want]
+
+
+# Frozen outputs: inverting every model of a table or sweep in one batch
+# prints these bytes, as inverting one model per call did.
+PROTOCOL_TABLE_CSV = """\
+name,delay_s,latency_s_0.001,latency_s_1e-06,latency_s_1e-09,throughput_kb_s,fault_tolerance_loner_rate,fault_tolerance_ultimate
+Bitcoin,10.008,41065,73861,106446,1.6666666666666667,0.4957950296869165,0.49586449015213124
+BCH,78.60799999999999,59652,107240,154518,13.333333333333334,0.46501199539214244,0.4692603205986511
+Litecoin,10.008,11971,21521,31009,6.666666666666667,0.48275143499065487,0.4838584810714562
+Dogecoin,10.008,6824,12272,17685,16.666666666666668,0.45464219863854677,0.46151006091932806
+Zcash,19.807999999999996,12958,23350,33678,26.666666666666668,0.42459549769155747,0.44167530387260906
+Ethereum,2.0014,1505,2705,3898,12.2,0.4643239973611521,0.46872949308467754
+"""
+THROUGHPUT_SWEEP_CSV = "x,latency_s\n1.0,382\n2.0,390\n5.0,414\n10.0,463\n"
+
+
+def test_batched_outputs_are_pinned_to_the_byte(capsys):
+    assert run_cli(capsys, "--format", "csv", "protocol-table") == (0, PROTOCOL_TABLE_CSV)
+    assert run_cli(
+        capsys, "--format", "csv", "sweep", "--var", "throughput", "--grid", "1,2,5,10"
+    ) == (0, THROUGHPUT_SWEEP_CSV)
+
+
+def test_protocol_table_mixes_delay_forms_and_errors(tmp_path, capsys):
+    # one table with a delay model, a zero-delay override and an infeasible
+    # protocol: each row as its own invert_latency call gives it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "delay_model": {"a_s_per_kb": 0.0098, "b_s": 0.208},
+        "protocols": [
+            {"name": "Slow", "block_size_kb": 1000, "blocks_per_hour": 6},
+            {"name": "Instant", "block_size_kb": 1000, "blocks_per_hour": 6, "delay_override_s": 0},
+            {"name": "Jammed", "block_size_kb": 10, "blocks_per_hour": 600, "delay_override_s": 60},
+            {"name": "Fast", "block_size_kb": 10, "blocks_per_hour": 600},
+        ],
+    }))
+    code, out = run_cli(capsys, "protocol-table", "--config", str(cfg), "--levels", "1e-3,1e-9")
+    assert code == 0
+    rows = json.loads(out)
+    for row, per_hour in zip(rows, (6, 6, 600, 600)):
+        p = ProtocolParams.from_adversary_share(per_hour / 3600.0, 0.25, row["delay_s"])
+        cells = [row["latency_s_0.001"], row["latency_s_1e-09"]]
+        if row["name"] == "Jammed":
+            assert cells == ["", ""] and "requires beta < alpha" in row["note"]
+            with pytest.raises(InfeasibleParametersError):
+                bounds.delay_upper(p, 1.0)
+        else:
+            assert "note" not in row
+            assert cells == invert_latency(bounds.bound_of_kind("upper", p), p, [1e-3, 1e-9])
+
+
+def test_protocol_table_past_the_horizon_exits_2(tmp_path, capsys):
+    # beta at 0.9999 of the feasibility edge: the 1e-3 latency lies past 600 * 2^30 s
+    alpha = 0.75 * 6.0 / 3600.0
+    delay = math.log(0.9999 * 3.0) / (2.0 * alpha)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "delay_model": {"a_s_per_kb": 0.0098, "b_s": 0.208},
+        "protocols": [
+            {"name": "Bitcoin", "block_size_kb": 1000, "blocks_per_hour": 6},
+            {"name": "Edge", "block_size_kb": 1000, "blocks_per_hour": 6, "delay_override_s": delay},
+        ],
+    }))
+    assert run_cli(capsys, "protocol-table", "--config", str(cfg))[0] == 2
+
+
+def test_latency_at_a_tiny_alpha_delta(capsys):
+    # alpha delta = 1.2e-7: the root polish used to raise ValueError here
+    code, out = run_cli(capsys, "latency", "--delta", "7.9725869e-05", "--level", "1e-6")
+    assert code == 0
+    p = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.1, 7.9725869e-05)
+    assert json.loads(out)["t_seconds"] == invert_latency(bounds.delay_upper, p, 5e-7)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -232,6 +232,17 @@ def test_smallest_root_no_worse_than_brentq_at_tiny_alpha_delta(a):
         assert abs(got - want) <= abs(BRENTQ_ROOTS[a] - want)
 
 
+def test_smallest_root_where_the_grid_and_polish_disagree_in_sign():
+    # at this a the scan's np.exp and the polish's math.exp give g_a opposite
+    # signs at the bracket's ends; the widened bracket still holds the root to
+    # the float evaluation's limit (7.4e-10 relative here)
+    a = 1.1958880414736195e-07
+    got = bounds._smallest_root_norm(a)
+    with mp.workdps(60):
+        want = _smallest_root_mp(a)
+        assert abs(got - want) <= 1e-9 * want
+
+
 # (mu1, mu2, k): modes and tails of large, unequal means, where ive(|k|, 2 sqrt(mu1 mu2))
 # itself underflows, and one point of moderate means
 SKELLAM_POINTS = [
