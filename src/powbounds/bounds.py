@@ -45,11 +45,13 @@ _T_BLOCK = 32
 # Latest whole-second latency (s) invert_latency searches; past it, BracketError.
 _LATENCY_HORIZON = 600 * 2**30
 
-# Times (s) of the first secant of invert_latency for a form other than delay_upper.
-_PROBES = np.array([0.0, 600.0])
+# Whole second where invert_latency's search starts for a form other than delay_upper.
+_SEARCH_START = 600
 
-# The whole seconds invert_latency confirms a crossing with, from ceil(t*).
+# The whole seconds (s - 1, s) each step of invert_latency's search evaluates.
 _PAIR = np.array([-1.0, 0.0])
+
+_UNREACHABLE = "latency target unreachable within the search horizon"
 
 
 @dataclass(frozen=True)
@@ -482,7 +484,7 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective):
     vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u + step * _PASS))
     i = _nan_argmin(vals)[..., None]
     u, val = u + step * _PASS[i], _pick(vals, i)
-    k = np.clip(i, 1, 2 * _REFINE - 1)  # a pass-edge minimum gets no vertex
+    k = np.minimum(np.maximum(i, 1), 2 * _REFINE - 1)  # a pass-edge minimum gets no vertex
     below, above = _pick(vals, k - 1), _pick(vals, k + 1)
     with np.errstate(invalid="ignore", divide="ignore"):
         curv = below - 2.0 * val + above
@@ -715,11 +717,6 @@ def _poisson_window(lam: float, log_mass: float) -> tuple[int, int]:
     return max(0, math.floor(lam - d)), math.ceil(lam + d)
 
 
-def _poisson_tails(ks: np.ndarray, lam: float) -> np.ndarray:
-    """P(k <= X <= ks[-1]) for each k of the ascending contiguous counts ks, X ~ Poisson(lam)."""
-    return np.cumsum(np.exp(log_poisson_pmf_vec(ks, lam))[::-1])[::-1]
-
-
 def growth_bound(params: ProtocolParams, n: int, t: float) -> float:
     """Lower bound on P(every honest chain grows by >= n blocks over t seconds)."""
     if n < 1:
@@ -741,96 +738,120 @@ def liveness_bound(params: ProtocolParams, n: int, t: float) -> float:
     return min(float(total), 1.0)  # the pmf sum can exceed 1 by roundoff
 
 
+# Counts each step of depth_from_time's downward scan sums: its work arrays stay
+# ~0.1 MB each, whatever the rate.
+_DEPTH_CHUNK = 16384
+
+
 def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:
     """Confirmation depth whose observation implies >= tau seconds elapsed except w.p. eps.
 
     The smallest k >= 1 with P(X >= k) <= eps, X ~ Poisson(lam) the blocks
-    mined in tau seconds, in one array pass: the pmf over _poisson_window's
-    counts, whose top leaves a mass below eps 2^-60 beyond it, summed from
-    the top into P(X >= k) for every k of the window.  Where the window's
-    lowest count already meets eps the answer may lie below it, and the
-    window widens down to k = 1.  BracketError if no count meets eps.
+    mined in tau seconds.  The top of _poisson_window leaves a mass below
+    eps 2^-60 beyond it.  The scan runs down from that top in chunks of
+    _DEPTH_CHUNK counts, summing the pmf into P(k <= X <= top), and stops at
+    the first count whose tail exceeds eps: the answer is the count above
+    it, or 1 if none does.  Each chunk's cumsum starts from the running
+    tail, so every tail adds in the same order whatever the chunking.
+    BracketError if the top count's own tail exceeds eps.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     lam = params.total_rate * tau
-    lo, hi = _poisson_window(lam, math.log(eps) + _LOG_NEGLIGIBLE)
-    ks = np.arange(max(lo, 1), hi + 1)
-    tails = _poisson_tails(ks, lam)
-    if tails[0] <= eps and ks[0] > 1:
-        ks = np.arange(1, hi + 1)
-        tails = _poisson_tails(ks, lam)
-    hit = np.flatnonzero(tails <= eps)
-    if not hit.size:
-        raise BracketError("confirmation depth search did not terminate")
-    return int(ks[hit[0]])
+    top = _poisson_window(lam, math.log(eps) + _LOG_NEGLIGIBLE)[1]
+    tail = 0.0
+    for hi in range(top, 0, -_DEPTH_CHUNK):
+        ks = np.arange(hi, max(hi - _DEPTH_CHUNK, 0), -1)
+        tails = np.cumsum(np.concatenate([[tail], np.exp(log_poisson_pmf_vec(ks, lam))]))[1:]
+        over = np.flatnonzero(tails > eps)
+        if over.size:
+            if over[0] == 0 and hi == top:
+                raise BracketError("confirmation depth search did not terminate")
+            return int(ks[over[0]]) + 1
+        tail = tails[-1]
+    return 1
 
 
-def _smallest_true(ok: Callable[[int], bool], start: int) -> int:
-    """Smallest t in [1, _LATENCY_HORIZON] with ok(t), for ok monotone in t.
+def _search(raw_pairs, starts: list, levels: list) -> list:
+    """Per row: the smallest whole second t in [1, _LATENCY_HORIZON] with raw(t) <= its level, or None.
 
-    Steps outward from start in doubling strides until ok changes, then
-    bisects; a start at the answer costs two calls (start and start - 1).
+    raw is a bound's raw value, assumed nonincreasing in t; against a level in
+    (0, 1) it compares as the probability does.  raw_pairs maps one whole
+    second s per row (a list) to every row's raw values at (s - 1, s), an
+    array of shape (rows, 2); each step makes one call.  A row keeps a
+    bracket lo < t <= hi (lo = 0, hi unknown at first) and closes when
+    hi - lo = 1, so a start at the answer costs one call.  Its next s is the
+    secant of log raw - log level through its last pair, rounded up and kept
+    in (lo, hi]; the midpoint of (lo, hi) where that secant is not finite or
+    the last step did not halve the bracket; and a stride that doubles each
+    step while one end is unknown: at least s plus it while no hi is known,
+    at most hi + 1 minus it while lo is still 0 (a safeguarded secant:
+    Brent 1973, ch. 4).  Bookkeeping stays in Python numbers, one row at a
+    time; only the evaluation is batched.  A row gets None where its raw
+    value at s is nan, or exceeds its level at the horizon.
     """
-    step = 1
-    if ok(start):
-        hi = start
-        lo = max(hi - step, 0)
-        while lo > 0 and ok(lo):
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 0)
-    else:
-        lo = start
-        while True:
-            if lo >= _LATENCY_HORIZON:
-                raise BracketError("latency target unreachable within the search horizon")
-            hi = min(lo + step, _LATENCY_HORIZON)
-            if ok(hi):
-                break
-            lo, step = hi, 2 * step
-    while hi - lo > 1:  # ok(hi); lo == 0 or not ok(lo)
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    n = len(starts)
+    s = [int(x) for x in starts]
+    lo, hi, found = [0] * n, [None] * n, [None] * n
+    stride, width = [1] * n, [math.inf] * n
+    log_eps = np.array([math.log(e) for e in levels])[:, None]
+    open_ = list(range(n))
+    while True:
+        raw = raw_pairs(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = (np.log(raw) - log_eps).tolist()
+        raw, still = raw.tolist(), []
+        for i in open_:
+            (before, at), (f0, f1), e, si = raw[i], f[i], levels[i], s[i]
+            if not at <= e:
+                if at != at or si >= _LATENCY_HORIZON:
+                    continue
+                lo[i] = si
+            elif si > 1 and before <= e:
+                hi[i] = si - 1
+            else:
+                lo[i], hi[i] = si - 1, si
+            if hi[i] is not None and hi[i] - lo[i] == 1:
+                found[i] = hi[i]
+                continue
+            still.append(i)
+            slope = f1 - f0
+            t = si - f1 / slope if slope else math.nan
+            secant = math.isfinite(t)
+            w = math.inf if hi[i] is None else hi[i] - lo[i]
+            halved, width[i] = 2 * w <= width[i], w
+            if hi[i] is None:  # stride up
+                nxt = si + stride[i]
+                s[i] = min(max(nxt, math.ceil(t)) if secant else nxt, _LATENCY_HORIZON)
+                stride[i] *= 2
+            elif lo[i] == 0 and secant:  # stride down
+                s[i] = max(min(math.ceil(t), hi[i] + 1 - stride[i]), 1)
+                stride[i] *= 2
+            elif halved and secant:
+                s[i] = min(max(math.ceil(t), lo[i] + 1), hi[i])
+            else:
+                s[i] = (lo[i] + hi[i]) // 2
+        open_ = still
+        if not open_:
+            return found
 
 
-def _whole_seconds(t: np.ndarray) -> np.ndarray:
-    """ceil(t) of each crossing t clamped to [1, _LATENCY_HORIZON]; 1 where t is nan."""
-    return np.ceil(np.minimum(np.fmax(t, 1.0), float(_LATENCY_HORIZON)))
-
-
-def _confirm(value, levels, starts, pairs) -> list[int]:
-    """Each level's latency: its start if (v(start - 1), v(start)) brackets it, else _smallest_true.
-
-    value maps one whole second to the bound's probability or raw value
-    (the two compare alike with a level in (0, 1)); it runs only for a level
-    whose pair does not bracket.
-    """
-    return [
-        int(s)
-        if at <= e and (s == 1 or before > e)
-        else _smallest_true(lambda t, e=e: value(t) <= e, int(s))
-        for e, s, (before, at) in zip(levels, starts, pairs)
-    ]
-
-
-def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list, log_eps: np.ndarray) -> list:
+def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list) -> list:
     """Per model: invert_latency(delay_upper, model, levels) as a list, or the error it raises.
 
     Each model's root u0 is solved once.  The feasible models then enter the
     race kernel as columns (a, b, u0 and the mean, shape (models, 1, 1)),
     broadcast against each row's points, so the batch makes the race-kernel
     calls of one model: the coarse grid, a pass and a vertex for every
-    (model, level) crossing t*, and a pass and a vertex for every
-    (ceil(t*) - 1, ceil(t*)) pair.  Every step is elementwise per row, so a
-    model's values are those of a batch of one, bit for bit.  A model whose
-    pair does not bracket steps outward (_smallest_true) through
-    delay_upper's kernel on its own solved model and coarse row.
+    (model, level) crossing t*, and a pass and a vertex for each step of
+    _search, which starts every row at ceil(t*) and takes its pairs from
+    delay_upper's kernel on the solved models.  A start at the answer
+    closes in that one step.  Every step is elementwise per row, so a
+    model's values are those of a batch of one, bit for bit.  A model with
+    no admissible u has no t*: its rows start at the horizon, where they
+    close at once.
     """
     results = [None] * len(models)
     solved = []
@@ -854,24 +875,25 @@ def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list, log_eps:
     )
     b, d = col(bs), np.array([p.delta for p in params])[:, None]
     coarse = _delay_coarse(mgf, b)
+    log_eps = np.array([math.log(e) for e in levels])
     t_star = _delay_crossings(mgf, b, coarse, log_eps).reshape(len(solved), -1) * d
-    unsolved = np.isnan(t_star).any(axis=1).tolist()  # a row with no admissible u
-    starts = _whole_seconds(t_star)
-    pair_ts = (starts[..., None] + _PAIR).reshape(len(solved), -1)
-    pairs = _delay_upper_rows(mgf, b, d, coarse, pair_ts)[0]
-    for m, (j, p, mgf_m, b_m) in enumerate(solved):
+    # ceil(t*) clamped to [1, horizon]; a nan t* (no admissible u) gives the horizon
+    starts = np.ceil(np.fmin(np.maximum(t_star, 1.0), float(_LATENCY_HORIZON)))
+
+    def raw_pairs(s):
+        ts = (np.array(s, dtype=float).reshape(starts.shape)[..., None] + _PAIR).reshape(len(solved), -1)
+        return _delay_upper_rows(mgf, b, d, coarse, ts)[0].reshape(-1, 2)
+
+    found = _search(raw_pairs, starts.reshape(-1).tolist(), levels * len(solved))
+    unsolved = np.isnan(t_star).any(axis=1).tolist()
+    for m, (j, *_) in enumerate(solved):
+        latencies = found[m * len(levels) : (m + 1) * len(levels)]
         if unsolved[m]:
             results[j] = BracketError(_NO_ADMISSIBLE_POINT)
-            continue
-
-        def raw(t, m=m, mgf_m=mgf_m, b_m=b_m, d_m=p.delta):
-            coarse_m = tuple(x.reshape(-1, 1, x.shape[-1])[m] for x in coarse)
-            return _delay_upper_rows(mgf_m, b_m, d_m, coarse_m, np.array([float(t)]))[0][0]
-
-        try:
-            results[j] = _confirm(raw, levels, starts[m].tolist(), pairs[m].reshape(-1, 2).tolist())
-        except BracketError as e:
-            results[j] = e
+        elif None in latencies:
+            results[j] = BracketError(_UNREACHABLE)
+        else:
+            results[j] = latencies
     return results
 
 
@@ -879,64 +901,30 @@ def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list, log_eps:
 # are then at most 2 _BATCH_ROWS x 511 floats (~1 MB) each, whatever the number of models.
 _BATCH_ROWS = 128
 
-# Secant steps (one array call each) invert_latency takes for a form other
-# than delay_upper before a level still open steps outward instead.
-_SECANT_STEPS = 10
 
+def _invert_by_secant(bound_fn, params: ProtocolParams, levels: list) -> list:
+    """invert_latency for a form other than delay_upper: _search from _SEARCH_START on bound_fn's pairs.
 
-def _invert_by_secant(bound_fn, params: ProtocolParams, levels: list, log_eps: np.ndarray) -> list:
-    """invert_latency for a form other than delay_upper: secant steps on log raw_value - log eps.
-
-    The first secant runs through _PROBES (one array call); it is the
-    crossing itself for a form c e^{-rate t}, and a non-finite one starts at
-    600 s.  Each step is one array call at every open level's (s - 1, s),
-    s = ceil(t): it confirms s where bound(s) <= eps < bound(s - 1), and
-    otherwise gives the next t, the secant through s and the level's
-    previous point, moved to the side of the pair the answer lies on.  A
-    level still open after _SECANT_STEPS steps, or stopped at the horizon,
-    steps outward from its last s (_smallest_true).
+    The secant through (_SEARCH_START - 1, _SEARCH_START) is the crossing
+    itself for a form c e^{-rate t}, so such a form takes two bound calls.
     """
-    eps = np.array(levels)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(bound_fn(params, _PROBES).raw_value)
-        t = _PROBES[1] * (log_p[0] - log_eps) / (log_p[0] - log_p[1])
-    s = _whole_seconds(np.where(np.isfinite(t), t, _PROBES[1]))
-    x_prev, f_prev = np.full(s.shape, _PROBES[1]), log_p[1] - log_eps
-    pair_probs = np.full(s.shape + (2,), np.nan)  # nan: not yet confirmed
-    open_ = np.arange(s.size)
-    for _ in range(_SECANT_STEPS):
-        if not open_.size:
-            break
-        so, eo = s[open_], eps[open_]
-        res = bound_fn(params, (so[:, None] + _PAIR).reshape(-1))
-        probs = res.probability.reshape(-1, 2)
-        before, at = probs.T
-        with np.errstate(all="ignore"):
-            f = np.log(res.raw_value[1::2]) - log_eps[open_]
-            t = so - f * (so - x_prev[open_]) / (f - f_prev[open_])
-        above = at > eo  # the answer lies above s
-        nxt = _whole_seconds(np.where(np.isfinite(t), t, so))
-        nxt = np.where(above, np.maximum(nxt, so + 1.0), np.minimum(nxt, so - 1.0))
-        done = ~above & ((so == 1.0) | (before > eo))
-        stop = done | (nxt > _LATENCY_HORIZON)
-        pair_probs[open_[stop]] = probs[stop]
-        x_prev[open_], f_prev[open_] = so, f
-        s[open_] = np.where(stop, so, nxt)
-        open_ = open_[~stop]
 
-    def probability(t):
-        return bound_fn(params, float(t)).probability
+    def raw_pairs(s):
+        ts = (np.array(s, dtype=float)[:, None] + _PAIR).reshape(-1)
+        return bound_fn(params, ts).raw_value.reshape(-1, 2)
 
-    return _confirm(probability, levels, s.tolist(), pair_probs.tolist())
+    latencies = _search(raw_pairs, [_SEARCH_START] * len(levels), levels)
+    if None in latencies:
+        raise BracketError(_UNREACHABLE)
+    return latencies
 
 
 def _levels(eps):
-    """(whether eps is one level, the levels as a list, their logs) of one level or a 1-D sequence."""
+    """(whether eps is one level, the levels as a list) of one level or a 1-D sequence."""
     levels = np.asarray(eps, dtype=float)
     if levels.ndim > 1 or not ((levels > 0) & (levels < 1)).all():
         raise ValueError(f"target level must be in (0,1), got {eps}")
-    flat = levels.reshape(-1).tolist()
-    return levels.ndim == 0, flat, np.array([math.log(e) for e in flat])
+    return levels.ndim == 0, levels.reshape(-1).tolist()
 
 
 def invert_latency(
@@ -947,25 +935,24 @@ def invert_latency(
     """Smallest whole-second latency t with bound_fn(params, t).probability <= eps.
 
     eps is a level, giving an int, or a 1-D sequence of levels, giving a list
-    of ints.  For delay_upper this is the batch of one model of
-    _invert_delay_upper: the real crossing t* = delta min_u (log c^2(u) -
-    log eps) / psi(u) of every level, then one array call of delay_upper's
-    kernel at every level's (ceil(t*) - 1, ceil(t*)) confirms
-    bound(t) <= eps < bound(t - 1), five race-kernel calls in all, and a
-    level whose pair does not bracket steps outward on the model solved
-    once, so its values are delay_upper's bit for bit.  Any other form takes
-    secant steps on log raw_value from 0 and 600 s, one array call per step
-    for all levels, each step confirming its own pair (_invert_by_secant):
-    two bound calls for a form c e^{-rate t}.  Raises BracketError past
+    of ints.  Every form runs one search (_search): each step is one array
+    call at every level's (s - 1, s), and a level closes once it knows
+    bound(t) <= eps < bound(t - 1).  For delay_upper this is the batch of one
+    model of _invert_delay_upper: the search starts at ceil(t*), t* = delta
+    min_u (log c^2(u) - log eps) / psi(u) the real crossing of every level,
+    and takes its values from delay_upper's kernel on the model solved once,
+    bit for bit; a start at the answer makes five race-kernel calls in all.
+    Any other form starts at 600 s (_invert_by_secant), and a form
+    c e^{-rate t} takes two bound calls.  Raises BracketError past
     600 * 2^30 s.
     """
-    scalar, levels, log_eps = _levels(eps)
+    scalar, levels = _levels(eps)
     if bound_fn is delay_upper:
-        latencies = _invert_delay_upper([params], levels, log_eps)[0]
+        latencies = _invert_delay_upper([params], levels)[0]
         if isinstance(latencies, Exception):
             raise latencies
     else:
-        latencies = _invert_by_secant(bound_fn, params, levels, log_eps)
+        latencies = _invert_by_secant(bound_fn, params, levels)
     return latencies[0] if scalar else latencies
 
 
@@ -977,11 +964,12 @@ def invert_latencies(
     A model whose call would raise InfeasibleParametersError or BracketError
     gets that error in its place.  The models whose form is delay_upper are
     inverted together (_invert_delay_upper), in batches of at most
-    _BATCH_ROWS model x level rows: five race-kernel calls per batch, each
+    _BATCH_ROWS model x level rows: one search for every row of a batch,
+    five race-kernel calls where every start is the answer, and each
     model's latencies those of its own call.  The others are inverted one
     at a time.
     """
-    scalar, levels, log_eps = _levels(eps)
+    scalar, levels = _levels(eps)
     forms = {}
     for j, params in enumerate(models):
         forms.setdefault(bound_of_kind(kind, params), []).append(j)
@@ -993,14 +981,14 @@ def invert_latencies(
                 latencies
                 for i in range(0, len(index), size)
                 for latencies in _invert_delay_upper(
-                    [models[j] for j in index[i : i + size]], levels, log_eps
+                    [models[j] for j in index[i : i + size]], levels
                 )
             ]
         else:
             got = []
             for j in index:
                 try:
-                    got.append(_invert_by_secant(bound_fn, models[j], levels, log_eps))
+                    got.append(_invert_by_secant(bound_fn, models[j], levels))
                 except (InfeasibleParametersError, BracketError) as e:
                     got.append(e)
         for j, latencies in zip(index, got):

@@ -729,14 +729,15 @@ def test_depth_from_time_matches_gammainc_on_a_grid():
 
 
 def test_depth_from_time_keeps_cap(monkeypatch):
-    # a tail that never falls to eps is searched up to the window's top, then fails
+    # a tail that exceeds eps at the window's top count fails there, after
+    # summing one chunk from that top down
     seen = []
 
-    def never(ks, lam):
-        seen.append(ks[-1])
-        return np.ones(ks.shape)
+    def heavy(ks, lam):
+        seen.append(ks[0])
+        return np.zeros(ks.shape)  # pmf 1 at every count
 
-    monkeypatch.setattr(bounds, "_poisson_tails", never)
+    monkeypatch.setattr(bounds, "log_poisson_pmf_vec", heavy)
     p = ProtocolParams(alpha=0.009, beta=0.001)
     tau = 600.0 / p.total_rate
     with pytest.raises(BracketError):
@@ -746,7 +747,8 @@ def test_depth_from_time_keeps_cap(monkeypatch):
 
 
 def test_depth_from_time_widens_a_window_above_the_answer(monkeypatch):
-    # a window whose lowest count already meets eps widens down to k = 1
+    # the scan runs down from the window's top, past its lowest count if the
+    # answer lies below it
     window = bounds._poisson_window
 
     def high(lam, log_mass):
@@ -758,6 +760,31 @@ def test_depth_from_time_widens_a_window_above_the_answer(monkeypatch):
     for lam in (0.5, 26.1, 600.0):
         tau = lam / p.total_rate
         assert depth_from_time(p, tau, 1e-6) == _depth_scalar(p, tau, 1e-6)
+
+
+def test_depth_from_time_chunks_sum_in_one_order(monkeypatch):
+    # each chunk's cumsum starts from the running tail, so every tail, and so
+    # every depth, is the same whatever the chunk size
+    p = ProtocolParams(alpha=0.009, beta=0.001)
+    cases = [(lam / p.total_rate, eps) for lam in np.geomspace(0.01, 3e4, 40) for eps in (0.9, 1e-3, 1e-12)]
+    want = [depth_from_time(p, tau, eps) for tau, eps in cases]
+    for chunk in (5, 64):
+        monkeypatch.setattr(bounds, "_DEPTH_CHUNK", chunk)
+        assert [depth_from_time(p, tau, eps) for tau, eps in cases] == want
+
+
+def test_depth_from_time_memory_stays_flat_at_large_rates():
+    # lam = 6.7e9: the window spans ~1.8e6 counts, the chunked scan a few
+    # hundred kB at a time
+    p = ProtocolParams(alpha=1.0, beta=0.0)
+    tracemalloc.start()
+    try:
+        depth = depth_from_time(p, 6.7e9, 5e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert depth == 6700500084
+    assert peak < 16e6
 
 
 def test_poisson_window_bounds_both_tails():
@@ -886,14 +913,58 @@ def test_invert_latency_iterates_the_secant_for_delay_lower():
     assert (at <= levels).all() and (before > levels).all()
 
 
-@pytest.mark.parametrize("steps", [0, 1, 2])
-def test_invert_latency_secant_falls_back_to_the_outward_search(monkeypatch, steps):
-    # levels still open when the secant steps run out step outward from where they are
-    want = invert_latency(delay_lower, BITCOIN_10, [1e-3, 1e-9])
-    monkeypatch.setattr(bounds, "_SECANT_STEPS", steps)
-    assert invert_latency(delay_lower, BITCOIN_10, [1e-3, 1e-9]) == want
-    p0 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.25, 0.0)
-    _same_latency(zero_delay_upper, p0, 1e-6)
+def _counting(monkeypatch, name):
+    """Calls of bounds.<name>, recorded by their arguments, while monkeypatch holds."""
+    calls = []
+    fn = getattr(bounds, name)
+    monkeypatch.setattr(bounds, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+# Array calls a search from a displaced start may take: two bisections over
+# the whole horizon, plus two.
+_SEARCH_CALLS = 2 * math.ceil(math.log2(bounds._LATENCY_HORIZON)) + 2
+
+
+@pytest.mark.parametrize("form", ["delay_upper", "delay_lower", "zero_delay_upper"])
+def test_invert_latency_secant_falls_back_to_the_outward_search(monkeypatch, form):
+    # starts far from the answer on either side: the search strides outward
+    # and bisects where its secant does not halve the bracket, and finds the
+    # bisection's latency within _SEARCH_CALLS array calls
+    if form == "delay_upper":
+        cases, wants = [], []
+        for params, eps in [(BITCOIN_10, 1e-3), (BITCOIN_25, 1e-9), *INVERSION_CASES[::9]]:
+            try:
+                wants.append(_bisect_latency(delay_upper, params, eps))
+            except InfeasibleParametersError:
+                continue
+            cases.append((params, eps))
+        crossings = bounds._delay_crossings
+        calls = _counting(monkeypatch, "_delay_upper_rows")
+        for scale in (1e-6, 0.5, 2.0, 1e6):
+            monkeypatch.setattr(bounds, "_delay_crossings", lambda *a, k=scale: k * crossings(*a))
+            for (params, eps), want in zip(cases, wants):
+                calls.clear()
+                assert invert_latency(delay_upper, params, eps) == want
+                assert 1 < len(calls) <= _SEARCH_CALLS
+        return
+    bound_fn = getattr(bounds, form)
+    params = BITCOIN_10
+    if form == "zero_delay_upper":
+        params = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.25, 0.0)
+    levels = [1e-3, 1e-9]
+    want = [_bisect_latency(bound_fn, params, eps) for eps in levels]
+    calls = []
+
+    def counted(params, t):
+        calls.append(t)
+        return bound_fn(params, t)
+
+    for start in (1, 10**11):
+        monkeypatch.setattr(bounds, "_SEARCH_START", start)
+        calls.clear()
+        assert invert_latency(counted, params, levels) == want
+        assert len(calls) <= _SEARCH_CALLS
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -969,21 +1040,25 @@ def test_invert_latency_confirms_with_delay_upper_values(monkeypatch):
 
 
 def test_invert_latency_crossing_never_needs_the_fallback(monkeypatch):
-    # the crossing, minimized as delay_upper is, always starts the search at the answer
-    calls = []
-    search = bounds._smallest_true
-    monkeypatch.setattr(bounds, "_smallest_true", lambda *a: calls.append(a) or search(*a))
+    # the crossing, minimized as delay_upper is, always starts the search at
+    # the answer: every inversion closes in its first step, one kernel call
+    calls = _counting(monkeypatch, "_delay_upper_rows")
     bitcoin = [(p, eps) for p in (BITCOIN_10, BITCOIN_25) for eps in (1e-3, 1e-6, 1e-9)]
     assert all(case in INVERSION_CASES for case in bitcoin)
     inverted = 0
     for params, eps in INVERSION_CASES:
+        calls.clear()
         try:
             invert_latency(delay_upper, params, eps)
-        except (InfeasibleParametersError, BracketError):
+        except InfeasibleParametersError:
+            assert calls == []
             continue
-        inverted += 1
+        except BracketError:
+            pass
+        else:
+            inverted += 1
+        assert len(calls) == 1
     assert inverted >= 60
-    assert calls == []
 
 
 def test_invert_latency_solves_each_model_once(monkeypatch):
@@ -1117,6 +1192,21 @@ def test_invert_latencies_takes_one_level_or_many():
     assert invert_latencies("upper-universal", models[:1], 1e-6) == [25670]
     with pytest.raises(ValueError):
         invert_latencies("upper", models, [1e-3, 1.0])
+
+
+def test_invert_latencies_closes_bad_models_in_the_first_step(monkeypatch):
+    # a model whose crossing lies past the horizon and one with no admissible
+    # u start at the horizon and close there, beside a feasible model: one
+    # kernel call for the batch, and each bad model gets its own message
+    models = [BITCOIN_10, _edge_model(0.9999, 6.0), _edge_model(1.0 - 2.0**-52, 60.0)]
+    levels = [1e-3, 1e-9]
+    want = invert_latency(delay_upper, BITCOIN_10, levels)
+    calls = _counting(monkeypatch, "_delay_upper_rows")
+    got = invert_latencies("upper", models, levels)
+    assert len(calls) == 1
+    assert got[0] == want
+    assert isinstance(got[1], BracketError) and str(got[1]) == bounds._UNREACHABLE
+    assert isinstance(got[2], BracketError) and str(got[2]) == bounds._NO_ADMISSIBLE_POINT
 
 
 def _count_race_kernel_calls(monkeypatch):
