@@ -42,6 +42,20 @@ _REFINE = 128
 # on a 2-vCPU Xeon, 1024-point delay_upper calls ran fastest at 32 (of 16-256).
 _T_BLOCK = 32
 
+# Terms (rows x range) one run of a lower bound's rows holds at most: its work
+# arrays stay ~0.5 MB each, whatever the model and the times.
+_BLOCK_TERMS = _T_BLOCK * 2048
+
+# Longest range any lower-bound sum covers, a work bound that only models near an
+# even split or past ~1e5 expected blocks reach: there a sum stops at it, or a row
+# reads 0, and truncation_tail bounds what is left out.
+_TERMS_MAX = 2**17
+
+# The most terms of the post-mining gain pmf q a lower bound takes: postmine_gain_pmf's
+# series division costs time quadratic in it (~0.5 s here), and only shares past
+# ~48.8% at small alpha*delta need more.
+_GAIN_TERMS_MAX = _TERMS_MAX // 8
+
 # Latest whole-second latency (s) invert_latency searches; past it, BracketError.
 _LATENCY_HORIZON = 600 * 2**30
 
@@ -117,6 +131,23 @@ def _per_t(t, kernel, **fixed) -> BoundResult:
         raw, probability = float(raw[0]), float(probability[0])
         per_t = {k: float(v[0]) for k, v in per_t.items()}
     return BoundResult(raw_value=raw, probability=probability, **per_t, **fixed)
+
+
+def _row_groups(widths: list) -> list:
+    """Rows in runs of at most _BLOCK_TERMS terms (one row at least), each as wide as its widest row.
+
+    Runs take the widest rows first, so the run that holds the widest row is
+    as full as any: a call's peak memory does not depend on how many rows
+    are narrower.
+    """
+    groups, wide = [], 0
+    for i in sorted(range(len(widths)), key=lambda i: -widths[i]):
+        if groups and (len(groups[-1]) + 1) * wide <= _BLOCK_TERMS:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+            wide = widths[i]
+    return groups
 
 
 def _exp_raw(log_raw: np.ndarray) -> np.ndarray:
@@ -227,16 +258,59 @@ def zero_delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResu
     return _per_t(t, lambda ts: {"raw_value": prefactor * _exp_raw(-rate * ts)})
 
 
-def zero_delay_lower(
-    params: ProtocolParams, t: float | np.ndarray, k_max: int = 512
-) -> BoundResult:
+def _zero_delay_orders(r: float, z: float = math.inf, cap: int = _TERMS_MAX) -> tuple[int, float]:
+    """(K, rho): zero_delay_lower sums orders 0..K at z = 2 sqrt(mu1 mu2); rho bounds the term ratio past K.
+
+    With w_k = r^k (1 + k (1 - r)), term k is skellam(k - 1) w_k, and for k >= 1
+    term_{k+1} / term_k = sqrt(r) (I_k(z) / I_{k-1}(z)) (w_{k+1} / r w_k) < rho_k
+    = sqrt(r) min(1, z / 2k) (1 + (1 - r) / (1 + k (1 - r))): I_k(z) < I_{k-1}(z),
+    and I_{k-1} - I_{k+1} = (2k/z) I_k gives I_k / I_{k-1} < z / 2k.  rho_k falls
+    with k, so past an order K with rho_K < 1 the terms sum to at most
+    term_K rho_K / (1 - rho_K); and term_K is at most term_1 prod_{k<K} rho_k
+    = term_1 r^{(K-1)/2} (1 + K (1 - r)) / (2 - r) prod_{z/2 < k < K} z / 2k.  K is
+    the first order, at most cap, where that bound on the discarded terms is
+    at most 2^-60 term_1, a share of the value.  The terms decay like sqrt(r),
+    not r, once z / 2k nears 1; z = inf gives the order count of every z.
+    """
+    s = math.sqrt(r)
+    k0 = math.floor(z / 2.0) + 1 if z < 2.0 * cap else cap  # the first k with z / 2k < 1
+
+    def rho(k):
+        return s * min(1.0, z / (2.0 * k)) * (1.0 + (1.0 - r) / (1.0 + k * (1.0 - r)))
+
+    def enough(k):
+        p = rho(k)
+        if p == 0.0 or p >= 1.0:
+            return p == 0.0
+        log_bound = (
+            0.5 * (k - 1) * math.log(r) + math.log1p(k * (1.0 - r)) - math.log(2.0 - r)
+            + math.log(p) - math.log1p(-p)
+        )
+        if k > k0:  # prod_{k0 <= j < k} z / 2j
+            log_bound -= (k - k0) * math.log(2.0 / z) + math.lgamma(k) - math.lgamma(k0)
+        return log_bound <= _LOG_NEGLIGIBLE
+
+    if not enough(cap):
+        return cap, min(rho(cap), 1.0)
+    lo, hi = 0, cap  # enough() holds from some k on: bisect for the first
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi, rho(hi)
+
+
+def zero_delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     """Success probability of the private attack with zero delay (unachievable level).
 
-    sum_k skellam(k-1; alpha t, beta t) (beta/alpha)^k (1 + k (1 - beta/alpha)).
-    Truncation discards nonnegative terms only, so the partial sum stays a
-    valid unachievable level.  One skellam_pmf call per block of times takes
-    every t's means as a column and evaluates only the orders whose weight
-    is nonzero; past the weight's underflow each term is 0.0 either way.
+    sum_k skellam(k-1; alpha t, beta t) (beta/alpha)^k (1 + k (1 - beta/alpha)),
+    each t over the orders 0..K_j that _zero_delay_orders sizes from
+    r = beta/alpha and its own z = 2 t sqrt(alpha beta): the terms past K_j
+    sum to at most 2^-60 of the value, and truncation_tail is their
+    envelope term_K rho / (1 - rho).  Truncation discards nonnegative terms
+    only, so the partial sum stays a valid unachievable level.  One
+    skellam_pmf call per block of times takes every t's means as a column,
+    over the block's most orders (a block holds at most _BLOCK_TERMS terms);
+    each row sums its own orders.
 
     skellam_pmf's drift -(sqrt mu1 - sqrt mu2)^2 is exact for the means it is
     given, but a t and b t rounded to doubles move it: at large, nearly equal
@@ -248,23 +322,29 @@ def zero_delay_lower(
     if b == 0:
         return _per_t(t, lambda ts: {"raw_value": np.zeros(ts.size)})
     r = b / a
-    ks = np.arange(k_max + 1)
-    weights = geometric_sum_ccdf(ks, r)
-    live = weights > 0.0
+    cap, _ = _zero_delay_orders(r)
     drift_rate = ((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2  # (sqrt a - sqrt b)^2
 
     def kernel(ts):
-        terms = np.zeros((ts.size, ks.size))
-        col = ts[:, None]  # one Skellam row per t, its means a t and b t
-        mu1, mu2 = a * col, b * col
-        with np.errstate(all="ignore"):  # e^{exact drift - drift of the rounded means}
-            fix = np.exp(((mu1 - mu2) / (np.sqrt(mu1) + np.sqrt(mu2))) ** 2 - drift_rate * col)
-        # t = 0 gives nan and a t whose terms are all 0.0 anyway may give inf: both keep 1
-        fix = np.where(np.isfinite(fix), fix, 1.0)
-        terms[:, live] = skellam_pmf(ks[live] - 1, mu1, mu2) * fix * weights[live]
-        tail = terms[:, -1] * r / (1.0 - r)  # geometric envelope on the discarded terms
-        # sum all k_max + 1 terms, zeros too: numpy's pairwise sum groups terms by position
-        return {"raw_value": terms.sum(axis=1), "truncation_tail": tail}
+        mu1, mu2 = a * ts, b * ts  # one Skellam row per t
+        with np.errstate(over="ignore"):
+            z = 2.0 * np.sqrt(mu1 * mu2)
+        tops, rhos = zip(*(_zero_delay_orders(r, zj, cap) for zj in z.tolist()))
+        raw, tail = np.empty(ts.size), np.empty(ts.size)
+        for group in _row_groups([k + 1 for k in tops]):
+            j = np.array(group)
+            ks = np.arange(max(tops[i] for i in group) + 1)
+            col = ts[j, None]
+            x, y = a * col, b * col
+            with np.errstate(all="ignore"):  # e^{exact drift - drift of the rounded means}
+                fix = np.exp(((x - y) / (np.sqrt(x) + np.sqrt(y))) ** 2 - drift_rate * col)
+            # t = 0 gives nan and a t whose terms are all 0.0 anyway may give inf: both keep 1
+            fix = np.where(np.isfinite(fix), fix, 1.0)
+            terms = skellam_pmf(ks - 1, x, y) * fix * geometric_sum_ccdf(ks, r)
+            for i, row in zip(group, terms):
+                raw[i] = row[: tops[i] + 1].sum()
+                tail[i] = min(row[tops[i]] * (rhos[i] / (1.0 - rhos[i])), 1.0) if rhos[i] < 1 else 1.0
+        return {"raw_value": raw, "truncation_tail": tail}
 
     return _per_t(t, kernel)
 
@@ -573,13 +653,8 @@ def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray) -> np.ndarray:
 # private-attack lower bound with delay
 
 
-def postmine_gain_pmf(params: ProtocolParams, n_max: int = 128) -> np.ndarray:
-    """pmf q(0..n_max) of the attacker's post-mining gain against the jumper chain.
-
-    Extracted as Taylor coefficients of the deficit transform
-    xi(rho) = (1-rho)(a-b-ab) / (a - e^{(1-rho)b} (a+b-b rho) rho)
-    in normalized units a = alpha*delta, b = beta*delta.
-    """
+def _gain_norm(params: ProtocolParams) -> tuple[float, float]:
+    """Normalized rates (a, b) = (alpha delta, beta delta) of a model whose gain transform is proper."""
     if params.delta <= 0:
         raise ValueError("post-mining gain pmf requires delta > 0")
     a = params.alpha * params.delta
@@ -588,6 +663,17 @@ def postmine_gain_pmf(params: ProtocolParams, n_max: int = 128) -> np.ndarray:
         raise InfeasibleParametersError(
             f"requires alpha - beta - alpha*beta*delta > 0 (normalized a-b-ab={a - b - a * b})"
         )
+    return a, b
+
+
+def postmine_gain_pmf(params: ProtocolParams, n_max: int = 128) -> np.ndarray:
+    """pmf q(0..n_max) of the attacker's post-mining gain against the jumper chain.
+
+    Extracted as Taylor coefficients of the deficit transform
+    xi(rho) = (1-rho)(a-b-ab) / (a - e^{(1-rho)b} (a+b-b rho) rho)
+    in normalized units a = alpha*delta, b = beta*delta.
+    """
+    a, b = _gain_norm(params)
     size = n_max + 2  # coefficients of rho^0 .. rho^{n_max+1}
     # e^{(1-rho) b} = e^b sum_n (-b)^n / n!, kept past `size` until the tail sums below converge
     expo = np.cumprod(np.concatenate([[math.exp(b)], -b / np.arange(1, size + 40)]))
@@ -620,83 +706,215 @@ def _geometric_poisson(pois: np.ndarray, r: float) -> np.ndarray:
     return pk
 
 
-# log 2^-60: an upper Poisson tail below e^this leaves its complement 1.0 in float64.
+def _gain_pole(a: float, b: float) -> float:
+    """The pole rho0 > 1 of the deficit transform xi nearest 1, in normalized units; inf at b = 0.
+
+    xi = (a-b-ab) / h with h(rho) = den(rho) / (1 - rho), den = a - e^{(1-rho)b} (a+b-b rho) rho;
+    h(1) = a-b-ab > 0 and h((a+b)/b) = -b < 0, so h has a zero between them.
+    """
+    if b == 0:
+        return math.inf
+    c = a - b - a * b
+
+    def h(x):
+        return c if x == 1.0 else (a - math.exp((1.0 - x) * b) * (a + b - b * x) * x) / (1.0 - x)
+
+    return bracketed_root(h, 1.0, (a + b) / b, 1e-15 * (a + b) / b)
+
+
+def _gain_log_pgf(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log Q(z) of the post-mining gain pmf q at each z in (1, rho0); nan elsewhere.
+
+    q(0) = xi_0 + xi_1 and q(n) = xi_{n+1}, so Q(z) = xi_0 + (xi(z) - xi_0) / z,
+    a sum of two positive terms for z > 1 (xi(1) = 1 > xi_0 = (a-b-ab)/a).
+    """
+    c = a - b - a * b
+    with np.errstate(all="ignore"):
+        den = a - np.exp((1.0 - z) * b) * (a + b - b * z) * z  # negative on (1, rho0)
+        xi = (1.0 - z) * c / den
+        return np.where((z > 1.0) & (den < 0.0), np.log(c / a + (xi - c / a) / z), np.nan)
+
+
+# Points in (1, rho0), as fractions of rho0 - 1, where the Chernoff bound on q's tail
+# is minimized: the best lies within (rho0 - 1) / n of rho0 for a tail past n.
+_POLE_GRID = 1.0 - 0.5 ** np.arange(1, 41)
+
+
+def _gain_terms(a: float, b: float, rho0: float) -> tuple[int, float]:
+    """(n, envelope): q(0..n-1) leave a tail below e^{_LOG_LOWER}, or n = _GAIN_TERMS_MAX.
+
+    Chernoff: sum_{m>=n} q(m) <= Q(rho) rho^-n for every rho in (1, rho0),
+    rho0 = _gain_pole(a, b), minimized over _POLE_GRID; the envelope is that
+    bound at the n returned.
+    """
+    if b == 0:  # xi = 1: all of q's mass is at 0
+        return 2, 0.0
+    rho = 1.0 + (rho0 - 1.0) * _POLE_GRID
+    log_q, log_rho = _gain_log_pgf(a, b, rho), np.log(rho)
+    ok = np.isfinite(log_q)
+    need = np.ceil((log_q[ok] - _LOG_LOWER) / log_rho[ok])
+    n = int(min(max(need.min(initial=np.inf), 2.0), _GAIN_TERMS_MAX))
+    return n, float(np.exp(np.min(log_q[ok] - n * log_rho[ok], initial=0.0)))
+
+
+# Points of (0, 1), as fractions of a, where _lower_chernoff's bound is taken: a
+# uniform grid, and a geometric approach to 0, where z - 1 ~ u (1 + 1/a) stays below
+# rho0 - 1 as the gain pmf's pole nears 1.
+_CHERNOFF_GRID = np.concatenate([0.5 ** np.arange(60, 7, -1), np.arange(1, _REFINE) / _REFINE])
+
+
+def _lower_chernoff(a: float, b: float, rho0: float):
+    """(log c, s) per admissible u: delay_lower(t) <= e^{log c + s t/delta} at each u (normalized units).
+
+    delay_lower's value is P(S_M > t) with S_M = sum_{i<=M} (X_i + delta), X_i
+    Exponential(alpha) and M = N + L + A independent of them (N ~ q, L
+    geometric(r), A ~ Poisson(beta t)).  Chernoff at theta = u / delta, with
+    z = E e^{theta (X + delta)} = e^u a / (a - u):  P(S_M > t) <= e^{-u t/delta}
+    E z^M = Q(z) (1 - r) / (1 - r z) e^{b (z - 1) t/delta} e^{-u t/delta}, for
+    u in (0, a) with z below rho0 and 1/r.
+    """
+    u = a * _CHERNOFF_GRID
+    z = np.exp(u) * a / (a - u)
+    r = b / a
+    with np.errstate(all="ignore"):
+        log_c = _gain_log_pgf(a, b, z) + math.log1p(-r) - np.log1p(-r * z)
+    ok = np.isfinite(log_c) & (z < rho0)
+    return log_c[ok], (b * (z - 1.0) - u)[ok]
+
+
+# log 2^-60: a share of a value this small leaves it unchanged in float64 (an upper
+# Poisson tail below it leaves its complement 1.0).
 _LOG_NEGLIGIBLE = -60.0 * math.log(2.0)
 
+# log 2^-1074, the smallest positive double: a value below it reads 0.0.
+_LOG_TINY = -1074.0 * math.log(2.0)
 
-def _erlang_cuts(m: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Per mean in the 1-D array lam: the index of the first shape in m past which every ccdf is 1.0.
+# log 2^-1134: a mass below it is below 2^-60 of any value a double holds.
+_LOG_LOWER = _LOG_TINY + _LOG_NEGLIGIBLE
 
-    m is ascending.  For m > lam, P(Poisson(lam) >= m) <= e^{m - lam - m ln(m/lam)}
-    (Chernoff), an exponent that falls as m grows and rises with lam; the
-    first m where it is at most _LOG_NEGLIGIBLE bounds the tail at every mean
-    up to lam.  m.size if none; 0 at lam = 0.
+
+def _erlang_cuts(lam: np.ndarray) -> np.ndarray:
+    """Per mean in the 1-D array lam: the shape c_j past which every Erlang ccdf is 1.0.
+
+    For m > lam, P(Poisson(lam) >= m) <= e^{m - lam - m ln(m/lam)} (Chernoff),
+    an exponent that falls as m grows and rises with lam; c_j + 1 is the
+    first m > lam where it is at most _LOG_NEGLIGIBLE, which bounds the tail
+    at every mean up to lam.  Bernstein's form of the bound reaches it by
+    lam + sqrt(2 lam L) + 2L/3, L = -_LOG_NEGLIGIBLE, so the search spans
+    that many shapes; 0 at lam = 0.
     """
-    lam = lam[:, None]
-    past = np.ones((lam.size, m.size + 1), dtype=bool)  # the last column makes m.size the default
+    span = math.ceil(math.sqrt(-2.0 * lam.max(initial=0.0) * _LOG_NEGLIGIBLE) - _LOG_NEGLIGIBLE) + 2
+    m = np.floor(lam)[:, None] + np.arange(1, span + 1)
     with np.errstate(all="ignore"):  # lam = 0 or subnormal: m / lam is inf, the exponent -inf
-        past[:, :-1] = (m > lam) & (m - lam - m * np.log(m / lam) <= _LOG_NEGLIGIBLE)
-    return np.argmax(past, axis=1)
+        past = m - lam[:, None] - m * np.log(m / lam[:, None]) <= _LOG_NEGLIGIBLE
+    return np.floor(lam).astype(int) + np.argmax(past, axis=1)
 
 
-def delay_lower(
-    params: ProtocolParams, t: float | np.ndarray, n_max: int = 128, k_max: int = 512
-) -> BoundResult:
+def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     """Success probability of the delay-manipulating private attack (unachievable level).
 
     sum_{n,k, n+k>0} q(n) P(A_{0,t}+L = k) ErlangCCDF(t-(n+k)delta; n+k, alpha),
-    with P(A_{0,t}+L = k) evaluated as the geometric-Poisson convolution so no
-    e^{(alpha-beta)t} factor is ever formed.  Partial sums remain valid
-    unachievable levels.  t is a float or a 1-D array of times (s); every t
-    shares q and the Erlang shapes, and one doubling scan forms every row's
-    geometric-Poisson pmf pk.  Each row j has its own Chernoff cut c_j, the
-    first shape m > lam = alpha t_j with m - lam - m ln(m/lam) <= -60 ln 2:
-    past it P(Poisson(alpha(t_j - m delta)) >= m) < 2^-60, so every ccdf is
-    1.0 in floating point.  The row convolves q with pk_j and evaluates the
-    ccdf only for m <= c_j; the shapes past c_j add sum_n q(n) T_j[c_j + 1 - n],
-    T_j the reverse cumulative sum of pk_j.  A row's cut and sums depend on
-    its own t alone, so array calls equal one-t calls bit for bit.
+    with P(A_{0,t}+L = k) = pk(k) evaluated as the geometric-Poisson
+    convolution so no e^{(alpha-beta)t} factor is ever formed.  Partial sums
+    remain valid unachievable levels.  t is a float or a 1-D array of times
+    (s).  Every sum's range comes from the model and from each row's own t,
+    so array calls equal one-t calls bit for bit:
 
-    truncation_tail adds the Poisson and geometric mass past k_max, in closed
-    form, and the shortfall of q's sum below 1.
+    - q(0..n-1), with n from _gain_terms: once per model, out to where a
+      Chernoff bound on its tail is below 2^-1134.
+    - Each row j has its Chernoff cut c_j (_erlang_cuts at alpha t_j): past
+      it P(Poisson(alpha(t_j - m delta)) >= m) < 2^-60, so every ccdf is 1.0
+      in floating point.  The shapes m <= c_j take the ccdf; those past it
+      add sum_n q(n) T_j[c_j + 1 - n], T_j the reverse cumulative sum of pk_j.
+    - pk_j runs over k = 0..K_j, and past K_j its geometric part
+      pk_j(K_j) r^{k-K_j} is summed in closed form, pk_j(K_j) r / (1 - r).
+      What is left out is the Poisson mass P(A > K_j), at most
+      P(A = K_j + 1) / (1 - lam / (K_j + 2)).  The value is at least
+      q(0) (1 - r) P(A = c_j + 1), and each pmf step past c_j + 1 shrinks by
+      lam / (c_j + 2) or more, so K_j = c_j + d_j with
+      (lam / (c_j + 2))^d_j / (1 - lam / (c_j + 2)) <= e^-1 2^-60 q(0) (1 - r)
+      leaves out less than 2^-60 of the value.
+    - Shapes below the lower cut lo_j, where a Chernoff bound on the ccdf is
+      under 2^-1134, are left out.
+    - A Chernoff bound U_j on the whole value (_lower_chernoff) spares the
+      rows it shows to be below the smallest double, and the rows whose
+      ranges would pass _TERMS_MAX: they read 0 with truncation_tail U_j.
+
+    One doubling scan forms the pk of a run of rows (_row_groups); each
+    row's ccdf, head convolution and tail dot use its own ranges.
+
+    The value need not fall as t grows.  Over [0, delta] it rises (alpha
+    delta = 0.5, delta = 300 s, 10%: 0.1299 at 0 s, 0.1770 at 300 s), and
+    past delta it can rise while a shape's delay m delta is still ahead of
+    t (1%, 600/h, delta = 60 s near t = 88 s): the adversary's count grows
+    with t while those shapes' ccdfs stay 1.
+
+    truncation_tail bounds the terms left out: the Poisson mass past K_j
+    plus q's Chernoff tail past n; the shapes below lo_j add less than any
+    double.
     """
     _require_minority(params)
-    q = postmine_gain_pmf(params, n_max)
+    a, b = _gain_norm(params)
+    delta, rho0 = params.delta, _gain_pole(a, b)
+    n, q_tail = _gain_terms(a, b, rho0)
+    q = postmine_gain_pmf(params, n - 1)
     if q.min() < -1e-9:
         raise InfeasibleParametersError(
             "post-mining gain transform produced materially negative pmf values"
         )
-    r = params.beta / params.alpha
-    ks = np.arange(k_max + 1)
-    m = np.arange(1, q.size + k_max)  # n + k over the convolution, m = 0 excluded
-    back = 1 - np.arange(q.size)  # c + 1 - n: where q(n)'s share of the shapes past c starts
-    tail_fixed = r ** (k_max + 1) + max(0.0, 1.0 - q.sum())
+    r = b / a
+    rest = np.append(np.cumsum(q[::-1])[::-1], 0.0)  # rest[n] = sum_{m >= n} q(m)
+    log_c, slope = _lower_chernoff(a, b, rho0)
+    margin = -_LOG_NEGLIGIBLE + 1.0 - math.log(q[0] * (1.0 - r))  # -log(e^-1 2^-60 q(0) (1 - r))
 
-    def kernel(ts):
-        lam = params.beta * ts
-        log_pois = log_poisson_pmf_vec(ks, lam[:, None])
+    def rows_of(ts, c, top):
+        """(raw value, truncation_tail) of the rows at times ts with cuts c and top counts top."""
+        lam, width = params.beta * ts, top.max() + 1
+        log_pois = log_poisson_pmf_vec(np.arange(width + 1), lam[:, None])
         pois = np.zeros(log_pois.shape)
         np.exp(log_pois, out=pois, where=log_pois > -746.0)  # exp is 0.0 below, by a slow path
-        pk = _geometric_poisson(pois, r)
-        # tails[j, i] = sum_{k >= i} pk[j, k], 0.0 past k_max
-        tails = np.zeros((ts.size, k_max + 2))
-        tails[:, :-1] = np.cumsum(pk[:, ::-1], axis=1)[:, ::-1]
-        lam_a = params.alpha * ts
-        top = _erlang_cuts(m, lam_a.max(initial=0.0, keepdims=True))[0]
-        cuts = _erlang_cuts(m[:top], lam_a)  # the exponent rises with lam: none lies past top
-        x = ts[:, None] - m[:top] * params.delta
-        live = np.arange(top) < cuts[:, None]
-        ccdf = np.ones(x.shape)
-        ccdf[live] = erlang_ccdf_vec(x[live], np.broadcast_to(m[:top], x.shape)[live], params.alpha)
-        # the ccdf is 1.0 at every m > c: those shapes add sum_n q(n) tails[c + 1 - n]
-        past = np.take_along_axis(tails, np.clip(cuts[:, None] + back, 0, k_max + 1), axis=1)
+        pk = _geometric_poisson(pois[:, :width], r)
+        pk[np.arange(width) > top[:, None]] = 0.0
+        # pk past K_j in closed form: its geometric part, pk(K_j) r / (1 - r)
+        ends = np.zeros((ts.size, width + 1))
+        ends[:, :width] = pk
+        ends[np.arange(ts.size), top + 1] = pk[np.arange(ts.size), top] * (r / (1.0 - r))
+        tails = np.cumsum(ends[:, ::-1], axis=1)[:, ::-1]  # tails[., i] = sum_{k >= i}
+        shapes = np.arange(1, c.max() + 1)
+        x = ts[:, None] - shapes * delta
+        mu, k = params.alpha * np.maximum(x, 0.0), shapes - 1
+        with np.errstate(all="ignore"):  # log P(Poisson(mu) <= k) <= k - mu - k ln(k/mu), for k < mu
+            log_ccdf = np.where(k < mu, k - mu - np.where(k > 0, k * np.log(k / mu), 0.0), 0.0)
+        los = 1 + np.sum(log_ccdf <= _LOG_LOWER, axis=1)  # the bound rises with m
         raw = np.empty(ts.size)
-        for j, c in enumerate(cuts.tolist()):  # row by row, so each sum adds in the one-t order
-            # s[m] = sum_{n+k=m} q(n) pk(k) for m = 1..c
-            head = np.convolve(q[: c + 1], pk[j, : c + 1])[1 : c + 1]
-            raw[j] = np.dot(head, ccdf[j, :c]) + np.dot(q, past[j])
-        # P(Poisson(lam) > k_max), as the Erlang cdf of shape k_max + 1 at rate 1
-        return {"raw_value": raw, "truncation_tail": erlang_cdf(lam, k_max + 1, 1.0) + tail_fixed}
+        for i, (cj, lo) in enumerate(zip(c.tolist(), los.tolist())):
+            # s[m] = sum_{n+k=m} q(n) pk(k) for m = lo..c, complete from k = lo - size on
+            size = min(q.size, cj + 1)
+            start = max(0, lo - size)
+            head = np.convolve(q[:size], pk[i, start : cj + 1])[lo - start : cj + 1 - start]
+            ccdf = erlang_ccdf_vec(x[i, lo - 1 : cj], shapes[lo - 1 : cj], params.alpha)
+            # the shapes past c_j: sum_n q(n) tails[c_j + 1 - n], tails[0] for n > c_j + 1
+            span = min(q.size, cj + 2)
+            past = np.dot(q[:span], tails[i, cj + 2 - span : cj + 2][::-1]) + tails[i, 0] * rest[span]
+            raw[i] = np.dot(head, ccdf) + past
+        return raw, np.exp(log_pois[np.arange(ts.size), top + 1]) / (1.0 - lam / (top + 2)) + q_tail
+
+    def kernel(ts):
+        lam, lam_a = params.beta * ts, params.alpha * ts
+        log_u = np.minimum(np.min(log_c + np.outer(ts / delta, slope), axis=1, initial=np.inf), 0.0)
+        raw, tail = np.zeros(ts.size), np.exp(log_u)
+        rows = np.flatnonzero((log_u >= _LOG_TINY) & (lam_a < _TERMS_MAX))
+        cuts = _erlang_cuts(lam_a[rows])
+        shrink = lam[rows] / (cuts + 2)  # a bound on each Poisson pmf step past c_j + 1
+        with np.errstate(divide="ignore"):  # lam = 0: no Poisson mass past any K
+            steps = np.ceil((margin - np.log1p(-shrink)) / -np.log(shrink))
+        tops = cuts + np.maximum(steps, 1).astype(int)
+        keep = tops < _TERMS_MAX
+        rows, cuts, tops = rows[keep], cuts[keep], tops[keep]
+        for group in _row_groups((tops + 2).tolist()):  # each group's work arrays die with rows_of
+            j = rows[group]
+            raw[j], tail[j] = rows_of(ts[j], cuts[group], tops[group])
+        return {"raw_value": raw, "truncation_tail": tail}
 
     return _per_t(t, kernel)
 
@@ -944,7 +1162,9 @@ def invert_latency(
     bit for bit; a start at the answer makes five race-kernel calls in all.
     Any other form starts at 600 s (_invert_by_secant), and a form
     c e^{-rate t} takes two bound calls.  Raises BracketError past
-    600 * 2^30 s.
+    600 * 2^30 s.  _search assumes a form nonincreasing in t: for one that
+    rises somewhere (delay_lower can, at small t) the whole second it returns
+    meets the level, but an earlier one may meet it too.
     """
     scalar, levels = _levels(eps)
     if bound_fn is delay_upper:

@@ -26,34 +26,73 @@ def _special():
     return special
 
 
-# log k! for k = 0..15; Stirling's series takes over from 16
-_LOG_FACT_SMALL = np.log([float(math.factorial(k)) for k in range(16)])
+# Stirling's error term log k! - (k ln k - k + ln(2 pi k)/2) for k = 1..15, from
+# 40-digit log-gamma values (0 stands in at k = 0, where the pmf needs none); the
+# series takes over from 16
+_STIRLERR_SMALL = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _log_factorial(ks: np.ndarray) -> np.ndarray:
-    """log k! over an array of integers k >= 0 (as floats).
+def _stirlerr(ks: np.ndarray) -> np.ndarray:
+    """Stirling's error term log k! - (k ln k - k + ln(2 pi k)/2) over an array of integers k >= 1.
 
-    From k = 16, Stirling's series k (ln k - 1) + ln(2 pi k)/2 plus the
-    error term 1/(12k) - 1/(360k^3) + 1/(1260k^5) - 1/(1680k^7) + 1/(1188k^9)
+    From k = 16 the series 1/(12k) - 1/(360k^3) + 1/(1260k^5) - 1/(1680k^7) + 1/(1188k^9)
     (Loader 2000, "Fast and accurate computation of binomial probabilities"),
-    whose first omitted term, 691/(360360 k^11), is below 1.1e-16 there;
-    below 16, a table.  Within 4e-16 relative of 50-digit values for k <= 1e7.
+    whose first omitted term, 691/(360360 k^11), is below 1.1e-16 there, as
+    an absolute error of a log-domain pmf; below 16, a table.
     """
     k = np.maximum(ks, 16.0)
-    log_k = np.log(k)
     r = 1.0 / (k * k)
-    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
-    out = k * (log_k - 1.0) + (0.5 * log_k + (_HALF_LOG_2PI + stirlerr))
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
     small = ks < 16
     if small.any():
-        out[small] = _LOG_FACT_SMALL[ks[small].astype(int)]
+        out = np.where(small, _STIRLERR_SMALL[np.minimum(ks, 15).astype(int)], out)
     return out
+
+
+# Terms v^{2j+1}/(2j+1), j >= 1, that _bd0's series sums: at |v| < 1/4 the first
+# one left out is below 2e-18 of the first.
+_BD0_TERMS = 14
+
+
+def _bd0(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Deviance x ln(x/lam) + lam - x over broadcast arrays x > 0, lam >= 0, without cancellation.
+
+    With v = (x - lam)/(x + lam) it is (x - lam) v + 2x sum_{j>=1} v^{2j+1}/(2j+1)
+    (Loader 2000), two terms that cancel little: that form where |v| < 1/4,
+    where the direct form cancels most; elsewhere x log1p((x - lam)/lam) + lam - x,
+    whose log1p keeps its relative precision however near x/lam is to 1.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = x - lam
+        v = gap / (x + lam)
+        direct = np.asarray(x * np.log1p(gap / lam) - gap)  # an array even for 0-d x and lam
+    near = np.abs(v) < 0.25
+    if not near.any():
+        return direct
+    vn, xn = v[near], np.broadcast_to(x, v.shape)[near]
+    v2 = vn * vn
+    series = np.full(vn.shape, 1.0 / (2 * _BD0_TERMS + 1))
+    for j in range(_BD0_TERMS - 1, 0, -1):  # Horner in v^2, smallest term first, in place
+        series *= v2
+        series += 1.0 / (2 * j + 1)
+    series *= v2
+    direct[near] = gap[near] * vn + 2.0 * xn * vn * series
+    return direct
 
 
 def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """Log Poisson pmf over an integer array; -inf outside the support.
 
+    Loader's (2000) saddle-point form -stirlerr(k) - bd0(k, lam) - ln(2 pi k)/2
+    for k >= 1, and -lam at k = 0: no term is larger than the result's own
+    deviance, so the pmf keeps ~1e-15 relative precision at rates in the
+    thousands, where k ln lam - lam - ln k! cancels digits of terms ~k ln k.
     lam is one rate or an array of rates that broadcasts against ks (rates of
     shape (T, 1) against ks of shape (K,) give one row per rate); a row
     equals the one-rate call bit for bit.
@@ -62,13 +101,15 @@ def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     if np.any(lam < 0):
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
     ks = np.asarray(ks, dtype=float)
-    ok = ks >= 0
-    log_fact = np.full(ks.shape, np.inf)
-    log_fact[ok] = _log_factorial(ks[ok])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = ks * np.log(lam) - lam - log_fact
-    # a zero rate puts all mass at 0 (where 0 * log 0 above is nan)
-    return np.where(lam == 0, np.where(ks == 0, 0.0, -np.inf), out)
+    x = np.maximum(ks, 1.0)
+    out = -(_bd0(x, lam) + (_stirlerr(x) + (0.5 * np.log(x) + _HALF_LOG_2PI)))
+    low = ks < 1
+    if low.any():
+        out = np.where(low, np.where(ks == 0, -lam, -np.inf), out)
+    zero = lam == 0
+    if zero.any():  # a zero rate puts all mass at 0
+        out = np.where(zero, np.where(ks == 0, 0.0, -np.inf), out)
+    return out
 
 
 def erlang_cdf(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
@@ -85,12 +126,8 @@ def erlang_cdf(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
 
 
 def erlang_ccdf_vec(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
-    """Erlang complementary cdf over aligned (x, shape) arrays; 1 for x <= 0."""
-    xs, ns = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ns, dtype=float))
-    out = np.ones(xs.shape)
-    pos = xs > 0
-    out[pos] = _special().gammaincc(ns[pos], rate * xs[pos])
-    return out
+    """Erlang complementary cdf over aligned (x, shape) arrays; 1 for x <= 0 (gammaincc(n, 0) = 1)."""
+    return _special().gammaincc(np.asarray(ns, dtype=float), rate * np.maximum(xs, 0.0))
 
 
 # u_1 .. u_4 of the uniform asymptotic expansion of I_nu (DLMF 10.41.10), as
@@ -110,18 +147,23 @@ def _log_ive(nus: np.ndarray, z: float | np.ndarray) -> np.ndarray:
     z is one argument or an array that broadcasts against nus; each element
     equals the one-z value bit for bit.
 
-    Where ive underflows (below 1e-290) the uniform asymptotic expansion in nu
-    (DLMF 10.41.3) takes over: its relative error is ~1e-10 at nu = 50 and
-    below 2e-12 from nu = 100, and that region has nu < 50 only for z < 1e-5.
-    Where ive gives nan (z past 2^30, AMOS's limit) the large-argument
-    expansion (DLMF 10.40.1) takes over: for nu^2 far below z, as for every
-    order a bound uses there, its terms fall by (4 nu^2) / (8 z) < 1e-3 each.
+    Where ive gives nan (z past 2^30, AMOS's limit) and nu^2 < z / 50, the
+    large-argument expansion (DLMF 10.40.1) takes over: its terms fall by
+    (4 nu^2) / (8 k z) < 1e-2 / k each, so six leave less than 1e-17.  Where ive
+    underflows (below 1e-290), or gives nan at a larger nu (from ~4600 on),
+    the uniform asymptotic expansion in nu (DLMF 10.41.3) takes over: its
+    relative error is ~1e-10 at nu = 50 and below 2e-12 from nu = 100, and
+    the underflow region has nu < 50 only for z < 1e-5.  Its exponent
+    nu (sqrt(1 + x^2) - x + ln(x / (1 + sqrt(1 + x^2)))), x = z/nu, is formed
+    as nu (1/(s + x) - ln(1 + (1 + 1/(s + x))/x)) with s = sqrt(1 + x^2), which
+    cancels nothing at large x.
     """
     nus, z = np.broadcast_arrays(np.asarray(nus, dtype=float), np.asarray(z, dtype=float))
     with np.errstate(divide="ignore"):
         out = np.asarray(np.log(_special().ive(nus, z)))
-    far = out < math.log(1e-290)  # nan compares false
     big = np.isnan(out)
+    uniform = (out < math.log(1e-290)) | (big & (50.0 * nus * nus >= z))  # nan compares false
+    big &= ~uniform
     if big.any():
         mu, zb = 4.0 * nus[big] ** 2, z[big]
         term, series = np.ones(zb.shape), np.ones(zb.shape)
@@ -130,16 +172,17 @@ def _log_ive(nus: np.ndarray, z: float | np.ndarray) -> np.ndarray:
             series = series + term
         with np.errstate(divide="ignore"):  # z = inf: log ive = -inf, a zero pmf
             out[big] = np.log(series) - 0.5 * np.log(2.0 * np.pi * zb)
-    if far.any():
-        n = nus[far]
-        x = z[far] / n
+    if uniform.any():
+        n = nus[uniform]
+        x = z[uniform] / n
         s = np.sqrt(1.0 + x * x)
         t = 1.0 / s
         series = sum(
             np.polynomial.polynomial.polyval(t, u) / n ** (k + 1) for k, u in enumerate(_DEBYE_U)
         )
-        out[far] = (
-            n * (s - x + np.log(x / (1.0 + s)))
+        gap = 1.0 / (s + x)  # s - x
+        out[uniform] = (
+            n * (gap - np.log1p((1.0 + gap) / x))
             - 0.5 * np.log(2.0 * np.pi * n)
             + 0.5 * np.log(t)
             + np.log1p(series)

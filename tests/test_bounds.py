@@ -33,7 +33,7 @@ from powbounds.bounds import (
     zero_delay_lower,
     zero_delay_upper,
 )
-from powbounds.distributions import erlang_ccdf_vec, log_poisson_pmf_vec
+from powbounds.distributions import erlang_ccdf_vec, log_poisson_pmf_vec, skellam_pmf
 from powbounds.errors import BracketError, InfeasibleParametersError
 from powbounds.protocols import (
     build_comparison_table,
@@ -109,18 +109,54 @@ def test_zero_delay_lower_is_finite_at_long_horizons(share):
         assert (res.raw_value <= 1.0).all()
 
 
+@pytest.mark.parametrize("share", [0.1, 0.45, 0.4999])
+def test_delay_lower_is_finite_at_long_horizons(share):
+    # at 0.4999 only alpha*delta below ~4e-4 keeps the gain transform proper
+    for per_hour in (6.0, 600.0):
+        rate = per_hour / 3600.0
+        params = ProtocolParams.from_adversary_share(rate, share, 1e-4 / ((1.0 - share) * rate))
+        res = delay_lower(params, np.array([1e12, 1e300]))
+        for field in (res.raw_value, res.probability, res.truncation_tail):
+            assert np.isfinite(field).all() and (field >= 0.0).all() and (field <= 1.0).all()
+
+
+def test_lower_bound_memory_does_not_grow_with_the_number_of_times():
+    # each block of times works in runs of at most _BLOCK_TERMS terms, the widest
+    # rows first: 1024 times peak within 10% of 32 over the same span
+    cases = (
+        (zero_delay_lower, ProtocolParams.from_adversary_share(6.0 / 3600.0, 0.4999, 0.0)),
+        (zero_delay_lower, ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.45, 0.0)),
+        (delay_lower, ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.45, 0.5)),
+    )
+    for fn, params in cases:
+        fn(params, 3600.0)
+
+        def peak(n):
+            ts = np.linspace(0.0, 40000.0, n)
+            tracemalloc.start()
+            try:
+                fn(params, ts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1024) <= 1.1 * peak(32)
+
+
 def test_zero_delay_lower_makes_one_skellam_call_per_block(monkeypatch):
-    # every row's means in one call, over the orders whose weight is nonzero
+    # every row's means in one call, over the orders the model's ratio bound sizes
     calls = []
     skellam = bounds.skellam_pmf
     monkeypatch.setattr(bounds, "skellam_pmf", lambda *a: calls.append(a) or skellam(*a))
     p = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.10, 0.0)
-    zero_delay_lower(p, np.linspace(0.0, 36000.0, 30))
+    ts = np.linspace(0.0, 36000.0, 30)
+    zero_delay_lower(p, ts)
     assert len(calls) == 1
     ks, mu1, mu2 = calls[0]
     assert mu1.shape == mu2.shape == (30, 1)
-    weights = bounds.geometric_sum_ccdf(np.arange(513), p.beta / p.alpha)
-    assert ks.tolist() == (np.flatnonzero(weights) - 1).tolist() and ks.size < 513
+    z = 2.0 * ts * math.sqrt(p.alpha * p.beta)
+    top = max(bounds._zero_delay_orders(p.beta / p.alpha, zj)[0] for zj in z)
+    assert ks.tolist() == list(range(-1, top)) and top <= bounds._zero_delay_orders(p.beta / p.alpha)[0]
 
 
 # --- rate-function machinery ---------------------------------------------
@@ -567,7 +603,7 @@ def test_delay_lower_truncation_tail_is_nonnegative():
         (0.10, 6.0, 10.0, [0.0]),  # lam = 0: the geometric pmf itself
         (0.33, 6.0, 10.0, [0.0, 7200.0, 36000.0]),  # r = 0.49
         (0.45, 6.0, 0.1, [0.0, 7200.0, 36000.0]),  # r = 0.82, the largest share MODEL_REGION draws
-        (0.25, 600.0, 10.0, [600.0, 36000.0]),  # lam = 1500, far past k_max
+        (0.25, 600.0, 10.0, [600.0, 36000.0]),  # lam = 1500, far past the 513 counts scanned
     ],
 )
 def test_geometric_poisson_scan_matches_direct_convolution(share, per_hour, delta, ts):
@@ -597,33 +633,90 @@ def _erlang_regimes():
                 yield params
 
 
-def _unsplit_delay_lower(params, ts, n_max=128, k_max=512):
-    """Reference: delay_lower's raw value as one dot of q * pk with every shape's Erlang ccdf, per row."""
-    q = postmine_gain_pmf(params, n_max)
-    ks = np.arange(k_max + 1)
-    m = np.arange(1, q.size + k_max)
-    pois = np.exp(log_poisson_pmf_vec(ks, params.beta * ts[:, None]))
-    pk = _geometric_poisson(pois, params.beta / params.alpha)
-    ccdf = erlang_ccdf_vec(ts[:, None] - m * params.delta, m, params.alpha)
-    return np.array([np.dot(np.convolve(q, pk[j])[1:], ccdf[j]) for j in range(ts.size)])
+def _gain_size(params):
+    """delay_lower's count n of post-mining gain terms q(0..n-1) for this model."""
+    a, b = params.alpha * params.delta, params.beta * params.delta
+    return bounds._gain_terms(a, b, bounds._gain_pole(a, b))[0]
+
+
+def _wide_tops(params, cuts, q0):
+    """Counts K'_j at or past delay_lower's own top count K_j = c_j + d_j, per Erlang cut c_j.
+
+    d_j divides -log(2^-60 e^-1 q(0) (1 - r)) - log(1 - lam / (c_j + 2)) by log((c_j + 2) / lam),
+    and lam / (c_j + 2) < r, so r in place of that ratio gives at least d_j.
+    """
+    r = params.beta / params.alpha
+    if r == 0:
+        return cuts + 1
+    need = 60.0 * math.log(2.0) + 1.0 - math.log(q0 * (1.0 - r)) - math.log1p(-r)
+    return cuts + math.ceil(need / -math.log(r)) + 1
+
+
+def _wide_delay_lower(params, ts):
+    """Reference: delay_lower's double sum over at least 4x each of its ranges, one row per t.
+
+    q(0..4n-1) for delay_lower's n; pk over k = 0..4 K'_j (_wide_tops), with no
+    closed-form tail; every shape from 1.  The ccdf is 1.0 past the Erlang cut
+    c_j (exact: test_delay_lower_erlang_cut_skips_only_exact_ones), so the
+    shapes past it add sum_n q(n) T_j[c_j + 1 - n], T_j pk's reverse cumulative sum.
+    """
+    q = postmine_gain_pmf(params, 4 * _gain_size(params) - 1)
+    cuts = bounds._erlang_cuts(params.alpha * ts)
+    tops = 4 * _wide_tops(params, cuts, q[0])
+    out = []
+    for t, c, top in zip(ts.tolist(), cuts.tolist(), tops.tolist()):
+        pois = np.exp(log_poisson_pmf_vec(np.arange(top + 1), params.beta * t))
+        pk = _geometric_poisson(pois, params.beta / params.alpha)
+        tails = np.cumsum(pk[::-1])[::-1]
+        shapes = np.arange(1, c + 1)
+        ccdf = erlang_ccdf_vec(t - shapes * params.delta, shapes, params.alpha)
+        head = np.convolve(q[: c + 1], pk[: c + 1])[1 : c + 1]
+        out.append(np.dot(head, ccdf) + np.dot(q, tails[np.maximum(c + 1 - np.arange(q.size), 0)]))
+    return np.array(out)
+
+
+def _unsplit_delay_lower(params, ts, scale):
+    """Reference: delay_lower's raw value as one dot of q * pk with every shape's Erlang ccdf, per row.
+
+    q and pk over delay_lower's own ranges: q(0..n-1), but only while the mass
+    it has left is above 1e-20 of the row's scale (an estimate of its value);
+    and pk_j over k = 0..K'_j (_wide_tops) with its geometric tail past K'_j,
+    pk_j(K'_j) r / (1 - r), as one more count.
+    """
+    r = params.beta / params.alpha
+    q = postmine_gain_pmf(params, _gain_size(params) - 1)
+    left = np.cumsum(q[::-1])[::-1]  # the q mass from each n on
+    cuts = bounds._erlang_cuts(params.alpha * ts)
+    out = []
+    for t, top, v in zip(ts.tolist(), _wide_tops(params, cuts, q[0]).tolist(), scale.tolist()):
+        qt = q[: max(1, np.count_nonzero(left > 1e-20 * v))]
+        pois = np.exp(log_poisson_pmf_vec(np.arange(top + 1), params.beta * t))
+        pk = _geometric_poisson(pois, r)
+        pk = np.concatenate([pk, [pk[-1] * r / (1.0 - r)]])
+        m = np.arange(1, qt.size + pk.size - 1)
+        ccdf = erlang_ccdf_vec(t - m * params.delta, m, params.alpha)
+        out.append(np.dot(np.convolve(qt, pk)[1:], ccdf))
+    return np.array(out)
 
 
 def test_delay_lower_erlang_cut_skips_only_exact_ones():
     # every ccdf past a row's Chernoff cut is 1.0 in scipy's own arithmetic, and
     # the shapes past it, summed through pk's reverse cumulative sum, give the
-    # one dot over every shape to roundoff: the split only reorders the sum
-    ts = np.linspace(0.0, 4e5, 80)
-    m = np.arange(1, 129 + 512)  # the shapes n + k >= 1 at the default n_max, k_max
+    # one dot over every shape to roundoff: the split only reorders the sum.  Each
+    # regime's times run to 600 honest blocks, so cuts reach ~700 shapes in each
+    # (the envelope sweep takes times to 1e6 s)
     checked = skipped = 0
     for params in _erlang_regimes():
-        cuts = bounds._erlang_cuts(m, params.alpha * ts)
+        ts = np.linspace(0.0, 600.0 / params.alpha, 80)
+        cuts = bounds._erlang_cuts(params.alpha * ts)
+        m = np.arange(1, cuts.max() + 400)
         x = ts[:, None] - m * params.delta
-        past = (np.arange(m.size) >= cuts[:, None]) & (x > 0)
+        past = (m > cuts[:, None]) & (x > 0)
         shapes = np.broadcast_to(m, x.shape)
         assert (special.gammaincc(shapes[past], params.alpha * x[past]) == 1.0).all()
         skipped += past.sum()
         got = delay_lower(params, ts).raw_value
-        want = _unsplit_delay_lower(params, ts)
+        want = _unsplit_delay_lower(params, ts, got)
         live = want >= 1e-300
         np.testing.assert_allclose(got[live], want[live], rtol=2e-15, atol=0.0)
         checked += live.sum()
@@ -642,21 +735,52 @@ def test_postmine_pmf_sums_to_one_and_is_nonnegative_property(share, rate_per_ho
     assert q.min() >= -1e-12
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(**MODEL_REGION)
-def test_delay_lower_truncation_tail_envelopes_the_discarded_terms_property(
-    share, rate_per_hour, alpha_delta
-):
-    # doubling n_max and k_max adds discarded terms back: the value may rise by
-    # no more than the reported tail, give or take roundoff
-    params = _feasible_model(share, rate_per_hour, alpha_delta)
-    if params is None:
-        return
-    ts = np.array([0.0, 1.0, 10.0, 100.0, 1000.0]) / params.alpha
-    kept = delay_lower(params, ts)
-    more = delay_lower(params, ts, n_max=256, k_max=1024)
-    rise = more.raw_value - kept.raw_value
-    assert (rise <= kept.truncation_tail + 64.0 * np.spacing(kept.raw_value)).all()
+def _envelope_sweep(max_share, delay=True):
+    """Derandomised models over shares 0.01..max_share, 6-600/h and alpha*delta 1e-3..1 (feasible
+    ones only), plus 600/h at 45% with delta = 0.5 s; per model, t = 0 and times log-uniform in 1..1e6 s."""
+    rng = np.random.default_rng(2020)
+    models = [(600.0, 0.45, 0.5)]
+    while len(models) < 24:
+        share = rng.uniform(0.01, max_share)
+        per_hour = math.exp(rng.uniform(math.log(6.0), math.log(600.0)))
+        alpha_delta = math.exp(rng.uniform(math.log(1e-3), 0.0))
+        if not delay or _feasible_model(share, per_hour, alpha_delta) is not None:
+            models.append((per_hour, share, alpha_delta / ((1.0 - share) * per_hour / 3600.0)))
+    for per_hour, share, delta in models:
+        ts = np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(0.0, 6.0, 5))])
+        yield ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta if delay else 0.0), ts
+
+
+def test_delay_lower_truncation_tail_envelopes_the_discarded_terms_property():
+    # a reference over at least 4x each range adds discarded terms back: the value
+    # may rise by no more than the reported tail, give or take roundoff, and the
+    # tail is within 2^-60 of every value a double holds to more than 1e-290
+    for params, ts in _envelope_sweep(0.45):
+        kept = delay_lower(params, ts)
+        rise = _wide_delay_lower(params, ts) - kept.raw_value
+        assert (rise <= kept.truncation_tail + 64.0 * np.spacing(kept.raw_value)).all()
+        big = kept.raw_value >= 1e-290
+        assert (kept.truncation_tail[big] <= 2.0**-60 * kept.raw_value[big]).all()
+
+
+def test_zero_delay_lower_truncation_tail_envelopes_the_discarded_terms_property():
+    # as for delay_lower, at delta = 0 and shares to 0.499: the reference sums 4x
+    # the orders, each row rescaled to the exact drift as zero_delay_lower does
+    for params, ts in _envelope_sweep(0.499, delay=False):
+        kept = zero_delay_lower(params, ts)
+        a, b = params.alpha, params.beta
+        top, _ = bounds._zero_delay_orders(b / a)
+        ks = np.arange(4 * (top + 1))
+        mu1, mu2 = a * ts[:, None], b * ts[:, None]
+        with np.errstate(all="ignore"):
+            fix = np.exp(((mu1 - mu2) / (np.sqrt(mu1) + np.sqrt(mu2))) ** 2
+                         - ((a - b) / (math.sqrt(a) + math.sqrt(b))) ** 2 * ts[:, None])
+        fix = np.where(np.isfinite(fix), fix, 1.0)
+        terms = skellam_pmf(ks - 1, mu1, mu2) * fix * bounds.geometric_sum_ccdf(ks, b / a)
+        rise = terms.sum(axis=1) - kept.raw_value
+        assert (rise <= kept.truncation_tail + 64.0 * np.spacing(kept.raw_value)).all()
+        big = kept.raw_value >= 1e-290
+        assert (kept.truncation_tail[big] <= 2.0**-60 * kept.raw_value[big]).all()
 
 
 def test_delay_lower_below_upper():

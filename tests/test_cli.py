@@ -75,6 +75,32 @@ def test_bound_lower_smaller_than_upper(capsys):
     assert json.loads(lo)["probability"] < json.loads(up)["probability"]
 
 
+# 600 blocks/hour against a 45% adversary, delta = 0.5 s
+HIGH_RATE = ("--alpha-frac", "0.55", "--total-rate", "600/hour", "--delta", "0.5")
+
+
+def test_bound_lower_keeps_its_value_at_high_rates(capsys):
+    # the lower bound's sums follow the model: 1.81e-3 at 1e4 s, where sums cut at
+    # 512 counts read 3.3e-48 with truncation_tail 1.0
+    code, out = run_cli(capsys, "bound", "lower", "--t", "10000", *HIGH_RATE)
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["probability"] == pytest.approx(1.8096e-3, rel=1e-4)
+    assert rec["truncation_tail"] <= 2.0**-60 * rec["probability"]
+
+
+def test_sweep_lower_column_stays_between_zero_and_upper_at_high_rates(capsys):
+    code, out = run_cli(
+        capsys, "--format", "csv", "sweep", "--var", "latency", "--bounds", "upper,lower",
+        *HIGH_RATE, "--grid", "0:100000:21",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 21
+    for row in rows:
+        assert 0.0 < float(row["lower"]) <= float(row["upper"])
+
+
 def test_infeasible_exit_code(capsys):
     code, _ = run_cli(capsys, "bound", "upper", "--alpha-frac", "0.5", "--t", "1h")
     assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import loggamma, mp, mpf
-from test_bounds import MODEL_REGION, _feasible_model
+from test_bounds import MODEL_REGION, _feasible_model, _gain_size, _wide_tops
 
 from powbounds import bounds
 from powbounds.bounds import (
@@ -18,7 +18,7 @@ from powbounds.bounds import (
     renewal_race_bound,
     zero_delay_lower,
 )
-from powbounds.distributions import _log_factorial, skellam_pmf
+from powbounds.distributions import _stirlerr, log_poisson_pmf_vec, skellam_pmf
 
 # (adversarial share, total rate per hour, t in seconds)
 ZERO_DELAY_POINTS = [
@@ -41,36 +41,52 @@ POSTMINE_POINTS = [
 ]
 
 
+def _zero_delay_series(params, t, top):
+    """zero_delay_lower's series over orders 0..top, in mpf arithmetic.
+
+    Term k is e^{-(m1+m2)} I_{|k-1|}(z) r^{(k+1)/2} (1 + k (1 - r)), z = 2 sqrt(m1 m2):
+    the Skellam pmf in Bessel form.  The orders come down from mpmath's own
+    I_top and I_{top+1} by I_{j-1} = I_{j+1} + (2j/z) I_j, the direction in
+    which I is the dominant solution.
+    """
+    m1, m2 = mpf(params.alpha) * t, mpf(params.beta) * t
+    r, z = m2 / m1, 2 * mp.sqrt(m1 * m2)
+    bessel = [mpf(0)] * (top + 2)
+    bessel[top + 1], bessel[top] = mp.besseli(top + 1, z), mp.besseli(top, z)
+    two_over_z = 2 / z
+    for j in range(top, 0, -1):
+        bessel[j - 1] = bessel[j + 1] + j * two_over_z * bessel[j]
+    root, power, terms = mp.sqrt(r), mp.sqrt(r), []  # power = r^{(k+1)/2}
+    for k in range(top + 1):
+        terms.append(bessel[abs(k - 1)] * power * (1 + k * (1 - r)))
+        power *= root
+    return mp.exp(-(m1 + m2)) * mp.fsum(terms)
+
+
 @pytest.mark.parametrize("share,rate_per_hour,t", ZERO_DELAY_POINTS)
 def test_zero_delay_lower_matches_mpmath(share, rate_per_hour, t):
     params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, 0.0)
     got = zero_delay_lower(params, t).raw_value
     with mp.workdps(50):
-        # the same series truncated at k = 512, with the Skellam pmf in Bessel form
-        m1, m2 = mpf(params.alpha) * t, mpf(params.beta) * t
-        r = m2 / m1
-        z = 2 * mp.sqrt(m1 * m2)
-        want = mp.fsum(
-            mp.exp(-(m1 + m2)) * (m1 / m2) ** (mpf(k - 1) / 2) * mp.besseli(abs(k - 1), z)
-            * r**k * (1 + k * (1 - r))
-            for k in range(513)
-        )
+        # the same series over the orders the model's ratio bound sizes
+        want = _zero_delay_series(params, t, bounds._zero_delay_orders(params.beta / params.alpha)[0])
         assert abs(got - want) <= 1e-11 * want
 
 
 def _zero_delay_lower_reference(params, t):
-    """zero_delay_lower's series, truncated at k = 512, in mpf arithmetic.
+    """zero_delay_lower's series over the orders the model's ratio bound sizes, in mpf arithmetic.
 
     A term is at most its weight r^k (1 + k (1 - r)), which falls with k, so
     the sum stops once the weights left are below 1e-20 of it.
     """
+    top = bounds._zero_delay_orders(params.beta / params.alpha)[0]
     m1, m2 = mpf(params.alpha) * t, mpf(params.beta) * t
     r = mpf(params.beta) / mpf(params.alpha)
     z = 2 * mp.sqrt(m1 * m2)
     total = mpf(0)
-    for k in range(513):
+    for k in range(top + 1):
         weight = r**k * (1 + k * (1 - r))
-        if (513 - k) * weight <= mpf(10) ** -20 * total:
+        if (top + 1 - k) * weight <= mpf(10) ** -20 * total:
             break
         j = k - 1
         if m2 == 0:  # t = 0: all mass at 0
@@ -96,21 +112,27 @@ def test_zero_delay_lower_matches_mpmath_at_random_points(share, rate_per_hour, 
         assert abs(got - want) <= 1e-11 * want + 1e-300
 
 
-def _delay_lower_reference(params, t, q):
-    """delay_lower's double sum, truncated at k = 512, in mpf arithmetic from the float q.
+def _delay_lower_reference(params, t, q, top, scale):
+    """delay_lower's double sum in mpf arithmetic from the float q, over k = 0..top.
 
-    pk(k) = r pk(k-1) + (1-r) P(A = k), A ~ Poisson(beta t), and each Erlang
-    ccdf is the upper regularized gamma function, so none is rounded to 1.
+    pk(k) = r pk(k-1) + (1-r) P(A = k), A ~ Poisson(beta t), and past top its
+    geometric part pk(top) r / (1 - r) enters as one more count, as in
+    delay_lower.  q stops once the mass it has left is below 1e-20 of scale,
+    an estimate of the value.  Each Erlang ccdf is the upper regularized gamma
+    function, so none is rounded to 1.
     """
     a, b, d = mpf(params.alpha), mpf(params.beta), mpf(params.delta)
     r, lam = b / a, b * t
     pk, pois, acc = [], mp.exp(-lam), mpf(0)
-    for k in range(513):
+    for k in range(top + 1):
         acc = r * acc + (1 - r) * pois
         pk.append(acc)
         pois = pois * lam / (k + 1)
-    s = [mpf(0)] * (len(q) + 512)  # s[m] = sum_{n+k=m} q(n) pk(k)
-    for n, qn in enumerate(mpf(x) for x in q):
+    pk.append(pk[-1] * r / (1 - r))
+    left = np.cumsum(q[::-1])[::-1]  # the q mass from each n on
+    q = [mpf(x) for x, rest in zip(q, left) if rest > 1e-20 * scale]
+    s = [mpf(0)] * (len(q) + len(pk))  # s[m] = sum_{n+k=m} q(n) pk(k)
+    for n, qn in enumerate(q):
         for k, p in enumerate(pk):
             s[n + k] += qn * p
     return mp.fsum(
@@ -122,15 +144,42 @@ def _delay_lower_reference(params, t, q):
 @settings(max_examples=6, derandomize=True, deadline=None, database=None)
 @given(**MODEL_REGION, blocks=st.floats(0.0, 300.0))
 def test_delay_lower_matches_mpmath_at_random_points(share, rate_per_hour, alpha_delta, blocks):
+    # over the model's q and counts at or past delay_lower's own (test_bounds._wide_tops)
     params = _feasible_model(share, rate_per_hour, alpha_delta)
     if params is None:
         return
     t = blocks / params.alpha
     got = delay_lower(params, t).raw_value
+    q = postmine_gain_pmf(params, _gain_size(params) - 1)
+    top = int(_wide_tops(params, bounds._erlang_cuts(np.array([params.alpha * t])), q[0])[0])
     with mp.workdps(50):
-        want = _delay_lower_reference(params, t, postmine_gain_pmf(params))
+        want = _delay_lower_reference(params, t, q, top, got)
         if want >= 1e-290:
             assert abs(got - want) <= 1e-13 * want
+
+
+# (share, total rate per hour, delta, t1 < t2) where delay_lower(t2) > delay_lower(t1): over
+# [0, delta] (alpha*delta = 0.5, 10%), and past delta where a shape's delay m delta is still ahead
+RISES = [
+    (0.10, 0.5 / 300.0 / 0.9 * 3600.0, 300.0, 0.0, 300.0),
+    (0.01, 600.0, 60.0, 87.5, 89.0),
+    (0.25, 600.0, 10.0, 19.6, 20.0),
+]
+
+
+@pytest.mark.parametrize("share,rate_per_hour,delta,t1,t2", RISES)
+def test_delay_lower_rises_where_its_formula_does(share, rate_per_hour, delta, t1, t2):
+    # delay_lower need not fall with t: each rise holds at 50 digits, far above roundoff
+    params = ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, delta)
+    got = delay_lower(params, np.array([t1, t2])).raw_value
+    q = postmine_gain_pmf(params, _gain_size(params) - 1)
+    cuts = bounds._erlang_cuts(params.alpha * np.array([t1, t2]))
+    tops = _wide_tops(params, cuts, q[0]).tolist()
+    with mp.workdps(50):
+        want = [_delay_lower_reference(params, t, q, top, g) for t, top, g in zip((t1, t2), tops, got)]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * w
+        assert want[1] - want[0] > 1e-6 * want[0] and got[1] > got[0]
 
 
 @pytest.mark.parametrize("share,rate_per_hour,delta", POSTMINE_POINTS)
@@ -265,14 +314,29 @@ def test_skellam_pmf_matches_mpmath(mu1, mu2, k):
         assert abs(got - want) <= 1e-10 * want
 
 
-def test_log_factorial_matches_mpmath():
-    # every k below 2000, then 2000 geometric points up to 1e7 rounded to integers
-    ks = np.unique(np.concatenate([np.arange(2000), np.round(np.geomspace(2000, 1e7, 2000))]))
-    got = _log_factorial(ks)
+def test_stirlerr_matches_mpmath():
+    # every k from 1 below 2000, then 2000 geometric points up to 1e7 rounded to integers
+    ks = np.unique(np.concatenate([np.arange(1, 2000), np.round(np.geomspace(2000, 1e7, 2000))]))
+    got = _stirlerr(ks)
     with mp.workdps(50):
-        want = np.array([float(loggamma(mpf(int(k)) + 1)) for k in ks])
-    assert got[:2].tolist() == [0.0, 0.0]
-    assert np.all(np.abs(got[2:] - want[2:]) <= 4e-16 * want[2:])
+        want = [loggamma(mpf(int(k)) + 1) - (k * mp.log(k) - k + mp.log(2 * mp.pi * k) / 2) for k in ks]
+        want = np.array([float(w) for w in want])
+    # an absolute error in the log-domain pmf: the series' first omitted term is
+    # 1.1e-16 at k = 16, and every value keeps 4e-16 relative from k = 100
+    assert np.all(np.abs(got - want) <= 1.2e-16)
+    assert np.all(np.abs(got - want)[ks >= 100] <= 4e-16 * want[ks >= 100])
+
+
+@pytest.mark.parametrize("lam", [86.0, 860.0, 6000.0])
+def test_poisson_pmf_matches_mpmath_at_large_rates(lam):
+    # the saddle-point form keeps ~1e-15 relative over lam +- 6 sqrt(lam), where
+    # k ln lam - lam - ln k! lost 1.3e-13, 1.3e-12 and 1.5e-11
+    half = 6.0 * np.sqrt(lam)
+    ks = np.arange(np.floor(lam - half), np.ceil(lam + half) + 1)
+    got = np.exp(log_poisson_pmf_vec(ks, lam))
+    with mp.workdps(50):
+        want = [mp.exp(int(k) * mp.log(mpf(lam)) - lam - loggamma(int(k) + 1)) for k in ks]
+        assert max(abs(g - w) / w for g, w in zip(got, want)) <= 2e-14
 
 
 @pytest.mark.parametrize("frac", [1e-13, 0.5])
