@@ -2,8 +2,7 @@
 
 Covers the achievable (upper) and unachievable (lower) violation-probability
 bounds with and without propagation delay, the general renewal-vs-Poisson race
-bound, chain growth and liveness bounds, and the confirmation depth/time
-conversion.
+bound, and the confirmation depth/time conversion.
 
 All public operations take times in seconds and rates in blocks per second.
 The delay-bound theorems normalize time by the propagation delay bound
@@ -24,7 +23,6 @@ import numpy as np
 
 from .distributions import (
     erlang_ccdf_vec,
-    erlang_cdf,
     geometric_sum_ccdf,
     log_poisson_pmf_vec,
     series_div,
@@ -359,66 +357,32 @@ def _g_norm(u, a):
     return u * u - au - au * np.exp(d) + a * a * np.exp(2.0 * d)
 
 
-def _g_scalar(u: float, a: float) -> float:
-    """Scalar form of ``_g_norm`` for the root polish."""
-    return u * u - a * u - a * u * math.exp(u - a) + a * a * math.exp(2.0 * (u - a))
-
-
-# Root-search grid on (0, 1), scaled by a: uniform, plus a geometric approach
-# to 1 where the dip below the root narrows.
-_ROOT_GRID = np.unique(
-    np.concatenate([np.linspace(0.0, 1.0, 8193)[1:-1], 1.0 - 0.5 ** np.arange(1, 53)])
-)
-
-
-def _dip_start(a: float) -> int:
-    """Index of the last _ROOT_GRID point at or below the dip of g_a, 0 if a >= 1.
-
-    With x = u/a and s = 1 - x, g_a / a^2 = E (E - 1 + s) - s (1 - s), E = e^{-a s}.
-    E >= 1 - a s gives g_a >= 0 wherever s >= a / (1 - a + a^2), so for a < 1
-    g_a is negative only where s < a / (1 - a)^2, a larger bound.
-    """
-    if a >= 1.0:
-        return 0
-    return max(int(np.searchsorted(_ROOT_GRID, 1.0 - a / (1.0 - a) ** 2, side="right")) - 1, 0)
-
-
 def _smallest_root_norm(a: float) -> float:
-    """Smallest positive zero of g_a on (0, a].
+    """Smallest positive zero u0 of g_a; it lies in (0, a).
 
-    g_a(0) > 0 and g_a(a) = 0 with positive slope, so the first zero sits at
-    the left edge of a narrow negative dip just below a (width of order a^2
-    for small a).  A uniform grid alone can miss it, hence the geometric
-    refinement toward a.  The scan covers only the grid points from
-    _dip_start(a) on; if the first of them is already negative, roundoff has
-    reached the bound, and the scan covers the whole grid.  bracketed_root
-    polishes the first sign change.  Where g_a is at roundoff level the
-    scan's np.exp and the polish's math.exp can disagree in sign at the
-    bracket's ends; where the polish's own g_a has one sign, nonzero, at
-    both, the end on that side of the root moves outward along the grid
-    until it does not (g_a(0) > 0, and _g_scalar(a, a) is exactly 0).
+    With x = u/a, s = 1 - x and E = e^{u-a} = e^{-a s}, g_a / a^2 = E^2 - x E - s x:
+    a quadratic in E whose one positive root is E*(x) = (x + sqrt(x (4 - 3x))) / 2.
+    So g_a = 0 on (0, a) exactly where L(x) = -ln E*(x) equals a s.  L is convex
+    in s and 0 at s = 0, so L / s rises from 0 to infinity: the root is unique.
+
+    bracketed_root solves L - a s = 0 for y = -ln x, which lies in [a/2, 3a].
+    L takes a cancellation-free form on each side of x = 1/2, as _bd0 does:
+    -log1p(-2 s^2 / (sqrt(x (4 - 3x)) + 2 - x)) near x = 1, and
+    y/2 - ln((sqrt(x) + sqrt(4 - 3x)) / 2) near x = 0, where y - 2 a s is exact
+    at large a.  u0 = a x is then read from E as the smaller root of the same
+    quadratic in x, x = 2 E^2 / (1 + E + sqrt((1 - E)(1 + 3E))), which barely
+    depends on y where x is small.
     """
-    start = _dip_start(a)
-    neg = np.flatnonzero(_g_norm(a * _ROOT_GRID[start:], a) < 0.0)
-    if start and neg.size and neg[0] == 0:
-        start = 0
-        neg = np.flatnonzero(_g_norm(a * _ROOT_GRID, a) < 0.0)
-    if neg.size == 0:
-        return a
 
-    def g(u):
-        return _g_scalar(u, a)
+    def residual(y):
+        x, s = math.exp(-y), -math.expm1(-y)
+        if x > 0.5:
+            return -math.log1p(-2.0 * s * s / (math.sqrt(x * (4.0 - 3.0 * x)) + 2.0 - x)) - a * s
+        return 0.5 * (y - 2.0 * a * s) - math.log(0.5 * (math.sqrt(x) + math.sqrt(4.0 - 3.0 * x)))
 
-    def point(j):
-        return 0.0 if j < 0 else float(a * _ROOT_GRID[j]) if j < _ROOT_GRID.size else a
-
-    hi = start + int(neg[0])
-    lo = hi - 1
-    while g(point(lo)) < 0.0 and g(point(hi)) < 0.0:
-        lo -= 1
-    while g(point(lo)) > 0.0 and g(point(hi)) > 0.0:
-        hi += 1
-    return bracketed_root(g, point(lo), point(hi), 1e-15 * a)
+    s = -math.expm1(-bracketed_root(residual, 0.5 * a, 3.0 * a, 0.0))
+    e, m = math.exp(-a * s), -math.expm1(-a * s)
+    return 2.0 * a * e * e / (1.0 + e + math.sqrt(m * (1.0 + 3.0 * e)))
 
 
 def _zeta_norm(u, a):
@@ -498,7 +462,12 @@ def _delay_norm(params: ProtocolParams):
             "requires beta < alpha * exp(-2 alpha delta) "
             f"(beta={b}, alpha*exp(-2 alpha delta)={a * math.exp(-2.0 * a * d)})"
         )
-    return double_lagger_mgf(a * d), b * d
+    try:
+        return double_lagger_mgf(a * d), b * d
+    except OverflowError:  # from the mean renewal time e^{2 alpha delta} / (alpha delta)
+        raise InfeasibleParametersError(
+            f"alpha * delta = {a * d} is too large: the mean renewal time e^(2 alpha delta) overflows"
+        ) from None
 
 
 def _coarse_grid(hi):
@@ -920,7 +889,7 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# growth, liveness, depth conversion, inversion
+# depth conversion, inversion
 
 
 def _poisson_window(lam: float, log_mass: float) -> tuple[int, int]:
@@ -933,27 +902,6 @@ def _poisson_window(lam: float, log_mass: float) -> tuple[int, int]:
     L = -log_mass
     d = math.sqrt(2.0 * lam * L) + 2.0 * L / 3.0
     return max(0, math.floor(lam - d)), math.ceil(lam + d)
-
-
-def growth_bound(params: ProtocolParams, n: int, t: float) -> float:
-    """Lower bound on P(every honest chain grows by >= n blocks over t seconds)."""
-    if n < 1:
-        raise ValueError(f"block count must be >= 1, got {n}")
-    return float(erlang_cdf(t - (n + 1) * params.delta, n, params.alpha))
-
-
-def liveness_bound(params: ProtocolParams, n: int, t: float) -> float:
-    """Lower bound on P(>= n honest blocks from (s, s+t] enter every honest chain)."""
-    if n < 1:
-        raise ValueError(f"block count must be >= 1, got {n}")
-    if t <= params.delta:
-        raise ValueError("liveness bound requires t > delta")
-    lam = params.beta * t
-    # i adversarial blocks over t, summed up to a count past which the Poisson mass is < 1e-15
-    i = np.arange(_poisson_window(lam, math.log(1e-15))[1] + 1)
-    pois = np.exp(log_poisson_pmf_vec(i, lam))
-    total = np.dot(pois, erlang_cdf(t - (i + n + 1) * params.delta, i + n, params.alpha))
-    return min(float(total), 1.0)  # the pmf sum can exceed 1 by roundoff
 
 
 # Counts each step of depth_from_time's downward scan sums: its work arrays stay

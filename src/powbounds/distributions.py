@@ -6,7 +6,7 @@ expression.  Pmf values are formed in the log domain and exponentiated last,
 so factors like e^{lambda} with lambda in the hundreds never overflow.
 
 The Poisson pmf, and so the Skellam pmf at a zero mean, runs on numpy
-alone.  The Erlang cdf/ccdf (the regularized incomplete gamma function, the
+alone.  The Erlang ccdf (the regularized incomplete gamma function, the
 Poisson partial sum in closed form) and the Skellam pmf's Bessel factor come
 from scipy.special, which `_special` imports on the first call that needs
 it, so code that never calls them never loads scipy.
@@ -109,19 +109,6 @@ def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     zero = lam == 0
     if zero.any():  # a zero rate puts all mass at 0
         out = np.where(zero, np.where(ks == 0, 0.0, -np.inf), out)
-    return out
-
-
-def erlang_cdf(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
-    """Erlang cdf P(sum of n Exponential(rate) <= x) over aligned (x, n) arrays; 0 for x <= 0."""
-    if rate <= 0:
-        raise ValueError(f"Erlang rate must be positive, got {rate}")
-    xs, ns = np.broadcast_arrays(np.asarray(xs, dtype=float), np.asarray(ns, dtype=float))
-    if np.any((ns < 1) | (ns != np.floor(ns))):
-        raise ValueError(f"Erlang shape must be a positive integer, got {ns}")
-    out = np.zeros(xs.shape)
-    pos = xs > 0
-    out[pos] = _special().gammainc(ns[pos], rate * xs[pos])  # P(Poisson(rate x) >= n)
     return out
 
 

@@ -15,7 +15,6 @@ from powbounds.bounds import (
     ProtocolParams,
     RaceSpec,
     _g_norm,
-    _g_scalar,
     _geometric_poisson,
     _smallest_root_norm,
     _zeta_norm,
@@ -24,10 +23,8 @@ from powbounds.bounds import (
     delay_upper_universal,
     depth_from_time,
     double_lagger_mgf,
-    growth_bound,
     invert_latencies,
     invert_latency,
-    liveness_bound,
     postmine_gain_pmf,
     renewal_race_bound,
     zero_delay_lower,
@@ -185,6 +182,7 @@ def test_theta_scales_with_delta():
     )
     # as delta -> 0, g_a(u) -> (u - a)^2 and the root tends to its double root a
     assert _smallest_root_norm(1e-6) == pytest.approx(1e-6, rel=1e-5)
+    assert _smallest_root_norm(1e-300) == 1e-300  # a (1 - a) rounds to a
 
 
 def test_g_denominator_sign_structure():
@@ -789,34 +787,7 @@ def test_delay_lower_below_upper():
         assert delay_lower(BITCOIN_25, t).probability < delay_upper(BITCOIN_25, t).probability
 
 
-# --- growth, liveness, conversions ---------------------------------------
-
-
-def test_growth_bound_basics():
-    p = ProtocolParams(alpha=0.01, beta=0.001, delta=5.0)
-    assert growth_bound(p, 3, 10.0) == 0.0  # not enough time for the delays
-    g1 = growth_bound(p, 3, 2000.0)
-    g2 = growth_bound(p, 3, 4000.0)
-    assert 0 < g1 < g2 < 1
-    with pytest.raises(ValueError):
-        growth_bound(p, 0, 100.0)
-
-
-def test_liveness_bound_below_growth():
-    # the adversary can only delay things relative to unimpeded growth
-    p = ProtocolParams(alpha=0.01, beta=0.002, delta=5.0)
-    for t in (1000.0, 3000.0):
-        assert liveness_bound(p, 3, t) <= growth_bound(p, 3, t) + 1e-12
-    assert 0 < liveness_bound(p, 3, 3000.0) < 1
-
-
-def test_liveness_bound_long_window():
-    # beta t = 90: the Poisson weights sum to 1 only within roundoff, so the sum
-    # must stop at a quantile rather than wait for the mass to reach 1 - 1e-15
-    p = ProtocolParams(alpha=0.007, beta=0.003, delta=5.0)
-    for n in (1, 10):
-        v = liveness_bound(p, n, 30000.0)
-        assert 1.0 - 1e-9 < v <= min(1.0, growth_bound(p, n, 30000.0) + 1e-12)
+# --- conversions -----------------------------------------------------------
 
 
 def test_depth_from_time_worked_example():
@@ -1271,7 +1242,7 @@ EDGE_AND_ERROR_MODELS = [
     _edge_model(0.999, 60.0),
     _edge_model(0.999, 600.0, delta=2.0),
     _edge_model(0.9999, 6.0),
-    _edge_model(1.0 - 2.0**-52, 60.0),
+    _edge_model(1.0 - 2.0**-52, 6.0),
     ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.45, 10.0),
     ProtocolParams.from_adversary_share(6.0 / 3600.0, 0.25, 0.0),
     ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.0, 0.0),
@@ -1322,7 +1293,7 @@ def test_invert_latencies_closes_bad_models_in_the_first_step(monkeypatch):
     # a model whose crossing lies past the horizon and one with no admissible
     # u start at the horizon and close there, beside a feasible model: one
     # kernel call for the batch, and each bad model gets its own message
-    models = [BITCOIN_10, _edge_model(0.9999, 6.0), _edge_model(1.0 - 2.0**-52, 60.0)]
+    models = [BITCOIN_10, _edge_model(0.9999, 6.0), _edge_model(1.0 - 2.0**-52, 6.0)]
     levels = [1e-3, 1e-9]
     want = invert_latency(delay_upper, BITCOIN_10, levels)
     calls = _counting(monkeypatch, "_delay_upper_rows")
@@ -1358,46 +1329,3 @@ def test_race_kernel_calls_per_batch(monkeypatch):
     calls.clear()
     assert cli.main(["--format", "csv", "sweep", "--var", "rate", "--grid", "6:600:80"]) == 0
     assert len(calls) == 5
-
-
-# --- smallest root ----------------------------------------------------------
-
-
-def _full_scan_root(a):
-    """Reference: the first sign change on the whole root grid, polished without checking its ends."""
-    grid = a * bounds._ROOT_GRID
-    neg = np.flatnonzero(_g_norm(grid, a) < 0.0)
-    if neg.size == 0:
-        return a
-    i = neg[0]
-    lo = grid[i - 1] if i > 0 else 0.0
-    return bounds.bracketed_root(lambda u: _g_scalar(u, a), float(lo), float(grid[i]), 1e-15 * a)
-
-
-def test_smallest_root_polish_checks_its_own_bracket():
-    # g_a is at roundoff level here: the scan's np.exp and the polish's
-    # math.exp disagree in sign at the bracket's ends, and an unchecked
-    # polish raised ValueError
-    a = 1.1958880414736195e-07
-    with pytest.raises(ValueError, match="differ in sign"):
-        _full_scan_root(a)
-    root = _smallest_root_norm(a)
-    assert 0.0 < root < a and root == pytest.approx(a, rel=1e-6)
-
-
-def test_dip_scan_matches_the_full_scan():
-    # 20000 log-spaced a over [1e-8, 60]: the root never raises, and it is the
-    # full scan's bit for bit wherever that one returns
-    raised = 0
-    for a in np.geomspace(1e-8, 60.0, 20000).tolist():
-        got = _smallest_root_norm(a)
-        try:
-            want = _full_scan_root(a)
-        except ValueError:
-            raised += 1
-            assert 0.0 < got <= a
-            continue
-        assert got == want
-    assert raised > 0  # the sweep reaches the roundoff level of the old failures
-    assert bounds._dip_start(0.025) > 0.95 * bounds._ROOT_GRID.size
-    assert bounds._dip_start(0.5) == bounds._dip_start(2.0) == 0

@@ -149,10 +149,30 @@ def test_adversary_free_model_exit_code(capsys):
         ("bound", "upper", "--alpha-frac", "1", "--t", "1h"),
         ("bound", "upper-universal", "--alpha-frac", "1", "--t", "1h"),
         ("latency", "--alpha-frac", "1", "--level", "1e-3"),
+        # alpha delta = 50: a root 1e11 times too large once left no admissible u, exit 2
+        ("bound", "upper", "--alpha-frac", "1.0", "--delta", "3e4", "--t", "1e9"),
     ):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
+
+
+def test_overflowing_mean_renewal_time_exit_code(capsys):
+    # alpha delta = 360: the mean renewal time e^720 / 360 is past the float
+    # range; each once ended in an OverflowError traceback, exit 1
+    for argv in (
+        ("bound", "upper", "--alpha-frac", "1.0", "--delta", "216000", "--t", "1e9"),
+        ("latency", "--alpha-frac", "1.0", "--delta", "216000", "--level", "1e-3"),
+    ):
+        code, out, err = run_cli_err(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("infeasible parameters:") and "overflows" in err
+    # a batch of such models leaves each one's cell empty
+    code, out = run_cli(
+        capsys, "--format", "csv", "sweep", "--var", "rate", "--grid", "6,60",
+        "--alpha-frac", "1.0", "--delta", "216000",
+    )
+    assert code == 0 and out == "x,latency_s\n6.0,\n60.0,\n"
 
 
 def test_latency_record_and_monotonicity(capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from powbounds.distributions import (
     erlang_ccdf_vec,
-    erlang_cdf,
     geometric_sum_ccdf,
     log_poisson_pmf_vec,
     series_div,
@@ -74,29 +73,26 @@ def test_poisson_sf_complements_cdf():
     # P(Poisson(lam) >= k) == P(Erlang(k, 1) <= lam) == 1 - P(Poisson(lam) <= k - 1)
     lam = 9.0
     ks = np.arange(1, 20)
-    sf = erlang_cdf(lam, ks, 1.0)
+    sf = poisson_pmf(np.arange(200), lam)[::-1].cumsum()[::-1][ks]  # sums of pmf(j), j >= k
     cdf = erlang_ccdf_vec(lam, ks, 1.0)
     assert np.allclose(sf, 1.0 - cdf, rtol=0.0, atol=1e-12)
     assert np.allclose(sf, 1.0 - np.cumsum(poisson_pmf(ks - 1, lam)), rtol=0.0, atol=1e-12)
 
 
 def test_erlang_cdf_is_poisson_tail():
-    # P(Erlang(n, rate) <= x) == P(Poisson(rate x) >= n)
+    # P(Erlang(n, rate) <= x) == 1 - erlang_ccdf_vec(x, n, rate) == P(Poisson(rate x) >= n)
     for n, rate, x in [(1, 0.5, 2.0), (3, 1.5, 4.0), (10, 0.01, 2000.0)]:
-        tail = 1.0 - poisson_pmf(np.arange(n), rate * x).sum()
-        assert erlang_cdf(x, n, rate) == pytest.approx(tail, rel=1e-12)
-        assert erlang_cdf(x, n, rate) + erlang_ccdf_vec(x, n, rate) == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(erlang_cdf([-1.0, 0.0], [2, 2], 0.8), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        erlang_cdf(1.0, 0, 0.8)
-    with pytest.raises(ValueError):
-        erlang_cdf(1.0, 1, 0.0)
+        lam = rate * x
+        tail = poisson_pmf(np.arange(n, n + 200), lam).sum()
+        assert 1.0 - erlang_ccdf_vec(x, n, rate) == pytest.approx(tail, rel=1e-12)
+        assert erlang_ccdf_vec(x, n, rate) + tail == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(erlang_ccdf_vec([-1.0, 0.0], [2, 2], 0.8), [1.0, 1.0])
 
 
 def test_erlang_exponential_special_case():
     # n = 1 is the exponential distribution
     xs = np.array([0.5, 2.0, 7.0])
-    assert np.allclose(erlang_cdf(xs, 1, 0.7), 1.0 - np.exp(-0.7 * xs), rtol=1e-12, atol=0.0)
+    assert np.allclose(erlang_ccdf_vec(xs, 1, 0.7), np.exp(-0.7 * xs), rtol=1e-12, atol=0.0)
 
 
 def test_erlang_ccdf_vec_broadcasts():
@@ -106,7 +102,9 @@ def test_erlang_ccdf_vec_broadcasts():
     assert out[0] == 1.0 and out[1] == 1.0
     assert out[2] == pytest.approx(poisson_pmf(np.arange(2), 2.4).sum(), rel=1e-12)
     assert out[3] == pytest.approx(poisson_pmf(np.arange(5), 8.0).sum(), rel=1e-12)
-    assert np.allclose(out, 1.0 - erlang_cdf(xs, ns, 0.8), rtol=0.0, atol=1e-15)
+    # P(Poisson(0.8 x) <= n - 1): the pmf's sums over 0..n-1, 1 at x <= 0
+    heads = [1.0, 1.0] + [poisson_pmf(np.arange(n), 0.8 * x).sum() for x, n in zip(xs[2:], ns[2:])]
+    assert np.allclose(out, heads, rtol=0.0, atol=1e-15)
     scalar = erlang_ccdf_vec(3.0, 2, 0.8)
     assert float(scalar) == pytest.approx(out[2], rel=1e-15)
 

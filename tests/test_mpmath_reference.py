@@ -245,13 +245,17 @@ def _g_mp(u, a):
 
 
 def _smallest_root_mp(a):
-    """The smallest positive zero of g_a at 60 digits: the first sign change on the
-    root-search grid, evaluated in mpf, then 200 bisection steps."""
+    """The smallest positive zero of g_a at 60 digits, bracketed and bisected by
+    the sign of g_a itself: g_a > 0 on (0, u0) and g_a < 0 on (u0, a).  The
+    points a (1 - 2^-k), k = 1, 2, ..., reach the dip below a; halving the
+    first point in it reaches (0, u0); 200 bisection steps then close a
+    bracket within a factor 2."""
     with mp.workdps(60):
         am = mpf(a)
-        pts = [mpf(x) for x in a * bounds._ROOT_GRID]
-        i = next(j for j, u in enumerate(pts) if _g_mp(u, am) < 0)
-        lo, hi = pts[i - 1], pts[i]
+        hi = next(u for u in (am * (1 - mpf(2) ** -k) for k in range(1, 400)) if _g_mp(u, am) < 0)
+        lo = hi / 2
+        while _g_mp(lo, am) <= 0:
+            lo, hi = lo / 2, lo
         for _ in range(200):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if _g_mp(mid, am) > 0 else (lo, mid)
@@ -264,11 +268,11 @@ def test_smallest_root_matches_mpmath(a):
     assert type(got) is float
     with mp.workdps(60):
         want = _smallest_root_mp(a)
-        assert abs(got - want) <= 2e-12 * want
+        assert abs(got - want) <= 1e-14 * want
 
 
-# roots that scipy's brentq polished on the same grid, frozen: below a = 1e-4 the float
-# evaluation of g_a, not the polish, limits the root (relative errors 2.4e-10, 7.2e-11
+# roots that scipy's brentq polished on a grid scan, frozen: below a = 1e-4 the float
+# evaluation of g_a, not the polish, limits such a root (relative errors 2.4e-10, 7.2e-11
 # and 1.1e-11 against the 60-digit root)
 BRENTQ_ROOTS = {1e-7: 9.999999002364404e-08, 1e-6: 9.999990000711947e-07, 1e-5: 9.999899999109611e-06}
 
@@ -282,14 +286,30 @@ def test_smallest_root_no_worse_than_brentq_at_tiny_alpha_delta(a):
 
 
 def test_smallest_root_where_the_grid_and_polish_disagree_in_sign():
-    # at this a the scan's np.exp and the polish's math.exp give g_a opposite
-    # signs at the bracket's ends; the widened bracket still holds the root to
-    # the float evaluation's limit (7.4e-10 relative here)
+    # at this a, float evaluations of g_a by np.exp and by math.exp give it
+    # opposite signs next to the root, which a root taken from g_a's sign
+    # cannot place better than 7.4e-10 relative; the root of -ln E*(x) = a s
+    # keeps full precision
     a = 1.1958880414736195e-07
     got = bounds._smallest_root_norm(a)
     with mp.workdps(60):
         want = _smallest_root_mp(a)
-        assert abs(got - want) <= 1e-9 * want
+        assert abs(got - want) <= 1e-14 * want
+
+
+def test_smallest_root_sweep_matches_mpmath():
+    # 20000 log-spaced alpha*delta over [1e-8, 60]: the root lies in (0, a);
+    # at every 690th of them (29), the a above and 60, it is the 60-digit root
+    # to 1e-14 relative, and g_a is positive below it
+    sweep = np.geomspace(1e-8, 60.0, 20000).tolist()
+    for a in sweep:
+        assert 0.0 < bounds._smallest_root_norm(a) < a
+    for a in sweep[::690] + [1.1958880414736195e-07, 60.0]:
+        got = bounds._smallest_root_norm(a)
+        with mp.workdps(60):
+            am, want = mpf(a), _smallest_root_mp(a)
+            assert abs(got - want) <= 1e-14 * want, a
+            assert all(_g_mp(got * f, am) > 0 for f in (mpf("0.01"), mpf("0.5"), 1 - mpf("1e-12"))), a
 
 
 # (mu1, mu2, k): modes and tails of large, unequal means, where ive(|k|, 2 sqrt(mu1 mu2))
