@@ -18,6 +18,7 @@ from powbounds.bounds import (
     _geometric_poisson,
     _smallest_root_norm,
     _zeta_norm,
+    bracketed_root,
     delay_lower,
     delay_upper,
     delay_upper_universal,
@@ -1329,3 +1330,60 @@ def test_race_kernel_calls_per_batch(monkeypatch):
     calls.clear()
     assert cli.main(["--format", "csv", "sweep", "--var", "rate", "--grid", "6:600:80"]) == 0
     assert len(calls) == 5
+
+
+# --- smallest root ----------------------------------------------------------
+
+# u / a: log-spaced toward 0 (large a puts the root near e^{-2a}) and toward 1
+# (small a puts it near a (1 - a))
+_SCAN_X = np.unique(np.concatenate([np.geomspace(1e-300, 0.5, 2048), 1.0 - np.geomspace(1e-12, 0.5, 2048)]))
+
+
+def _full_scan_root(a):
+    """Reference: the grid cell of (0, a) where g_a first turns negative, or None
+    where roundoff hides g_a's sign next to that point."""
+    u = a * _SCAN_X
+    g, e = _g_norm(u, a), np.exp(u - a)
+    scale = u * u + a * u + a * u * e + a * a * e * e  # the terms' magnitudes
+    sign = np.where(g > 1e-12 * scale, 1, np.where(g < -1e-12 * scale, -1, 0))
+    neg = np.flatnonzero(sign < 0)
+    if neg.size == 0 or neg[0] == 0 or sign[neg[0] - 1] <= 0:
+        return None
+    return u[neg[0] - 1], u[neg[0]]
+
+
+def test_smallest_root_polish_checks_its_own_bracket(monkeypatch):
+    # g_a is at roundoff level here: np.exp and math.exp give it opposite
+    # signs next to the root, and a polish on g_a's sign was handed a bracket
+    # whose ends did not differ in sign.  The bracket the solver hands
+    # bracketed_root does, and bracketed_root still refuses one that does not
+    a = 1.1958880414736195e-07
+    ends = []
+
+    def checked(f, lo, hi, xtol):
+        ends.append((f(lo), f(hi)))
+        return bracketed_root(f, lo, hi, xtol)
+
+    monkeypatch.setattr(bounds, "bracketed_root", checked)
+    root = _smallest_root_norm(a)
+    assert len(ends) == 1 and (ends[0][0] > 0.0) != (ends[0][1] > 0.0)
+    assert 0.0 < root < a and root == pytest.approx(a, rel=1e-6)
+    with pytest.raises(ValueError, match="differ in sign"):
+        bracketed_root(lambda u: float(_g_norm(u, a)), 0.25 * a, 0.5 * a, 1e-15 * a)
+
+
+def test_dip_scan_matches_the_full_scan():
+    # 20000 log-spaced a over [1e-8, 60]: the root lies in (0, a), and in the
+    # full scan's first sign-change cell wherever the scan resolves g_a's sign
+    resolved = 0
+    for a in np.geomspace(1e-8, 60.0, 20000).tolist():
+        got = _smallest_root_norm(a)
+        assert 0.0 < got < a
+        cell = _full_scan_root(a)
+        if cell is None:
+            continue
+        resolved += 1
+        assert cell[0] <= got <= cell[1]
+    # the scan resolves 12617 of them; the rest lie below a ~ 1e-3, where roundoff
+    # can hide g_a's sign next to the root
+    assert 12000 < resolved < 20000
