@@ -75,12 +75,12 @@ class ProtocolParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"honest rate must be positive, got {self.alpha}")
-        if not self.beta >= 0:
-            raise ValueError(f"adversarial rate must be nonnegative, got {self.beta}")
-        if not self.delta >= 0:
-            raise ValueError(f"delay bound must be nonnegative, got {self.delta}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"honest rate must be positive and finite, got {self.alpha}")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"adversarial rate must be nonnegative and finite, got {self.beta}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delay bound must be nonnegative and finite, got {self.delta}")
 
     @classmethod
     def from_adversary_share(cls, total_rate: float, share: float, delta: float) -> "ProtocolParams":
@@ -496,6 +496,28 @@ _PASS = np.arange(-_REFINE, _REFINE + 1) / _REFINE
 _NO_ADMISSIBLE_POINT = "no admissible point for the Chernoff-rate optimization"
 
 
+def _vertex(vals, i, val, u, spacing):
+    """(vertex, predicted value) of the parabola through each row's minimum and its two neighbours.
+
+    One step of successive parabolic interpolation (Brent 1973, ch. 5).
+    vals holds each row's values at points spacing apart along its last
+    axis; i (with a last axis of 1) indexes the row's minimum, val is the
+    value there and u the point.  Where both neighbours are admissible and
+    the parabola is convex, the vertex lies within half a spacing of u;
+    elsewhere, and at a minimum on either end, the vertex is u itself and
+    the prediction nan.
+    """
+    k = np.minimum(np.maximum(i, 1), vals.shape[-1] - 2)  # an end minimum gets no vertex
+    below, above = _pick(vals, k - 1), _pick(vals, k + 1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        curv, slope = below - 2.0 * val + above, below - above
+        fit = (k == i) & (curv > 0)  # nan (an inadmissible neighbour) compares false
+        return (
+            np.where(fit, u + (0.5 * spacing) * slope / curv, u),
+            np.where(fit, val - 0.125 * slope * slope / curv, np.nan),
+        )
+
+
 def _grid_minimize(mgf: Mgf, b, coarse, objective):
     """Minimize the delay race's objective over (0, u0) row by row; returns (u, value) per row.
 
@@ -512,13 +534,10 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective):
     One refinement pass then evaluates 2 _REFINE + 1 points across one
     spacing (u0 / 512 on the coarse grid) either side of the row's
     incumbent, which is its middle point, so no row's best value worsens.
-    Last, the parabola through the pass minimum and its two neighbours gives
-    one vertex per row (successive parabolic interpolation; Brent 1973,
-    ch. 5).  Where both neighbours are admissible and the parabola is
-    convex, the vertex lies within half a pass spacing, and it replaces the
-    pass minimum only if its value is lower.  Every step is elementwise per
-    row, and the model columns broadcast, so a row's result does not depend
-    on the other rows or models.
+    Last, _vertex fits a parabola to the pass minimum and its two
+    neighbours, and its vertex replaces the pass minimum only if its value
+    is lower.  Every step is elementwise per row, and the model columns
+    broadcast, so a row's result does not depend on the other rows or models.
     """
     hi = mgf.roc_sup
     vals = objective(*coarse)
@@ -533,12 +552,7 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective):
     vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u + step * _PASS))
     i = _nan_argmin(vals)[..., None]
     u, val = u + step * _PASS[i], _pick(vals, i)
-    k = np.minimum(np.maximum(i, 1), 2 * _REFINE - 1)  # a pass-edge minimum gets no vertex
-    below, above = _pick(vals, k - 1), _pick(vals, k + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        curv = below - 2.0 * val + above
-        fit = (k == i) & (curv > 0)  # nan (an inadmissible neighbour) compares false
-        u_fit = np.where(fit, u + (0.5 * step / _REFINE) * (below - above) / curv, u)
+    u_fit = _vertex(vals, i, val, u, step / _REFINE)[0]
     val_fit = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u_fit))
     better = val_fit < val
     return np.where(better, u_fit, u)[..., 0], np.where(better, val_fit, val)[..., 0]
@@ -602,20 +616,48 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     )
 
 
-def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray) -> np.ndarray:
+def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d=1.0, a=None) -> np.ndarray:
     """Normalized real crossing min_u (log c^2(u) - log eps) / psi(u) of each level, one row each.
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
-    The ratio is minimized as delay_upper's rows are, with the same one pass
-    and vertex step; the crossing only picks the whole second where
-    invert_latency confirms with delay_upper's own values.  For models as
-    columns the result has one row of levels per model.
+    Each row reads its crossing from the coarse terms: _vertex fits a
+    parabola to its coarse minimum and two neighbours, one race-kernel call
+    evaluates the ratio at every row's vertex, and the crossing is the lower
+    of that value and the coarse minimum.  It is an evaluated point, so an
+    upper estimate.  A row with no fit (no admissible coarse point, or a
+    minimum on the grid's end or not convex), or whose evaluated vertex and
+    the parabola's prediction lie in different whole seconds (d is the
+    model's delta, or a column of them; at 1, whole normalized units),
+    takes _grid_minimize's pass and vertex instead, and only its model is
+    refitted: for models as columns, a holds their alpha delta, from which
+    the refit builds their MGF.  The crossing only picks the whole second
+    where invert_latency confirms with delay_upper's own values.  For models
+    as columns the result has one row of levels per model.
     """
     log_eps = log_eps[:, None]
-    return _grid_minimize(
-        mgf, b, coarse, lambda log_c2, psi: (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
-    )[1]
+
+    def objective(log_c2, psi):
+        return (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
+
+    hi = mgf.roc_sup
+    vals = objective(*coarse)
+    i = _nan_argmin(vals)[..., None]
+    u, val = hi * (i + 1) / _GRID_CELLS, _pick(vals, i)
+    u_fit, predicted = _vertex(vals, i, val, u, hi / _GRID_CELLS)
+    val_fit = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u_fit))[..., 0]
+    predicted, t = predicted[..., 0], np.fmin(val_fit, val[..., 0])
+    with np.errstate(invalid="ignore"):
+        refit = np.isnan(predicted) | (np.floor(val_fit * d) != np.floor(predicted * d))
+    if not refit.any():
+        return t
+    if np.ndim(hi):  # models as columns: refit only the models with a row to refit
+        m = refit.any(axis=-1)
+        mgf = Mgf(excess=lambda x, a=a[m]: _zeta_norm(x, a), roc_sup=hi[m], mean=mgf.mean[m])
+        refitted = _grid_minimize(mgf, b[m], (coarse[0][m], coarse[1][m]), objective)[1]
+        t[m] = np.where(refit[m], refitted, t[m])
+        return t
+    return np.where(refit, _grid_minimize(mgf, b, coarse, objective)[1], t)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,14 +1052,16 @@ def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list) -> list:
     Each model's root u0 is solved once.  The feasible models then enter the
     race kernel as columns (a, b, u0 and the mean, shape (models, 1, 1)),
     broadcast against each row's points, so the batch makes the race-kernel
-    calls of one model: the coarse grid, a pass and a vertex for every
-    (model, level) crossing t*, and a pass and a vertex for each step of
-    _search, which starts every row at ceil(t*) and takes its pairs from
-    delay_upper's kernel on the solved models.  A start at the answer
-    closes in that one step.  Every step is elementwise per row, so a
-    model's values are those of a batch of one, bit for bit.  A model with
-    no admissible u has no t*: its rows start at the horizon, where they
-    close at once.
+    calls of one model: the coarse grid, one vertex for every (model,
+    level) crossing t* read from it (_delay_crossings; a row it cannot
+    settle falls back to a pass and a vertex over its model alone), and a
+    pass and a vertex for each step of _search, which starts every row at
+    ceil(t*) and takes its pairs from delay_upper's kernel on the solved
+    models.  A start at the answer closes in that one step, so with no
+    fallback the batch makes four race-kernel calls.  Every step is
+    elementwise per row, so a model's values are those of a batch of one,
+    bit for bit.  A model with no admissible u has no t*: its rows start at
+    the horizon, where they close at once.
     """
     results = [None] * len(models)
     solved = []
@@ -1042,7 +1086,7 @@ def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list) -> list:
     b, d = col(bs), np.array([p.delta for p in params])[:, None]
     coarse = _delay_coarse(mgf, b)
     log_eps = np.array([math.log(e) for e in levels])
-    t_star = _delay_crossings(mgf, b, coarse, log_eps).reshape(len(solved), -1) * d
+    t_star = _delay_crossings(mgf, b, coarse, log_eps, d, a).reshape(len(solved), -1) * d
     # ceil(t*) clamped to [1, horizon]; a nan t* (no admissible u) gives the horizon
     starts = np.ceil(np.fmin(np.maximum(t_star, 1.0), float(_LATENCY_HORIZON)))
 
@@ -1106,8 +1150,10 @@ def invert_latency(
     bound(t) <= eps < bound(t - 1).  For delay_upper this is the batch of one
     model of _invert_delay_upper: the search starts at ceil(t*), t* = delta
     min_u (log c^2(u) - log eps) / psi(u) the real crossing of every level,
-    and takes its values from delay_upper's kernel on the model solved once,
-    bit for bit; a start at the answer makes five race-kernel calls in all.
+    read from the coarse grid with a fallback to delay_upper's pass and
+    vertex, and takes its values from delay_upper's kernel on the model
+    solved once, bit for bit; a start at the answer with no fallback makes
+    four race-kernel calls in all.
     Any other form starts at 600 s (_invert_by_secant), and a form
     c e^{-rate t} takes two bound calls.  Raises BracketError past
     600 * 2^30 s.  _search assumes a form nonincreasing in t: for one that
@@ -1133,8 +1179,9 @@ def invert_latencies(
     gets that error in its place.  The models whose form is delay_upper are
     inverted together (_invert_delay_upper), in batches of at most
     _BATCH_ROWS model x level rows: one search for every row of a batch,
-    five race-kernel calls where every start is the answer, and each
-    model's latencies those of its own call.  The others are inverted one
+    four race-kernel calls where every start is the answer and every t*
+    comes from the coarse grid with no fallback, and each model's latencies
+    those of its own call.  The others are inverted one
     at a time.
     """
     scalar, levels = _levels(eps)

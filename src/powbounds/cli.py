@@ -248,7 +248,7 @@ def _campaign(args):
     t = parse_time(args.t)
     warmup = 50.0 / (params.alpha - params.beta)
     post = 20.0 / (params.alpha - params.beta)
-    cfg = simulator.SimConfig(
+    cfg = _sim_config(
         params=params,
         horizon=warmup + t + post,
         warmup_s=warmup,
@@ -256,6 +256,14 @@ def _campaign(args):
         master_seed=args.seed,
     )
     return params, t, post, cfg
+
+
+def _sim_config(**fields) -> simulator.SimConfig:
+    """A campaign's SimConfig; one it refuses, such as a chunk past its block ceiling, is a schema error."""
+    try:
+        return simulator.SimConfig(**fields)
+    except ValueError as e:
+        raise SchemaError(str(e)) from e
 
 
 def cmd_simulate(args) -> int:
@@ -282,9 +290,7 @@ def cmd_simulate(args) -> int:
         if not args.horizon > 1:
             raise SchemaError(f"--horizon must exceed 1, got {args.horizon}")
         params = ProtocolParams(alpha=a, beta=0.0, delta=1.0)
-        cfg = simulator.SimConfig(
-            params=params, horizon=float(args.horizon), master_seed=args.seed
-        )
+        cfg = _sim_config(params=params, horizon=float(args.horizon), master_seed=args.seed)
         trace = simulator.generate_trace(cfg)
         span = (0.0, cfg.horizon - 1.0)
         counts = simulator.classify_species(trace, 1.0, span)

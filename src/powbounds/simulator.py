@@ -26,6 +26,10 @@ from .errors import InsufficientDataError
 
 CHUNK_TRIALS = 512
 
+# Expected blocks, honest and adversarial, one chunk may draw: a campaign past it
+# would need gigabytes of arrays per chunk, so SimConfig refuses it before any draw.
+_CHUNK_BLOCKS_MAX = 2**26
+
 SPECIES = ("honest", "adversarial", "jumper", "lagger", "loner", "double-lagger")
 
 
@@ -44,6 +48,12 @@ class SimConfig:
             raise ValueError("need horizon > warmup_s >= 0")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        blocks = min(self.trials, CHUNK_TRIALS) * self.params.total_rate * self.horizon
+        if not blocks <= _CHUNK_BLOCKS_MAX:
+            raise ValueError(
+                f"a chunk of trials expects {blocks:.3g} blocks, past the {_CHUNK_BLOCKS_MAX} "
+                "one chunk may draw: shorten the window or lower the rate"
+            )
 
 
 @dataclass(frozen=True)

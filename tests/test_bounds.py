@@ -49,6 +49,9 @@ def test_params_validation():
         ProtocolParams(alpha=0.0, beta=0.1)
     with pytest.raises(ValueError):
         ProtocolParams(alpha=1.0, beta=-0.1)
+    for alpha, beta, delta in ((math.inf, 0.1, 1.0), (1.0, math.inf, 1.0), (1.0, 0.1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolParams(alpha, beta, delta)
     p = ProtocolParams.from_adversary_share(1.0, 0.25, 2.0)
     assert p.alpha == pytest.approx(0.75)
     assert p.beta == pytest.approx(0.25)
@@ -447,7 +450,8 @@ def test_vertex_step_matches_five_pass_refinement(monkeypatch, models):
 
 def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
     # delay_upper: coarse grid, one pass, one vertex; invert_latency: the shared
-    # coarse grid, then pass and vertex for the crossing and for the confirmation
+    # coarse grid, the crossing's vertex on it, then pass and vertex for the
+    # confirmation
     calls = []
     kernel = bounds._race_log_terms
     monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(a) or kernel(*a))
@@ -455,7 +459,7 @@ def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     invert_latency(delay_upper, BITCOIN_10, [1e-3, 1e-6, 1e-9])
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_delay_upper_reads_one_where_vacuous():
@@ -1157,6 +1161,41 @@ def test_invert_latency_crossing_never_needs_the_fallback(monkeypatch):
     assert inverted >= 60
 
 
+def test_coarse_crossing_starts_every_design_query_at_its_answer(monkeypatch):
+    # the designer's space: shares 10% and 25%, 6-600 blocks/hour (eight
+    # log-rate strata), 1-100 KB/s through the bundled delay model, three
+    # levels.  Each crossing lies within 1 s of the one _grid_minimize's pass
+    # and vertex give, and every feasible query closes in one kernel call
+    model = load_config(default_config_path())[1]
+    rng = np.random.default_rng(22)
+    levels = [1e-3, 1e-6, 1e-9]
+    log_eps = np.log(levels)
+    calls = _counting(monkeypatch, "_delay_upper_rows")
+    inverted = 0
+    for kb_s in (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
+        for share in (0.10, 0.25):
+            for k in range(8):
+                per_hour = 6.0 * 100.0 ** ((k + rng.random()) / 8)
+                delta = model.a * kb_s * 3600.0 / per_hour + model.b
+                params = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta)
+                try:
+                    mgf, b = bounds._delay_norm(params)
+                except InfeasibleParametersError:
+                    continue
+                coarse = bounds._delay_coarse(mgf, b)
+                got = bounds._delay_crossings(mgf, b, coarse, log_eps, delta)
+                want = bounds._grid_minimize(
+                    mgf, b, coarse, lambda c2, psi: (c2 - log_eps[:, None]) / np.where(psi > 0, psi, np.nan)
+                )[1]
+                assert (np.abs(got - want) * delta <= 1.0).all()
+                for eps in levels:
+                    calls.clear()
+                    invert_latency(delay_upper, params, eps)
+                    assert len(calls) == 1
+                    inverted += 1
+    assert inverted >= 250
+
+
 def test_invert_latency_solves_each_model_once(monkeypatch):
     calls = []
     root = bounds._smallest_root_norm
@@ -1313,23 +1352,27 @@ def _count_race_kernel_calls(monkeypatch):
 
 
 def test_race_kernel_calls_per_batch(monkeypatch):
-    # the coarse grid, pass and vertex for the crossings, pass and vertex for
-    # the confirmation: five calls for all the table's protocols (five each at
-    # one model per call), and for each throughput's 80 rates
+    # the coarse grid, the crossings' vertex, pass and vertex for the
+    # confirmation: four calls for all the table's protocols (four each at one
+    # model per call), and for each throughput's 80 rates
     calls = _count_race_kernel_calls(monkeypatch)
     specs, model = load_config(default_config_path())
     build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert all(c[3].shape[0] == len(specs) for c in calls)  # every call carries every model
     from powbounds import cli
 
     for grid in ("1", "1,2,5,10"):
         calls.clear()
         assert cli.main(["--format", "csv", "sweep", "--var", "throughput", "--grid", grid]) == 0
-        assert len(calls) == 5 * len(grid.split(","))
+        assert len(calls) == 4 * len(grid.split(","))
+    # three of these rates lie at 0.87-0.98 of the feasibility edge, where the
+    # coarse parabola misses its evaluated vertex by whole seconds: those
+    # three models alone take the pass and vertex for their crossings
     calls.clear()
     assert cli.main(["--format", "csv", "sweep", "--var", "rate", "--grid", "6:600:80"]) == 0
-    assert len(calls) == 5
+    assert len(calls) == 6
+    assert [c[3].shape[0] for c in calls[2:4]] == [3, 3]
 
 
 # --- smallest root ----------------------------------------------------------

@@ -317,6 +317,15 @@ def test_infinite_times_are_schema_errors(capsys):
     assert_schema_error(capsys, "sweep", "--var", "latency", "--grid", "1,inf")
 
 
+def test_non_finite_model_inputs_are_schema_errors(capsys):
+    # each once exited 1 with a ValueError from bracketed_root (sweep: empty
+    # columns with exit 0)
+    assert_schema_error(capsys, "bound", "upper", "--total-rate", "inf/hour", "--t", "4h")
+    assert_schema_error(capsys, "latency", "--level", "1e-9", "--total-rate", "1e400/hour")
+    assert_schema_error(capsys, "bound", "lower", "--t", "4h", "--delta", "inf")
+    assert_schema_error(capsys, "sweep", "--var", "latency", "--delta", "inf", "--grid", "3600")
+
+
 def test_malformed_grids_are_schema_errors(capsys):
     # each once exited 1 with a traceback, or (0:inf:3) warned from numpy first
     assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=0:10:-1")
@@ -669,6 +678,11 @@ def test_simulate_race_zero_delay_exit_code(capsys):
 
 def test_simulate_zero_trials_exit_code(capsys):
     assert_schema_error(capsys, "simulate", "attack", "--trials", "0")
+
+
+def test_simulate_window_past_the_chunk_ceiling_exit_code(capsys):
+    # ~1.7e10 expected blocks: once a numpy _ArrayMemoryError traceback
+    assert_schema_error(capsys, "simulate", "attack", "--trials", "10", "--t", "1e12")
 
 
 def test_simulate_non_numeric_trials_exit_code(capsys):

@@ -32,6 +32,9 @@ def test_config_validation():
         SimConfig(params=NORM, horizon=10.0, warmup_s=10.0)
     with pytest.raises(ValueError):
         SimConfig(params=NORM, horizon=10.0, trials=0)
+    # ~2.5e11 expected blocks a chunk: refused before any draw
+    with pytest.raises(ValueError, match="blocks"):
+        SimConfig(params=NORM, horizon=1e12, trials=10)
 
 
 def trial(trace, k):
