@@ -616,7 +616,7 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     )
 
 
-def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d=1.0, a=None) -> np.ndarray:
+def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d) -> np.ndarray:
     """Normalized real crossing min_u (log c^2(u) - log eps) / psi(u) of each level, one row each.
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
@@ -628,12 +628,11 @@ def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d=1.0, a=None) ->
     upper estimate.  A row with no fit (no admissible coarse point, or a
     minimum on the grid's end or not convex), or whose evaluated vertex and
     the parabola's prediction lie in different whole seconds (d is the
-    model's delta, or a column of them; at 1, whole normalized units),
-    takes _grid_minimize's pass and vertex instead, and only its model is
-    refitted: for models as columns, a holds their alpha delta, from which
-    the refit builds their MGF.  The crossing only picks the whole second
-    where invert_latency confirms with delay_upper's own values.  For models
-    as columns the result has one row of levels per model.
+    model's delta, or a (models, 1) column of them), takes _grid_minimize's
+    pass and vertex instead; that pass runs over the whole batch.  The
+    crossing only picks the whole second where invert_latency confirms with
+    delay_upper's own values.  The result has the rows' shape broadcast
+    against d's: one row of levels per model for a column d.
     """
     log_eps = log_eps[:, None]
 
@@ -649,15 +648,8 @@ def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d=1.0, a=None) ->
     predicted, t = predicted[..., 0], np.fmin(val_fit, val[..., 0])
     with np.errstate(invalid="ignore"):
         refit = np.isnan(predicted) | (np.floor(val_fit * d) != np.floor(predicted * d))
-    if not refit.any():
-        return t
-    if np.ndim(hi):  # models as columns: refit only the models with a row to refit
-        m = refit.any(axis=-1)
-        mgf = Mgf(excess=lambda x, a=a[m]: _zeta_norm(x, a), roc_sup=hi[m], mean=mgf.mean[m])
-        refitted = _grid_minimize(mgf, b[m], (coarse[0][m], coarse[1][m]), objective)[1]
-        t[m] = np.where(refit[m], refitted, t[m])
-        return t
-    return np.where(refit, _grid_minimize(mgf, b, coarse, objective)[1], t)
+    refitted = _grid_minimize(mgf, b, coarse, objective)[1] if refit.any() else t
+    return np.where(refit, refitted, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1054,7 +1046,7 @@ def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list) -> list:
     broadcast against each row's points, so the batch makes the race-kernel
     calls of one model: the coarse grid, one vertex for every (model,
     level) crossing t* read from it (_delay_crossings; a row it cannot
-    settle falls back to a pass and a vertex over its model alone), and a
+    settle falls back to a pass and a vertex over the batch), and a
     pass and a vertex for each step of _search, which starts every row at
     ceil(t*) and takes its pairs from delay_upper's kernel on the solved
     models.  A start at the answer closes in that one step, so with no
@@ -1086,7 +1078,7 @@ def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list) -> list:
     b, d = col(bs), np.array([p.delta for p in params])[:, None]
     coarse = _delay_coarse(mgf, b)
     log_eps = np.array([math.log(e) for e in levels])
-    t_star = _delay_crossings(mgf, b, coarse, log_eps, d, a).reshape(len(solved), -1) * d
+    t_star = _delay_crossings(mgf, b, coarse, log_eps, d) * d
     # ceil(t*) clamped to [1, horizon]; a nan t* (no admissible u) gives the horizon
     starts = np.ceil(np.fmin(np.maximum(t_star, 1.0), float(_LATENCY_HORIZON)))
 

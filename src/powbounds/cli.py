@@ -211,11 +211,12 @@ def cmd_sweep(args) -> int:
             raise SchemaError(str(e)) from e
         rate_grid = np.geomspace(6.0, 600.0, 80)
         for tp in grid:  # one batch per throughput: its 80 rates, each with its own block size
-            models = [
-                ProtocolParams.from_adversary_share(
-                    rate_per_hour / 3600.0, share, model.a * (tp * 3600.0 / rate_per_hour) + model.b
-                )
-                for rate_per_hour in rate_grid
+            with np.errstate(over="ignore", invalid="ignore"):
+                deltas = model.a * (tp * 3600.0 / rate_grid) + model.b
+            models = [  # a rate whose delay overflows has no finite model: it is infeasible
+                ProtocolParams.from_adversary_share(rate_per_hour / 3600.0, share, delta)
+                for rate_per_hour, delta in zip(rate_grid, deltas)
+                if math.isfinite(delta)
             ]
             feasible = [t for t in _try_latencies(models, args.level) if t is not None]
             rows.append((tp, min(feasible) if feasible else ""))

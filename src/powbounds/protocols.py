@@ -25,8 +25,8 @@ class DelayModel:
     b: float
 
     def __post_init__(self):
-        if not (self.a >= 0 and self.b >= 0):
-            raise ValueError("delay model coefficients must be nonnegative")
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ValueError("delay model coefficients must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,12 @@ class ProtocolSpec:
     delay_override_s: Optional[float] = None
 
     def __post_init__(self):
-        if not self.block_size_kb > 0:
-            raise ValueError(f"block size must be positive, got {self.block_size_kb}")
-        if not self.blocks_per_hour > 0:
-            raise ValueError(f"generation rate must be positive, got {self.blocks_per_hour}")
+        if not 0 < self.block_size_kb < math.inf:
+            raise ValueError(f"block size must be positive and finite, got {self.block_size_kb}")
+        if not 0 < self.blocks_per_hour < math.inf:
+            raise ValueError(f"generation rate must be positive and finite, got {self.blocks_per_hour}")
+        if self.delay_override_s is not None and not 0 <= self.delay_override_s < math.inf:
+            raise ValueError(f"delay override must be nonnegative and finite, got {self.delay_override_s}")
 
     @property
     def total_rate(self) -> float:
@@ -208,16 +210,17 @@ def load_config(path: str):
             if key not in entry:
                 raise SchemaError(f"protocol entry {i} missing key {key!r}")
         try:
-            specs.append(
-                ProtocolSpec(
-                    name=str(entry["name"]),
-                    block_size_kb=float(entry["block_size_kb"]),
-                    blocks_per_hour=float(entry["blocks_per_hour"]),
-                    delay_override_s=(
-                        float(entry["delay_override_s"]) if "delay_override_s" in entry else None
-                    ),
-                )
+            spec = ProtocolSpec(
+                name=str(entry["name"]),
+                block_size_kb=float(entry["block_size_kb"]),
+                blocks_per_hour=float(entry["blocks_per_hour"]),
+                delay_override_s=(
+                    float(entry["delay_override_s"]) if "delay_override_s" in entry else None
+                ),
             )
+            if not math.isfinite(protocol_delay(spec, model)):
+                raise ValueError("its delay overflows")
         except (TypeError, ValueError) as e:
             raise SchemaError(f"bad protocol entry {i}: {e}") from e
+        specs.append(spec)
     return specs, model

@@ -326,6 +326,17 @@ def test_non_finite_model_inputs_are_schema_errors(capsys):
     assert_schema_error(capsys, "sweep", "--var", "latency", "--delta", "inf", "--grid", "3600")
 
 
+def test_overflowing_throughput_delay_is_infeasible(capsys):
+    # a KB/s past 1e300 s/KB overflows every rate's delay to inf, where no
+    # model is feasible: an empty cell, as an infinite delay gives
+    code, out = run_cli(
+        capsys, "--format", "csv", "sweep", "--var", "throughput", "--delay-a", "1e308",
+        "--grid", "1e10", "--level", "1e-3",
+    )
+    assert code == 0
+    assert [row["latency_s"] for row in csv.DictReader(io.StringIO(out))] == [""]
+
+
 def test_malformed_grids_are_schema_errors(capsys):
     # each once exited 1 with a traceback, or (0:inf:3) warned from numpy first
     assert_schema_error(capsys, "sweep", "--var", "latency", "--grid=0:10:-1")
@@ -382,6 +393,8 @@ def test_sweep_bad_grid(capsys):
         ["sweep", "--var", "throughput", "--grid", "1,2", "--level", "0"],
         ["sweep", "--var", "throughput", "--grid", "1,2", "--delay-a=-1"],
         ["sweep", "--var", "throughput", "--grid", "1,2", "--delay-b", "nan"],
+        ["sweep", "--var", "throughput", "--grid", "1,2", "--delay-b", "inf"],
+        ["sweep", "--var", "throughput", "--grid", "1,2", "--delay-a", "inf"],
         ["sweep", "--var", "latency", "--grid", "1,2", "--bounds", "upper,foo"],
         ["latency", "--level", "1e-3", "--delta", "nan"],
     ],
@@ -561,8 +574,16 @@ def test_protocol_table_missing_config_key(tmp_path, capsys):
         ({"a_s_per_kb": -1, "b_s": 0.2}, {"block_size_kb": 1000}),
         ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 0}),
         ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": "abc"}),
+        ({"a_s_per_kb": math.inf, "b_s": 0.2}, {"block_size_kb": 1000}),
+        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": math.inf}),
+        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 1000, "blocks_per_hour": math.inf}),
+        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 1000, "delay_override_s": math.inf}),
+        ({"a_s_per_kb": 1e308, "b_s": 0.2}, {"block_size_kb": 1e10}),
     ],
-    ids=["negative-a", "zero-block-size", "non-numeric-block-size"],
+    ids=[
+        "negative-a", "zero-block-size", "non-numeric-block-size", "infinite-a",
+        "infinite-block-size", "infinite-rate", "infinite-delay-override", "overflowing-delay",
+    ],
 )
 def test_protocol_table_bad_config_value_exit_code(tmp_path, capsys, delay_model, protocol):
     cfg = tmp_path / "cfg.json"
