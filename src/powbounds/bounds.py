@@ -709,51 +709,73 @@ def _geometric_poisson(pois: np.ndarray, r: float) -> np.ndarray:
     return pk
 
 
-def _gain_pole(a: float, b: float) -> float:
-    """The pole rho0 > 1 of the deficit transform xi nearest 1, in normalized units; inf at b = 0.
+def _gain_exponent(b: float, y, w):
+    """F(y) = ln(1 + y) - w - b y at w = -ln(1 - r y), r = b/a, in normalized units.
 
-    xi = (a-b-ab) / h with h(rho) = den(rho) / (1 - rho), den = a - e^{(1-rho)b} (a+b-b rho) rho;
-    h(1) = a-b-ab > 0 and h((a+b)/b) = -b < 0, so h has a zero between them.
+    The deficit transform's denominator den(rho) = a - e^{(1-rho)b} (a+b-b rho) rho
+    is -a expm1(F(y)) at rho = 1 + y, so xi(1 + y) = (a-b-ab) y / (a expm1(F(y))):
+    no two numbers near 1 are subtracted, however close rho is to 1.
+    """
+    return np.log1p(y) - w - b * y
+
+
+def _gain_pole(a: float, b: float) -> float:
+    """y0 = rho0 - 1, rho0 > 1 the pole of the deficit transform xi nearest 1; inf at b = 0.
+
+    F (_gain_exponent) is concave, F(0) = 0 and F'(0) = (a-b-ab)/a > 0, so F(y)/y
+    falls from F'(0) to -inf on (0, 1/r) and y0 is its one zero.  bracketed_root
+    solves F/y = 0 for w = -ln(1 - r y), in which F stays finite, between ends
+    whose signs are proven: log1p's Taylor bounds give F >= y (F'(0) - y (1/2 + r^2))
+    for r y <= 1/2, which is at least F'(0) y / 2 > 0 at y = min(1/(2r), F'(0)/(1 + 2r^2));
+    and at w = ln(1 + 1/r), F = ln((1 + r + r^2)/(1 + r)^2) - b y < 0.
     """
     if b == 0:
         return math.inf
-    c = a - b - a * b
+    r = b / a
+    slope = (a - b - a * b) / a
 
-    def h(x):
-        return c if x == 1.0 else (a - math.exp((1.0 - x) * b) * (a + b - b * x) * x) / (1.0 - x)
+    def y_of(w):
+        return -math.expm1(-w) / r
 
-    return bracketed_root(h, 1.0, (a + b) / b, 1e-15 * (a + b) / b)
+    def residual(w):
+        y = y_of(w)
+        return float(_gain_exponent(b, y, w)) / y
+
+    lo = -math.log1p(-r * min(0.5 / r, slope / (1.0 + 2.0 * r * r)))
+    return y_of(bracketed_root(residual, lo, math.log1p(1.0 / r), 0.0))
 
 
-def _gain_log_pgf(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log Q(z) of the post-mining gain pmf q at each z in (1, rho0); nan elsewhere.
+def _gain_log_pgf(a: float, b: float, y: np.ndarray) -> np.ndarray:
+    """log Q(1 + y) of the post-mining gain pmf q at each y in (0, y0); nan elsewhere.
 
-    q(0) = xi_0 + xi_1 and q(n) = xi_{n+1}, so Q(z) = xi_0 + (xi(z) - xi_0) / z,
-    a sum of two positive terms for z > 1 (xi(1) = 1 > xi_0 = (a-b-ab)/a).
+    q(0) = xi_0 + xi_1 and q(n) = xi_{n+1}, so with z = 1 + y,
+    Q(z) = xi_0 + (xi(z) - xi_0) / z = (xi_0 y + xi(z)) / (1 + y), xi_0 = (a-b-ab)/a:
+    two positive terms where F(y) > 0 (_gain_exponent), which is exactly (0, y0).
     """
-    c = a - b - a * b
+    c = (a - b - a * b) / a
     with np.errstate(all="ignore"):
-        den = a - np.exp((1.0 - z) * b) * (a + b - b * z) * z  # negative on (1, rho0)
-        xi = (1.0 - z) * c / den
-        return np.where((z > 1.0) & (den < 0.0), np.log(c / a + (xi - c / a) / z), np.nan)
+        f = _gain_exponent(b, y, -np.log1p(-(b / a) * y))
+        xi = c * y / np.expm1(f)
+        return np.where(f > 0.0, np.log(c * y + xi) - np.log1p(y), np.nan)
 
 
-# Points in (1, rho0), as fractions of rho0 - 1, where the Chernoff bound on q's tail
-# is minimized: the best lies within (rho0 - 1) / n of rho0 for a tail past n.
-_POLE_GRID = 1.0 - 0.5 ** np.arange(1, 41)
+# Points in (0, y0), as fractions of y0, where the Chernoff bound on q's tail is
+# minimized: the best lies about y0 / n from the pole for a tail past n, and q stops
+# at _GAIN_TERMS_MAX = 2^14 terms; nearer the pole, F's own rounding dominates.
+_POLE_GRID = 1.0 - 0.5 ** np.arange(1, 21)
 
 
-def _gain_terms(a: float, b: float, rho0: float) -> tuple[int, float]:
+def _gain_terms(a: float, b: float, y0: float) -> tuple[int, float]:
     """(n, envelope): q(0..n-1) leave a tail below e^{_LOG_LOWER}, or n = _GAIN_TERMS_MAX.
 
-    Chernoff: sum_{m>=n} q(m) <= Q(rho) rho^-n for every rho in (1, rho0),
-    rho0 = _gain_pole(a, b), minimized over _POLE_GRID; the envelope is that
+    Chernoff: sum_{m>=n} q(m) <= Q(rho) rho^-n for every rho = 1 + y, y in (0, y0),
+    y0 = _gain_pole(a, b), minimized over _POLE_GRID; the envelope is that
     bound at the n returned.
     """
     if b == 0:  # xi = 1: all of q's mass is at 0
         return 2, 0.0
-    rho = 1.0 + (rho0 - 1.0) * _POLE_GRID
-    log_q, log_rho = _gain_log_pgf(a, b, rho), np.log(rho)
+    y = y0 * _POLE_GRID
+    log_q, log_rho = _gain_log_pgf(a, b, y), np.log1p(y)
     ok = np.isfinite(log_q)
     need = np.ceil((log_q[ok] - _LOG_LOWER) / log_rho[ok])
     n = int(min(max(need.min(initial=np.inf), 2.0), _GAIN_TERMS_MAX))
@@ -762,11 +784,11 @@ def _gain_terms(a: float, b: float, rho0: float) -> tuple[int, float]:
 
 # Points of (0, 1), as fractions of a, where _lower_chernoff's bound is taken: a
 # uniform grid, and a geometric approach to 0, where z - 1 ~ u (1 + 1/a) stays below
-# rho0 - 1 as the gain pmf's pole nears 1.
+# y0 as the gain pmf's pole nears 1.
 _CHERNOFF_GRID = np.concatenate([0.5 ** np.arange(60, 7, -1), np.arange(1, _REFINE) / _REFINE])
 
 
-def _lower_chernoff(a: float, b: float, rho0: float):
+def _lower_chernoff(a: float, b: float, y0: float):
     """(log c, s) per admissible u: delay_lower(t) <= e^{log c + s t/delta} at each u (normalized units).
 
     delay_lower's value is P(S_M > t) with S_M = sum_{i<=M} (X_i + delta), X_i
@@ -774,15 +796,15 @@ def _lower_chernoff(a: float, b: float, rho0: float):
     geometric(r), A ~ Poisson(beta t)).  Chernoff at theta = u / delta, with
     z = E e^{theta (X + delta)} = e^u a / (a - u):  P(S_M > t) <= e^{-u t/delta}
     E z^M = Q(z) (1 - r) / (1 - r z) e^{b (z - 1) t/delta} e^{-u t/delta}, for
-    u in (0, a) with z below rho0 and 1/r.
+    u in (0, a) with z - 1 = (a expm1(u) + u) / (a - u) below y0 and z below 1/r.
     """
     u = a * _CHERNOFF_GRID
-    z = np.exp(u) * a / (a - u)
+    y = (a * np.expm1(u) + u) / (a - u)
     r = b / a
     with np.errstate(all="ignore"):
-        log_c = _gain_log_pgf(a, b, z) + math.log1p(-r) - np.log1p(-r * z)
-    ok = np.isfinite(log_c) & (z < rho0)
-    return log_c[ok], (b * (z - 1.0) - u)[ok]
+        log_c = _gain_log_pgf(a, b, y) + math.log1p(-r) - np.log1p(-r * (1.0 + y))
+    ok = np.isfinite(log_c) & (y < y0)
+    return log_c[ok], (b * y - u)[ok]
 
 
 # log 2^-60: a share of a value this small leaves it unchanged in float64 (an upper
@@ -858,8 +880,8 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     """
     _require_minority(params)
     a, b = _gain_norm(params)
-    delta, rho0 = params.delta, _gain_pole(a, b)
-    n, q_tail = _gain_terms(a, b, rho0)
+    delta, y0 = params.delta, _gain_pole(a, b)
+    n, q_tail = _gain_terms(a, b, y0)
     q = postmine_gain_pmf(params, n - 1)
     if q.min() < -1e-9:
         raise InfeasibleParametersError(
@@ -867,7 +889,7 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
         )
     r = b / a
     rest = np.append(np.cumsum(q[::-1])[::-1], 0.0)  # rest[n] = sum_{m >= n} q(m)
-    log_c, slope = _lower_chernoff(a, b, rho0)
+    log_c, slope = _lower_chernoff(a, b, y0)
     margin = -_LOG_NEGLIGIBLE + 1.0 - math.log(q[0] * (1.0 - r))  # -log(e^-1 2^-60 q(0) (1 - r))
 
     def rows_of(ts, c, top):

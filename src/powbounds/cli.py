@@ -239,7 +239,7 @@ def _trials(text: str) -> int:
 
 
 def _campaign(args):
-    """Parameters, latency t, post-window length and simulator config of an attack or race."""
+    """Parameters, latency t and simulator config of an attack or race."""
     params = _params_from(args)
     trials = _trials(args.trials)
     if params.beta >= params.alpha:
@@ -248,7 +248,7 @@ def _campaign(args):
         )
     t = parse_time(args.t)
     warmup = 50.0 / (params.alpha - params.beta)
-    post = 20.0 / (params.alpha - params.beta)
+    post = simulator._post_horizon(params, math.inf)  # beta < alpha: 20/(alpha-beta)
     cfg = _sim_config(
         params=params,
         horizon=warmup + t + post,
@@ -256,7 +256,7 @@ def _campaign(args):
         trials=trials,
         master_seed=args.seed,
     )
-    return params, t, post, cfg
+    return params, t, cfg
 
 
 def _sim_config(**fields) -> simulator.SimConfig:
@@ -270,8 +270,8 @@ def _sim_config(**fields) -> simulator.SimConfig:
 def cmd_simulate(args) -> int:
     ok = True
     if args.mode == "attack":
-        params, t, post, cfg = _campaign(args)
-        est = simulator.estimate_attack_success(cfg, t, post)
+        params, t, cfg = _campaign(args)
+        est = simulator.estimate_attack_success(cfg, t)
         lower = bounds.bound_of_kind("lower", params)(params, t).probability
         upper = bounds.bound_of_kind("upper", params)(params, t).probability
         ok = est.value <= upper + 3.0 * est.stderr and est.value >= lower - 3.0 * est.stderr
@@ -317,7 +317,7 @@ def cmd_simulate(args) -> int:
             )
         if args.stream == "double-lagger" and args.delta == 0:
             raise SchemaError("the double-lagger race needs --delta > 0")
-        params, t, _, cfg = _campaign(args)
+        params, t, cfg = _campaign(args)
         spec = RaceSpec(mu=params.delta, nu=params.delta, n=1, t=t)
         est = simulator.estimate_race_loss(cfg, spec, args.stream)
         upper = bounds.delay_upper(params, t).probability if args.stream == "double-lagger" else None

@@ -82,22 +82,19 @@ def fault_tolerance(spec: ProtocolSpec, model: DelayModel, criterion: str = "ult
     """
     rate = spec.total_rate
     delta = protocol_delay(spec, model)
+    if criterion == "ultimate":
+        return 1.0 / (2.0 + rate * delta)
+    if criterion != "loner-rate":
+        raise ValueError(f"unknown criterion {criterion!r}")
 
     def margin(f):
         alpha = (1.0 - f) * rate
-        beta = f * rate
-        if criterion == "loner-rate":
-            return alpha * math.exp(-2.0 * alpha * delta) - beta
-        if criterion == "ultimate":
-            return alpha / (1.0 + rate * delta) - beta
-        raise ValueError(f"unknown criterion {criterion!r}")
+        return alpha * math.exp(-2.0 * alpha * delta) - f * rate
 
     if margin(0.5 - 1e-12) > 0:
         return 0.5
     if margin(1e-12) <= 0:
         return 0.0  # even a sliver of adversarial power breaks the condition
-    if criterion == "ultimate":
-        return 1.0 / (2.0 + rate * delta)
     return bracketed_root(margin, 1e-12, 0.5 - 1e-12, 1e-12)
 
 

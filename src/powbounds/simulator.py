@@ -401,15 +401,14 @@ def _premine_gain(rng, params: ProtocolParams, warmup_s: float, n: int) -> np.nd
     return walk[offsets[1:]] - start - np.minimum(low, 0)
 
 
-def _post_horizon(config: SimConfig, post_horizon: Optional[float]) -> float:
-    p = config.params
-    if post_horizon is not None:
-        return post_horizon
-    return 20.0 / (p.alpha - p.beta) if p.alpha > p.beta else config.horizon
+def _post_horizon(p: ProtocolParams, horizon: float) -> float:
+    """Length (s) of the attacker's private post-mining window: 20/(alpha-beta), or horizon at beta >= alpha."""
+    return 20.0 / (p.alpha - p.beta) if p.alpha > p.beta else horizon
 
 
-def _attack(rng, config: SimConfig, n: int, t: float, post_horizon: float) -> AttackOutcome:
+def _attack(rng, config: SimConfig, n: int, t: float) -> AttackOutcome:
     p = config.params
+    post_horizon = _post_horizon(p, config.horizon)
     big_l = _premine_gain(rng, p, config.warmup_s, n)
     adv = rng.poisson(p.beta * t, n)
     if p.delta == 0:
@@ -428,31 +427,24 @@ def _attack(rng, config: SimConfig, n: int, t: float, post_horizon: float) -> At
     )
 
 
-def run_private_attack(
-    config: SimConfig, t: float, post_horizon: Optional[float] = None
-) -> AttackOutcome:
+def run_private_attack(config: SimConfig, t: float) -> AttackOutcome:
     """Replay every trial of the private attack with maximal delay manipulation.
 
     The attacker pre-mines during the warmup, races the honest chain over
     (0, t], then keeps mining in private hoping to catch up within the
-    post-horizon (default 20/(alpha-beta); truncation loses a geometric tail).
+    post-horizon (20/(alpha-beta); truncation loses a geometric tail).
     Returns per-trial arrays; these are the draws `estimate_attack_success` makes.
     """
-    post = _post_horizon(config, post_horizon)
-    parts = [_attack(rng, config, n, t, post) for rng, n in _chunks(config)]
+    parts = [_attack(rng, config, n, t) for rng, n in _chunks(config)]
     return AttackOutcome(
         *(np.concatenate([getattr(o, f.name) for o in parts]) for f in fields(AttackOutcome))
     )
 
 
-def estimate_attack_success(
-    config: SimConfig, t: float, post_horizon: Optional[float] = None
-) -> Estimate:
+def estimate_attack_success(config: SimConfig, t: float) -> Estimate:
     """Private-attack success frequency over all configured trials."""
-    post = _post_horizon(config, post_horizon)
     wins = sum(
-        int(np.count_nonzero(_attack(rng, config, n, t, post).success))
-        for rng, n in _chunks(config)
+        int(np.count_nonzero(_attack(rng, config, n, t).success)) for rng, n in _chunks(config)
     )
     return _frequency(wins, config.trials)
 

@@ -215,7 +215,7 @@ def test_criterion_08_sandwich(capsys):
             params=P10, horizon=warm + t + post, warmup_s=warm, trials=trials,
             master_seed=800 + i,
         )
-        attack = estimate_attack_success(cfg, t, post)
+        attack = estimate_attack_success(cfg, t)
         lower = delay_lower(P10, t).probability
         lo_ok = attack.value >= lower - 3.0 * max(attack.stderr, math.sqrt(lower / trials))
         race = estimate_race_loss(cfg, RaceSpec(mu=DELTA, nu=DELTA, n=1, t=t), "double-lagger")

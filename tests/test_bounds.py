@@ -767,6 +767,19 @@ def test_delay_lower_truncation_tail_envelopes_the_discarded_terms_property():
         assert (kept.truncation_tail[big] <= 2.0**-60 * kept.raw_value[big]).all()
 
 
+def test_delay_lower_chernoff_tail_envelopes_a_row_it_spares(monkeypatch):
+    # 50.1% honest at 600/h: at 3.16e6 s the row's ranges pass _TERMS_MAX, so it reads 0
+    # with the whole-value Chernoff bound as its tail; summed to 2^20 terms the value is
+    # 0.39, which that bound (from log Q near z = 1) must cover
+    params = ProtocolParams.from_adversary_share(600.0 / 3600.0, 1.0 - 0.501, 0.011976047904191616)
+    t = 3.16e6
+    kept = delay_lower(params, t)
+    monkeypatch.setattr(bounds, "_TERMS_MAX", 2**20)
+    wide = delay_lower(params, t).raw_value
+    assert kept.raw_value == 0.0 and wide > 0.3
+    assert kept.raw_value + kept.truncation_tail >= wide
+
+
 def test_zero_delay_lower_truncation_tail_envelopes_the_discarded_terms_property():
     # as for delay_lower, at delta = 0 and shares to 0.499: the reference sums 4x
     # the orders, each row rescaled to the exact drift as zero_delay_lower does

@@ -1,6 +1,8 @@
 """The two series-based lower bounds, the Skellam pmf, log k! and the double-lagger MGF
 against 50-digit mpmath re-evaluations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,3 +385,78 @@ def test_renewal_race_bound_array_u_is_bit_identical_to_scalar_calls(b):
     for field in ("raw_value", "probability", "optimizer_v"):
         got = np.asarray(getattr(whole, field)).tobytes()
         assert got == np.array([getattr(r, field) for r in each]).tobytes(), field
+
+
+def _gain_pole_mp(a, b):
+    """y0 = rho0 - 1 at 50 digits, bisected on the sign of the deficit transform's
+    denominator den(rho) = a - e^{(1-rho)b} (a+b-b rho) rho itself: negative on
+    (1, rho0), positive from rho0 on, and a > 0 at rho = (a+b)/b.  a+b-b rho
+    cancels ~log10 rho digits there, so the working precision grows by as many."""
+    with mp.workdps(60 + int(math.log10((a + b) / b))):
+        am, bm = mpf(a), mpf(b)
+
+        def den(y):
+            return am - mp.exp(-y * bm) * (am - bm * y) * (1 + y)
+
+        lo, hi = mpf(0), am / bm
+        while hi - lo > mpf(10) ** -50 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if den(mid) < 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+def _gain_log_pgf_mp(a, b, y):
+    """log Q(1 + y) at 50 digits from xi's closed form, Q(z) = xi_0 + (xi(z) - xi_0) / z,
+    with z = 1 + y formed exactly from the float y."""
+    with mp.workdps(50):
+        am, bm, z = mpf(a), mpf(b), 1 + mpf(y)
+        c = am - bm - am * bm
+        xi = (1 - z) * c / (am - mp.exp((1 - z) * bm) * (am + bm - bm * z) * z)
+        return mp.log(c / am + (xi - c / am) / z)
+
+
+def _gain_models(n, min_share, min_alpha_delta, seed):
+    """(a, b) of n derandomised feasible models: shares log-uniform from min_share to 0.49,
+    6-600/h and alpha*delta log-uniform from min_alpha_delta to 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        share = 10.0 ** rng.uniform(math.log10(min_share), math.log10(0.49))
+        per_hour = 10.0 ** rng.uniform(math.log10(6.0), math.log10(600.0))
+        params = _feasible_model(share, per_hour, 10.0 ** rng.uniform(math.log10(min_alpha_delta), 0.0))
+        if params is not None:
+            out.append((params.alpha * params.delta, params.beta * params.delta))
+    return out
+
+
+def test_gain_pole_matches_mpmath_across_shares():
+    # shares to 1e-160, where the old bracket's far end (a+b)/b took the wrong sign, and
+    # the model that raised ValueError at share 1e-16 (alpha*delta = 1e-4)
+    crashed = ProtocolParams(alpha=1 / 600, beta=1.6666666666666667e-19, delta=0.060000000000000005)
+    models = _gain_models(60, 1e-160, 1e-8, 23) + [
+        (crashed.alpha * crashed.delta, crashed.beta * crashed.delta)
+    ]
+    for a, b in models:
+        got = bounds._gain_pole(a, b)
+        with mp.workdps(50):
+            want = _gain_pole_mp(a, b)
+            assert abs(got - want) <= 1e-12 * want, (a, b)
+    assert delay_lower(crashed, 3600.0).raw_value > 0.0
+
+
+def test_gain_log_pgf_matches_mpmath_on_both_grids():
+    # log Q within 1e-11 at every admissible point of _lower_chernoff's grid, where
+    # z - 1 reaches 1e-18, and within 1e-7 on the pole grid, out to 2^-20 of y0
+    checked = 0
+    for a, b in _gain_models(24, 1e-15, 1e-4, 2020):
+        y0 = bounds._gain_pole(a, b)
+        u = a * bounds._CHERNOFF_GRID
+        for ys, tol in (((a * np.expm1(u) + u) / (a - u), 1e-11), (y0 * bounds._POLE_GRID, 1e-7)):
+            got = bounds._gain_log_pgf(a, b, ys)
+            live = np.isfinite(got) & (ys < y0)
+            assert live.any()
+            for y, g in zip(ys[live].tolist(), got[live].tolist()):
+                with mp.workdps(50):
+                    assert abs(g - _gain_log_pgf_mp(a, b, y)) <= tol, (a, b, y)
+                checked += 1
+    assert checked >= 1000

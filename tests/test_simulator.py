@@ -188,7 +188,7 @@ def test_double_lagger_mgf_matches_simulation():
 def test_attack_without_adversary_never_wins():
     p = ProtocolParams(alpha=0.01, beta=0.0, delta=10.0)
     cfg = SimConfig(params=p, horizon=20000.0, warmup_s=1000.0, trials=50, master_seed=2)
-    est = estimate_attack_success(cfg, 5000.0, post_horizon=2000.0)
+    est = estimate_attack_success(cfg, 5000.0)
     assert est.value == 0.0
 
 
@@ -206,7 +206,7 @@ def test_premine_gain_is_geometric_at_steady_state():
     p = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.25, 0.0)
     w = 50.0 / (p.alpha - p.beta)
     cfg = SimConfig(params=p, horizon=w + 1.0, warmup_s=w, trials=4000, master_seed=13)
-    ls = run_private_attack(cfg, 1.0, post_horizon=1.0).premine_gain_L
+    ls = run_private_attack(cfg, 1.0).premine_gain_L
     r = p.beta / p.alpha
     p0 = np.mean(np.asarray(ls) == 0)
     se = math.sqrt((1 - r) * r / 4000)
@@ -427,7 +427,7 @@ def test_campaign_memory_is_bounded():
             tracemalloc.stop()
 
     def attack(cfg):
-        estimate_attack_success(cfg, 1800.0, post)
+        estimate_attack_success(cfg, 1800.0)
 
     def race(cfg):
         estimate_race_loss(cfg, spec, "double-lagger")
