@@ -298,10 +298,15 @@ def _zero_delay_orders(r: float, z: float = math.inf, cap: int = _TERMS_MAX) -> 
 
 
 def zero_delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
-    """Success probability of the private attack with zero delay (unachievable level).
+    """Private-attack success with zero delay, over the paths with H - A >= -1 at t (unachievable level).
 
-    sum_k skellam(k-1; alpha t, beta t) (beta/alpha)^k (1 + k (1 - beta/alpha)),
-    each t over the orders 0..K_j that _zero_delay_orders sizes from
+    sum_{k >= 0} skellam(k-1; alpha t, beta t) (beta/alpha)^k (1 + k (1 - beta/alpha)),
+    with H and A the honest and adversarial block counts at t and order k
+    the paths with H - A = k - 1.  The sum leaves out the paths where the
+    adversary leads by two or more blocks at t, P(H - A <= -2), so it is
+    below the attack's success probability: 8.24e-4 against 9.56e-4 at
+    10%, 6/h, 2 h, and 0.706 against 0.896 at 45%, 6/h, 1 h.  Each t sums
+    the orders 0..K_j that _zero_delay_orders sizes from
     r = beta/alpha and its own z = 2 t sqrt(alpha beta): the terms past K_j
     sum to at most 2^-60 of the value, and truncation_tail is their
     envelope term_K rho / (1 - rho).  Truncation discards nonnegative terms
@@ -327,7 +332,8 @@ def zero_delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResu
         mu1, mu2 = a * ts, b * ts  # one Skellam row per t
         with np.errstate(over="ignore"):
             z = 2.0 * np.sqrt(mu1 * mu2)
-        tops, rhos = zip(*(_zero_delay_orders(r, zj, cap) for zj in z.tolist()))
+        orders = [_zero_delay_orders(r, zj, cap) for zj in z.tolist()]
+        tops, rhos = [k for k, _ in orders], [rho for _, rho in orders]
         raw, tail = np.empty(ts.size), np.empty(ts.size)
         for group in _row_groups([k + 1 for k in tops]):
             j = np.array(group)
@@ -1001,8 +1007,9 @@ def _search(raw_pairs, starts: list, levels: list) -> list:
 
     raw is a bound's raw value, assumed nonincreasing in t; against a level in
     (0, 1) it compares as the probability does.  raw_pairs maps one whole
-    second s per row (a list) to every row's raw values at (s - 1, s), an
-    array of shape (rows, 2); each step makes one call.  A row keeps a
+    second s per row (a list) and the indices of the open rows to the raw
+    values at (s - 1, s), an array of shape (rows, 2) that the open rows read;
+    each step makes one call.  A row keeps a
     bracket lo < t <= hi (lo = 0, hi unknown at first) and closes when
     hi - lo = 1, so a start at the answer costs one call.  Its next s is the
     secant of log raw - log level through its last pair, rounded up and kept
@@ -1021,7 +1028,7 @@ def _search(raw_pairs, starts: list, levels: list) -> list:
     log_eps = np.array([math.log(e) for e in levels])[:, None]
     open_ = list(range(n))
     while True:
-        raw = raw_pairs(s)
+        raw = raw_pairs(s, open_)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = (np.log(raw) - log_eps).tolist()
         raw, still = raw.tolist(), []
@@ -1060,87 +1067,92 @@ def _search(raw_pairs, starts: list, levels: list) -> list:
             return found
 
 
-def _invert_delay_upper(models: Sequence[ProtocolParams], levels: list) -> list:
-    """Per model: invert_latency(delay_upper, model, levels) as a list, or the error it raises.
-
-    Each model's root u0 is solved once.  The feasible models then enter the
-    race kernel as columns (a, b, u0 and the mean, shape (models, 1, 1)),
-    broadcast against each row's points, so the batch makes the race-kernel
-    calls of one model: the coarse grid, one vertex for every (model,
-    level) crossing t* read from it (_delay_crossings; a row it cannot
-    settle falls back to a pass and a vertex over the batch), and a
-    pass and a vertex for each step of _search, which starts every row at
-    ceil(t*) and takes its pairs from delay_upper's kernel on the solved
-    models.  A start at the answer closes in that one step, so with no
-    fallback the batch makes four race-kernel calls.  Every step is
-    elementwise per row, so a model's values are those of a batch of one,
-    bit for bit.  A model with no admissible u has no t*: its rows start at
-    the horizon, where they close at once.
-    """
-    results = [None] * len(models)
-    solved = []
-    for j, params in enumerate(models):
-        try:
-            solved.append((j, params, *_delay_norm(params)))
-        except InfeasibleParametersError as e:
-            results[j] = e
-    if not solved:
-        return results
-
-    def col(xs):  # one model's columns stay floats: they broadcast alike, at less cost per op
-        return xs[0] if len(xs) == 1 else np.array(xs, dtype=float)[:, None, None]
-
-    _, params, mgfs, bs = zip(*solved)
-    a = col([p.alpha * p.delta for p in params])
-    mgf = Mgf(
-        excess=lambda u: _zeta_norm(u, a),
-        roc_sup=col([m.roc_sup for m in mgfs]),
-        mean=col([m.mean for m in mgfs]),
-    )
-    b, d = col(bs), np.array([p.delta for p in params])[:, None]
-    coarse = _delay_coarse(mgf, b)
-    log_eps = np.array([math.log(e) for e in levels])
-    t_star = _delay_crossings(mgf, b, coarse, log_eps, d) * d
-    # ceil(t*) clamped to [1, horizon]; a nan t* (no admissible u) gives the horizon
-    starts = np.ceil(np.fmin(np.maximum(t_star, 1.0), float(_LATENCY_HORIZON)))
-
-    def raw_pairs(s):
-        ts = (np.array(s, dtype=float).reshape(starts.shape)[..., None] + _PAIR).reshape(len(solved), -1)
-        return _delay_upper_rows(mgf, b, d, coarse, ts)[0].reshape(-1, 2)
-
-    found = _search(raw_pairs, starts.reshape(-1).tolist(), levels * len(solved))
-    unsolved = np.isnan(t_star).any(axis=1).tolist()
-    for m, (j, *_) in enumerate(solved):
-        latencies = found[m * len(levels) : (m + 1) * len(levels)]
-        if unsolved[m]:
-            results[j] = BracketError(_NO_ADMISSIBLE_POINT)
-        elif None in latencies:
-            results[j] = BracketError(_UNREACHABLE)
-        else:
-            results[j] = latencies
-    return results
-
-
-# (model, level) rows one _invert_delay_upper call takes at most: its work arrays
-# are then at most 2 _BATCH_ROWS x 511 floats (~1 MB) each, whatever the number of models.
+# (model, level) rows one _invert call takes at most: delay_upper's work arrays are
+# then at most 2 _BATCH_ROWS x 511 floats (~1 MB) each, whatever the number of models.
 _BATCH_ROWS = 128
 
 
-def _invert_by_secant(bound_fn, params: ProtocolParams, levels: list) -> list:
-    """invert_latency for a form other than delay_upper: _search from _SEARCH_START on bound_fn's pairs.
+def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list:
+    """Per model j: invert_latency(forms[j], models[j], levels) as a list, or the error it raises.
 
-    The secant through (_SEARCH_START - 1, _SEARCH_START) is the crossing
-    itself for a form c e^{-rate t}, so such a form takes two bound calls.
+    Every (model, level) row runs through one _search, in groups that are
+    evaluated while any of their rows is open, so each model makes the calls
+    of its own inversion.  The delay_upper models are one group: each root u0
+    is solved once, and the feasible models enter the race kernel as columns
+    (a, b, u0 and the mean, shape (models, 1, 1)), broadcast against each
+    row's points.  Their rows start at ceil(t*), the crossing
+    _delay_crossings reads from the coarse grid, and take their pairs from
+    delay_upper's kernel on the solved models: with no fallback and a start
+    at the answer the group makes four race-kernel calls, and a model with
+    no admissible u starts at the horizon and closes there.  Every other
+    model is a group of its own that starts at _SEARCH_START and makes one
+    call of its form per step; the secant through its first pair is the
+    crossing itself for a form c e^{-rate t}, so such a form takes two calls.
+    Every step is elementwise per row, so a model's values are those of a
+    batch of one, bit for bit.  An InfeasibleParametersError or BracketError
+    raised by a model's form is its result, and closes its rows.
     """
+    results = [None] * len(models)
+    groups = []  # (model indices, start per row, raw values at the rows' (s - 1, s) pairs)
+    upper = []
+    for j, (form, params) in enumerate(zip(forms, models)):
+        if form is not delay_upper:
+            values = lambda ts, f=form, p=params: f(p, ts.reshape(-1)).raw_value
+            groups.append(([j], [_SEARCH_START] * len(levels), values))
+            continue
+        try:
+            upper.append((j, params, *_delay_norm(params)))
+        except InfeasibleParametersError as e:
+            results[j] = e
+    if upper:
+        index, params, mgfs, bs = zip(*upper)
 
-    def raw_pairs(s):
-        ts = (np.array(s, dtype=float)[:, None] + _PAIR).reshape(-1)
-        return bound_fn(params, ts).raw_value.reshape(-1, 2)
+        def col(xs):  # one model's columns stay floats: they broadcast alike, at less cost per op
+            return xs[0] if len(xs) == 1 else np.array(xs, dtype=float)[:, None, None]
 
-    latencies = _search(raw_pairs, [_SEARCH_START] * len(levels), levels)
-    if None in latencies:
-        raise BracketError(_UNREACHABLE)
-    return latencies
+        a = col([p.alpha * p.delta for p in params])
+        mgf = Mgf(
+            excess=lambda u: _zeta_norm(u, a),
+            roc_sup=col([m.roc_sup for m in mgfs]),
+            mean=col([m.mean for m in mgfs]),
+        )
+        b, d = col(bs), np.array([p.delta for p in params])[:, None]
+        coarse = _delay_coarse(mgf, b)
+        t_star = _delay_crossings(mgf, b, coarse, np.array([math.log(e) for e in levels]), d) * d
+        for j, unsolved in zip(index, np.isnan(t_star).any(axis=1).tolist()):
+            if unsolved:
+                results[j] = BracketError(_NO_ADMISSIBLE_POINT)
+        # ceil(t*) clamped to [1, horizon]; a nan t* (no admissible u) gives the horizon
+        starts = np.ceil(np.fmin(np.maximum(t_star, 1.0), float(_LATENCY_HORIZON)))
+
+        def batch(ts):  # one row of ts per model
+            return _delay_upper_rows(mgf, b, d, coarse, ts.reshape(len(index), -1))[0]
+
+        groups.insert(0, (index, starts.reshape(-1).tolist(), batch))
+    starts, spans, owner = [], [], []
+    for g, (_, group_starts, _) in enumerate(groups):
+        spans.append((len(starts), len(starts) + len(group_starts)))
+        starts += group_starts
+        owner += [g] * len(group_starts)
+
+    def raw_pairs(s, open_):
+        raw, live = np.full((len(s), 2), np.nan), {owner[i] for i in open_}
+        for g, ((index, _, values), (lo, hi)) in enumerate(zip(groups, spans)):
+            if lo == hi or g in live:  # a model with no levels is still evaluated once
+                try:
+                    raw[lo:hi] = values(np.array(s[lo:hi], dtype=float)[:, None] + _PAIR).reshape(-1, 2)
+                except (InfeasibleParametersError, BracketError) as e:
+                    for j in index:
+                        results[j] = e
+        return raw
+
+    found = _search(raw_pairs, starts, levels * sum(len(index) for index, _, _ in groups))
+    for (index, _, _), (lo, _) in zip(groups, spans):
+        for k, j in enumerate(index):
+            latencies = found[lo + k * len(levels) : lo + (k + 1) * len(levels)]
+            if results[j] is None:
+                results[j] = BracketError(_UNREACHABLE) if None in latencies else latencies
+    return results
 
 
 def _levels(eps):
@@ -1159,28 +1171,20 @@ def invert_latency(
     """Smallest whole-second latency t with bound_fn(params, t).probability <= eps.
 
     eps is a level, giving an int, or a 1-D sequence of levels, giving a list
-    of ints.  Every form runs one search (_search): each step is one array
-    call at every level's (s - 1, s), and a level closes once it knows
-    bound(t) <= eps < bound(t - 1).  For delay_upper this is the batch of one
-    model of _invert_delay_upper: the search starts at ceil(t*), t* = delta
-    min_u (log c^2(u) - log eps) / psi(u) the real crossing of every level,
-    read from the coarse grid with a fallback to delay_upper's pass and
-    vertex, and takes its values from delay_upper's kernel on the model
-    solved once, bit for bit; a start at the answer with no fallback makes
-    four race-kernel calls in all.
-    Any other form starts at 600 s (_invert_by_secant), and a form
+    of ints.  This is the batch of one model of _invert: one search
+    (_search) whose every step is one array call at every level's (s - 1, s),
+    and a level closes once it knows bound(t) <= eps < bound(t - 1).
+    delay_upper starts at the crossing read from the coarse grid and takes
+    four race-kernel calls in all; any other form starts at 600 s, and a form
     c e^{-rate t} takes two bound calls.  Raises BracketError past
     600 * 2^30 s.  _search assumes a form nonincreasing in t: for one that
     rises somewhere (delay_lower can, at small t) the whole second it returns
     meets the level, but an earlier one may meet it too.
     """
     scalar, levels = _levels(eps)
-    if bound_fn is delay_upper:
-        latencies = _invert_delay_upper([params], levels)[0]
-        if isinstance(latencies, Exception):
-            raise latencies
-    else:
-        latencies = _invert_by_secant(bound_fn, params, levels)
+    latencies = _invert([bound_fn], [params], levels)[0]
+    if isinstance(latencies, Exception):
+        raise latencies
     return latencies[0] if scalar else latencies
 
 
@@ -1190,43 +1194,22 @@ def invert_latencies(
     """invert_latency(bound_of_kind(kind, p), p, eps) for each model p, in order.
 
     A model whose call would raise InfeasibleParametersError or BracketError
-    gets that error in its place.  The models whose form is delay_upper are
-    inverted together (_invert_delay_upper), in batches of at most
-    _BATCH_ROWS model x level rows: one search for every row of a batch,
-    four race-kernel calls where every start is the answer and every t*
-    comes from the coarse grid with no fallback, and each model's latencies
-    those of its own call.  The others are inverted one
-    at a time.
+    gets that error in its place.  The models go through _invert in batches
+    of at most _BATCH_ROWS model x level rows, and each model's latencies are
+    those of its own call.
     """
     scalar, levels = _levels(eps)
-    forms = {}
-    for j, params in enumerate(models):
-        forms.setdefault(bound_of_kind(kind, params), []).append(j)
-    results = [None] * len(models)
-    for bound_fn, index in forms.items():
-        if bound_fn is delay_upper:
-            size = max(1, _BATCH_ROWS // max(len(levels), 1))
-            got = [
-                latencies
-                for i in range(0, len(index), size)
-                for latencies in _invert_delay_upper(
-                    [models[j] for j in index[i : i + size]], levels
-                )
-            ]
-        else:
-            got = []
-            for j in index:
-                try:
-                    got.append(_invert_by_secant(bound_fn, models[j], levels))
-                except (InfeasibleParametersError, BracketError) as e:
-                    got.append(e)
-        for j, latencies in zip(index, got):
-            results[j] = latencies[0] if scalar and isinstance(latencies, list) else latencies
-    return results
+    forms = [bound_of_kind(kind, params) for params in models]
+    size = max(1, _BATCH_ROWS // max(len(levels), 1))
+    return [
+        latencies[0] if scalar and isinstance(latencies, list) else latencies
+        for i in range(0, len(models), size)
+        for latencies in _invert(forms[i : i + size], models[i : i + size], levels)
+    ]
 
 
 # Bound kind -> names of its (zero-delay, delay) forms, looked up at call time so that a
-# wrapped form is found (invert_latency recognises delay_upper by identity).
+# wrapped form is found (_invert recognises delay_upper by identity).
 BOUND_KINDS = {
     "upper": ("zero_delay_upper", "delay_upper"),
     "lower": ("zero_delay_lower", "delay_lower"),

@@ -135,6 +135,8 @@ def cmd_latency(args) -> int:
     _check_fraction("--split", args.split)
     eps_time = args.split * args.level
     eps_depth = (1.0 - args.split) * args.level
+    if not (eps_time > 0 and eps_depth > 0):
+        raise SchemaError(f"--split {args.split} of --level {args.level} underflows to 0")
     t = bounds.invert_latency(bounds.bound_of_kind("upper", params), params, eps_time)
     depth = bounds.depth_from_time(params, t, eps_depth)
     _emit(
@@ -274,7 +276,9 @@ def cmd_simulate(args) -> int:
         est = simulator.estimate_attack_success(cfg, t)
         lower = bounds.bound_of_kind("lower", params)(params, t).probability
         upper = bounds.bound_of_kind("upper", params)(params, t).probability
-        ok = est.value <= upper + 3.0 * est.stderr and est.value >= lower - 3.0 * est.stderr
+        # 0 successes have stderr 0: the lower side allows at least 3 sqrt(lower / trials)
+        slack = 3.0 * max(est.stderr, math.sqrt(lower / est.trials))
+        ok = est.value <= upper + 3.0 * est.stderr and est.value >= lower - slack
         report = {
             "mode": "attack",
             "trials": est.trials,

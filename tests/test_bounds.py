@@ -531,6 +531,15 @@ def test_array_t_rejects_higher_rank():
         delay_upper(BITCOIN_10, np.ones((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["zero_delay_upper", "zero_delay_lower", "delay_upper", "delay_upper_universal", "delay_lower"],
+)
+def test_array_t_takes_an_empty_array(name):
+    params = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.1, 0.0 if name.startswith("zero") else 10.0)
+    assert getattr(bounds, name)(params, np.array([])).raw_value.shape == (0,)
+
+
 def test_bound_memory_is_bounded_per_block():
     # each kernel holds one block of t at a time: eight blocks peak no higher
     # than one plus the per-t outputs
@@ -1356,6 +1365,50 @@ def test_invert_latencies_closes_bad_models_in_the_first_step(monkeypatch):
     assert got[0] == want
     assert isinstance(got[1], BracketError) and str(got[1]) == bounds._UNREACHABLE
     assert isinstance(got[2], BracketError) and str(got[2]) == bounds._NO_ADMISSIBLE_POINT
+
+
+# Models at delta = 0 and delta > 0, feasible and infeasible, and one past the
+# horizon at delta = 0, for every bound kind.
+MIXED_MODELS = [
+    BITCOIN_10,
+    ProtocolParams.from_adversary_share(6.0 / 3600.0, 0.25, 0.0),
+    ProtocolParams(alpha=1.0 / 600.0, beta=1.0 / 300.0, delta=10.0),
+    BITCOIN_25,
+    ProtocolParams(alpha=1.0, beta=2.0),
+    ProtocolParams.from_adversary_share(60.0 / 3600.0, 0.1, 0.0),
+    ProtocolParams(alpha=1.0, beta=0.999999),
+]
+
+
+@pytest.mark.parametrize("kind", list(bounds.BOUND_KINDS))
+@pytest.mark.parametrize("levels", [[1e-3, 1e-9], []])
+def test_invert_latencies_runs_every_form_through_one_search(monkeypatch, kind, levels):
+    # one call over every form gives each model its own call's latencies, or
+    # its error with its message, and calls each form other than delay_upper
+    # exactly as often as that model's own call does
+    calls = []
+    for name in {n for names in bounds.BOUND_KINDS.values() for n in names} - {"delay_upper"}:
+        fn = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda p, t, fn=fn: calls.append(id(p)) or fn(p, t))
+    # the upper kinds also take a model with no admissible u (delay_lower needs
+    # ~20 s a level there)
+    models = MIXED_MODELS + ([] if kind == "lower" else [_edge_model(1.0 - 2.0**-52, 6.0)])
+    want, own_calls = [], []
+    for params in models:
+        calls.clear()
+        try:
+            want.append(invert_latency(bounds.bound_of_kind(kind, params), params, levels))
+        except (InfeasibleParametersError, BracketError) as e:
+            want.append(e)
+        own_calls.append(len(calls))
+    calls.clear()
+    got = invert_latencies(kind, models, levels)
+    for params, g, w, n in zip(models, got, want, own_calls, strict=True):
+        _same_result(g, w)
+        assert calls.count(id(params)) == n
+    assert invert_latencies(kind, [], levels) == []
+    if levels:  # each kind meets every kind of result
+        assert {type(w) for w in want} == {list, InfeasibleParametersError, BracketError}
 
 
 def _count_race_kernel_calls(monkeypatch):

@@ -604,6 +604,22 @@ def test_simulate_attack_self_test(capsys):
     assert rec["analytic_lower"] <= rec["analytic_upper"]
 
 
+def test_simulate_attack_with_no_successes_passes_its_self_test(capsys):
+    # 0 successes in 500 trials (stderr 0) against a lower bound of 2.65e-10
+    code, out = run_cli(capsys, "--seed", "3", "simulate", "attack", "--t", "8h", "--trials", "500")
+    rec = json.loads(out)
+    assert code == 0 and rec["self_test_ok"] is True
+    assert rec["frequency"] == 0.0 and 0.0 < rec["analytic_lower"] < 1e-9
+
+
+@pytest.mark.parametrize("level,split", [("1e-300", "1e-100"), ("5e-324", "0.5")])
+def test_latency_level_share_that_underflows_is_a_schema_error(capsys, level, split):
+    code, out, err = run_cli_err(capsys, "latency", "--level", level, "--split", split)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "underflows" in err
+
+
 def test_simulate_species_report(capsys):
     code, out = run_cli(
         capsys, "--seed", "1", "simulate", "species", "--alpha-delta", "0.025",
