@@ -1007,10 +1007,9 @@ def _search(raw_pairs, starts: list, levels: list) -> list:
 
     raw is a bound's raw value, assumed nonincreasing in t; against a level in
     (0, 1) it compares as the probability does.  raw_pairs maps one whole
-    second s per row (a list) and the indices of the open rows to the raw
-    values at (s - 1, s), an array of shape (rows, 2) that the open rows read;
-    each step makes one call.  A row keeps a
-    bracket lo < t <= hi (lo = 0, hi unknown at first) and closes when
+    second s per row (a list) to the raw values at (s - 1, s), an array of
+    shape (rows, 2); each step makes one call, also over zero rows.  A row
+    keeps a bracket lo < t <= hi (lo = 0, hi unknown at first) and closes when
     hi - lo = 1, so a start at the answer costs one call.  Its next s is the
     secant of log raw - log level through its last pair, rounded up and kept
     in (lo, hi]; the midpoint of (lo, hi) where that secant is not finite or
@@ -1028,7 +1027,7 @@ def _search(raw_pairs, starts: list, levels: list) -> list:
     log_eps = np.array([math.log(e) for e in levels])[:, None]
     open_ = list(range(n))
     while True:
-        raw = raw_pairs(s, open_)
+        raw = raw_pairs(s)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = (np.log(raw) - log_eps).tolist()
         raw, still = raw.tolist(), []
@@ -1067,45 +1066,59 @@ def _search(raw_pairs, starts: list, levels: list) -> list:
             return found
 
 
-# (model, level) rows one _invert call takes at most: delay_upper's work arrays are
-# then at most 2 _BATCH_ROWS x 511 floats (~1 MB) each, whatever the number of models.
+# (model, level) rows of one delay_upper batch: its work arrays are then at most
+# 2 _BATCH_ROWS x 511 floats (~1 MB) each, whatever the number of models.
 _BATCH_ROWS = 128
 
 
 def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list:
     """Per model j: invert_latency(forms[j], models[j], levels) as a list, or the error it raises.
 
-    Every (model, level) row runs through one _search, in groups that are
-    evaluated while any of their rows is open, so each model makes the calls
-    of its own inversion.  The delay_upper models are one group: each root u0
-    is solved once, and the feasible models enter the race kernel as columns
-    (a, b, u0 and the mean, shape (models, 1, 1)), broadcast against each
-    row's points.  Their rows start at ceil(t*), the crossing
+    Each group of models runs through one _search of its own.  The
+    delay_upper models form column batches of at most _BATCH_ROWS rows: each
+    root u0 is solved once, and the feasible models enter the race kernel as
+    columns (a, b, u0 and the mean, shape (models, 1, 1)), broadcast against
+    each row's points.  Their rows start at ceil(t*), the crossing
     _delay_crossings reads from the coarse grid, and take their pairs from
     delay_upper's kernel on the solved models: with no fallback and a start
-    at the answer the group makes four race-kernel calls, and a model with
-    no admissible u starts at the horizon and closes there.  Every other
-    model is a group of its own that starts at _SEARCH_START and makes one
-    call of its form per step; the secant through its first pair is the
-    crossing itself for a form c e^{-rate t}, so such a form takes two calls.
-    Every step is elementwise per row, so a model's values are those of a
-    batch of one, bit for bit.  An InfeasibleParametersError or BracketError
-    raised by a model's form is its result, and closes its rows.
+    at the answer a batch makes four race-kernel calls, and a model with no
+    admissible u starts at the horizon and closes there.  Every other model
+    is a group of its own that starts at _SEARCH_START and makes one call of
+    its form per step; the secant through its first pair is the crossing
+    itself for a form c e^{-rate t}, so such a form takes two calls.  Every
+    step is elementwise per row, so a model's values are those of a batch of
+    one, bit for bit.  An InfeasibleParametersError or BracketError raised by
+    a group's form is the result of its models, and closes their rows.
     """
     results = [None] * len(models)
-    groups = []  # (model indices, start per row, raw values at the rows' (s - 1, s) pairs)
+
+    def search(index, starts, values):
+        def raw_pairs(s):
+            try:
+                return values(np.array(s, dtype=float)[:, None] + _PAIR).reshape(-1, 2)
+            except (InfeasibleParametersError, BracketError) as e:
+                for j in index:
+                    results[j] = e
+                return np.full((len(s), 2), np.nan)
+
+        found = _search(raw_pairs, starts, levels * len(index))
+        for k, j in enumerate(index):
+            latencies = found[k * len(levels) : (k + 1) * len(levels)]
+            if results[j] is None:
+                results[j] = BracketError(_UNREACHABLE) if None in latencies else latencies
+
     upper = []
     for j, (form, params) in enumerate(zip(forms, models)):
         if form is not delay_upper:
-            values = lambda ts, f=form, p=params: f(p, ts.reshape(-1)).raw_value
-            groups.append(([j], [_SEARCH_START] * len(levels), values))
+            search([j], [_SEARCH_START] * len(levels), lambda ts: form(params, ts.reshape(-1)).raw_value)
             continue
         try:
             upper.append((j, params, *_delay_norm(params)))
         except InfeasibleParametersError as e:
             results[j] = e
-    if upper:
-        index, params, mgfs, bs = zip(*upper)
+    size = max(1, _BATCH_ROWS // max(len(levels), 1))
+    for i in range(0, len(upper), size):
+        index, params, mgfs, bs = zip(*upper[i : i + size])
 
         def col(xs):  # one model's columns stay floats: they broadcast alike, at less cost per op
             return xs[0] if len(xs) == 1 else np.array(xs, dtype=float)[:, None, None]
@@ -1124,34 +1137,8 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
                 results[j] = BracketError(_NO_ADMISSIBLE_POINT)
         # ceil(t*) clamped to [1, horizon]; a nan t* (no admissible u) gives the horizon
         starts = np.ceil(np.fmin(np.maximum(t_star, 1.0), float(_LATENCY_HORIZON)))
-
-        def batch(ts):  # one row of ts per model
-            return _delay_upper_rows(mgf, b, d, coarse, ts.reshape(len(index), -1))[0]
-
-        groups.insert(0, (index, starts.reshape(-1).tolist(), batch))
-    starts, spans, owner = [], [], []
-    for g, (_, group_starts, _) in enumerate(groups):
-        spans.append((len(starts), len(starts) + len(group_starts)))
-        starts += group_starts
-        owner += [g] * len(group_starts)
-
-    def raw_pairs(s, open_):
-        raw, live = np.full((len(s), 2), np.nan), {owner[i] for i in open_}
-        for g, ((index, _, values), (lo, hi)) in enumerate(zip(groups, spans)):
-            if lo == hi or g in live:  # a model with no levels is still evaluated once
-                try:
-                    raw[lo:hi] = values(np.array(s[lo:hi], dtype=float)[:, None] + _PAIR).reshape(-1, 2)
-                except (InfeasibleParametersError, BracketError) as e:
-                    for j in index:
-                        results[j] = e
-        return raw
-
-    found = _search(raw_pairs, starts, levels * sum(len(index) for index, _, _ in groups))
-    for (index, _, _), (lo, _) in zip(groups, spans):
-        for k, j in enumerate(index):
-            latencies = found[lo + k * len(levels) : lo + (k + 1) * len(levels)]
-            if results[j] is None:
-                results[j] = BracketError(_UNREACHABLE) if None in latencies else latencies
+        rows = lambda ts: _delay_upper_rows(mgf, b, d, coarse, ts.reshape(len(index), -1))[0]
+        search(index, starts.reshape(-1).tolist(), rows)
     return results
 
 
@@ -1194,17 +1181,14 @@ def invert_latencies(
     """invert_latency(bound_of_kind(kind, p), p, eps) for each model p, in order.
 
     A model whose call would raise InfeasibleParametersError or BracketError
-    gets that error in its place.  The models go through _invert in batches
-    of at most _BATCH_ROWS model x level rows, and each model's latencies are
-    those of its own call.
+    gets that error in its place.  All models go through one _invert, and
+    each model's latencies are those of its own call.
     """
     scalar, levels = _levels(eps)
     forms = [bound_of_kind(kind, params) for params in models]
-    size = max(1, _BATCH_ROWS // max(len(levels), 1))
     return [
         latencies[0] if scalar and isinstance(latencies, list) else latencies
-        for i in range(0, len(models), size)
-        for latencies in _invert(forms[i : i + size], models[i : i + size], levels)
+        for latencies in _invert(forms, models, levels)
     ]
 
 

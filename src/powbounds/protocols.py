@@ -184,9 +184,9 @@ def default_config_path() -> str:
 def load_config(path: str):
     """Read (specs, delay model) from a JSON config; raises SchemaError on bad shape."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaError(f"invalid JSON in {path}: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
@@ -194,6 +194,10 @@ def load_config(path: str):
         if key not in doc:
             raise SchemaError(f"missing key {key!r}")
     dm = doc["delay_model"]
+    if not isinstance(dm, dict):
+        raise SchemaError("delay_model must be an object")
+    if not isinstance(doc["protocols"], list):
+        raise SchemaError("protocols must be a list")
     for key in ("a_s_per_kb", "b_s"):
         if key not in dm:
             raise SchemaError(f"delay_model missing key {key!r}")
@@ -203,6 +207,8 @@ def load_config(path: str):
         raise SchemaError(f"bad delay_model: {e}") from e
     specs = []
     for i, entry in enumerate(doc["protocols"]):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"protocol entry {i} must be an object")
         for key in ("name", "block_size_kb", "blocks_per_hour"):
             if key not in entry:
                 raise SchemaError(f"protocol entry {i} missing key {key!r}")

@@ -48,6 +48,8 @@ class SimConfig:
             raise ValueError("need horizon > warmup_s >= 0")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         blocks = min(self.trials, CHUNK_TRIALS) * self.params.total_rate * self.horizon
         if not blocks <= _CHUNK_BLOCKS_MAX:
             raise ValueError(

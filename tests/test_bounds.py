@@ -1367,6 +1367,14 @@ def test_invert_latencies_closes_bad_models_in_the_first_step(monkeypatch):
     assert isinstance(got[2], BracketError) and str(got[2]) == bounds._NO_ADMISSIBLE_POINT
 
 
+@pytest.mark.parametrize("form", [delay_upper, bounds.delay_upper_universal])
+def test_delay_upper_forms_refuse_a_model_with_no_admissible_u(form):
+    # beta one ulp short of the feasibility edge: no coarse or edge-grid point is admissible
+    with pytest.raises(BracketError) as err:
+        form(_edge_model(1.0 - 2.0**-52, 6.0), np.array([3600.0]))
+    assert str(err.value) == bounds._NO_ADMISSIBLE_POINT
+
+
 # Models at delta = 0 and delta > 0, feasible and infeasible, and one past the
 # horizon at delta = 0, for every bound kind.
 MIXED_MODELS = [

@@ -414,6 +414,16 @@ def test_sweep_rate_emits_empty_cell_on_infeasible(capsys):
     assert rows[2]["latency_s"] == ""  # 600/hour at 25% violates feasibility
 
 
+def test_sweep_rate_json_rows_equal_the_csv_rows(capsys):
+    argv = ["sweep", "--var", "rate", "--alpha-frac", "0.75", "--grid", "6,60,600", "--level", "1e-9"]
+    code, js = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    _, cs = run_cli(capsys, "--format", "csv", *argv)
+    rows = [{k: str(v) for k, v in row.items()} for row in json.loads(js)]
+    assert rows == list(csv.DictReader(io.StringIO(cs)))
+    assert rows[2]["latency_s"] == ""
+
+
 def test_sweeps_at_zero_delay_invert_the_zero_delay_bound(capsys):
     code, out = run_cli(
         capsys, "--format", "csv", "sweep", "--var", "rate", "--delta", "0",
@@ -568,30 +578,61 @@ def test_protocol_table_missing_config_key(tmp_path, capsys):
     assert code == 3
 
 
+def _one_protocol_config(delay_model, protocol):
+    """A config's bytes: this delay model and one Bitcoin-like protocol entry updated by protocol."""
+    return json.dumps({
+        "delay_model": delay_model,
+        "protocols": [dict({"name": "Bitcoin", "blocks_per_hour": 6}, **protocol)],
+    }).encode()
+
+
 @pytest.mark.parametrize(
-    "delay_model, protocol",
+    "text",
     [
-        ({"a_s_per_kb": -1, "b_s": 0.2}, {"block_size_kb": 1000}),
-        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 0}),
-        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": "abc"}),
-        ({"a_s_per_kb": math.inf, "b_s": 0.2}, {"block_size_kb": 1000}),
-        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": math.inf}),
-        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 1000, "blocks_per_hour": math.inf}),
-        ({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 1000, "delay_override_s": math.inf}),
-        ({"a_s_per_kb": 1e308, "b_s": 0.2}, {"block_size_kb": 1e10}),
+        _one_protocol_config({"a_s_per_kb": -1, "b_s": 0.2}, {"block_size_kb": 1000}),
+        _one_protocol_config({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 0}),
+        _one_protocol_config({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": "abc"}),
+        _one_protocol_config({"a_s_per_kb": math.inf, "b_s": 0.2}, {"block_size_kb": 1000}),
+        _one_protocol_config({"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": math.inf}),
+        _one_protocol_config(
+            {"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 1000, "blocks_per_hour": math.inf}
+        ),
+        _one_protocol_config(
+            {"a_s_per_kb": 0.01, "b_s": 0.2}, {"block_size_kb": 1000, "delay_override_s": math.inf}
+        ),
+        _one_protocol_config({"a_s_per_kb": 1e308, "b_s": 0.2}, {"block_size_kb": 1e10}),
+        b'{"delay_model": {"a_s_per_kb": 0.01, "b_s": 0.2}, "protocols": 5}',
+        b'{"delay_model": 5, "protocols": []}',
+        b'{"delay_model": {"a_s_per_kb": 0.01, "b_s": 0.2}, "protocols": [5]}',
+        b"\xff\xfe{",
     ],
     ids=[
         "negative-a", "zero-block-size", "non-numeric-block-size", "infinite-a",
         "infinite-block-size", "infinite-rate", "infinite-delay-override", "overflowing-delay",
+        "protocols-not-a-list", "delay-model-not-an-object", "protocol-not-an-object", "not-utf-8",
     ],
 )
-def test_protocol_table_bad_config_value_exit_code(tmp_path, capsys, delay_model, protocol):
+def test_protocol_table_bad_config_value_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert_schema_error(capsys, "protocol-table", "--config", str(cfg))
+
+
+def test_protocol_table_failing_check_still_prints_the_table(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "delay_model": delay_model,
-        "protocols": [dict({"name": "Bitcoin", "blocks_per_hour": 6}, **protocol)],
+        "delay_model": {"a_s_per_kb": 0.0098, "b_s": 0.208},
+        "protocols": [{"name": "Bitcoin", "block_size_kb": 2000, "blocks_per_hour": 6}],
     }))
-    assert_schema_error(capsys, "protocol-table", "--config", str(cfg))
+    code, out, err = run_cli_err(capsys, "--format", "csv", "protocol-table", "--check", "--config", str(cfg))
+    assert code == 4
+    assert err == "check failures: Bitcoin throughput; Bitcoin fault tolerance\n"
+    assert [r["name"] for r in csv.DictReader(io.StringIO(out))] == ["Bitcoin"]
+
+
+def test_unreadable_and_unwritable_paths_exit_code(tmp_path, capsys):
+    assert_schema_error(capsys, "protocol-table", "--config", str(tmp_path / "missing.json"))
+    assert_schema_error(capsys, "--out", str(tmp_path / "missing" / "r.json"), "latency", "--level", "1e-3")
 
 
 def test_simulate_attack_self_test(capsys):
@@ -742,3 +783,21 @@ def test_simulate_trials_in_scientific_notation(capsys):
     code, out = run_cli(capsys, "simulate", "attack", "--delta", "0", "--trials", "1e5")
     assert code in (0, 4)
     assert json.loads(out)["trials"] == 100000
+
+
+def test_simulate_negative_seed_exit_code(capsys):
+    assert_schema_error(capsys, "--seed", "-1", "simulate", "attack", "--trials", "10")
+
+
+def test_simulate_race_self_test(capsys):
+    # the double-lagger race is checked against delay_upper; another stream has no analytic value
+    code, out = run_cli(
+        capsys, "simulate", "race", "--stream", "double-lagger", "--t", "1h", "--trials", "1000"
+    )
+    rec = json.loads(out)
+    assert code == 0 and rec["self_test_ok"] is True
+    params = ProtocolParams.from_adversary_share(parse_rate("6/hour"), 1.0 - 0.9, 10.0)
+    assert rec["analytic_upper"] == bounds.delay_upper(params, 3600.0).probability
+    code, out = run_cli(capsys, "simulate", "race", "--stream", "jumper", "--t", "1h", "--trials", "1000")
+    rec = json.loads(out)
+    assert code == 0 and rec["self_test_ok"] is True and rec["analytic_upper"] is None

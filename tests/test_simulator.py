@@ -32,6 +32,8 @@ def test_config_validation():
         SimConfig(params=NORM, horizon=10.0, warmup_s=10.0)
     with pytest.raises(ValueError):
         SimConfig(params=NORM, horizon=10.0, trials=0)
+    with pytest.raises(ValueError, match="master_seed"):
+        SimConfig(params=NORM, horizon=10.0, master_seed=-1)
     # ~2.5e11 expected blocks a chunk: refused before any draw
     with pytest.raises(ValueError, match="blocks"):
         SimConfig(params=NORM, horizon=1e12, trials=10)
