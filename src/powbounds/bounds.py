@@ -392,8 +392,24 @@ def _smallest_root_norm(a: float) -> float:
 
 
 def _zeta_norm(u, a):
-    """phi(u) - 1 for the inter-double-lagger MGF in normalized units."""
-    return (a * u - u * u) / _g_norm(u, a)
+    """phi(u) - 1 = (a u - u^2) / g_a(u) for the inter-double-lagger MGF in normalized units.
+
+    g_a's terms add in _g_norm's order, but the numerator shares its a u and
+    u^2, and temporaries are updated in place.  Unchecked: _race_log_terms
+    evaluates it at every u, admissible or not, and masks afterwards.
+    """
+    au, uu, d = a * u, u * u, u - a
+    g = uu - au
+    e = np.exp(d)
+    e *= au
+    g -= e
+    d *= 2.0
+    e = np.exp(d)
+    e *= a * a
+    g += e
+    au -= uu
+    au /= g
+    return au
 
 
 def double_lagger_mgf(alpha_norm: float) -> Mgf:
@@ -417,17 +433,29 @@ def _race_log_terms(mgf: Mgf, beta: float, spec: RaceSpec, u):
     z' = phi(beta z) - 1 and L = z (1 - beta m)(1 + z') / (z - z'), m the
     mean renewal time; psi = u - beta z.  Written in z and z' so no two
     numbers near 1 are subtracted as u -> 0.  At beta = 0, z' = 0 and L = 1.
+    z and z' are computed at every u, admissible or not, and the
+    admissibility mask (0 < u < u0, z > 0, beta z < u0, z' < z, L > 0) is
+    applied once, at the end.  Each point's value depends on that point
+    alone, so evaluating fewer points (as _pass_terms does for rows that
+    share a pass) changes no value.
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(all="ignore"):
-        ok = (u > 0) & (u < mgf.roc_sup)
-        z = mgf.excess(np.where(ok, u, 0.5 * mgf.roc_sup))
+        z = mgf.excess(u)
         w = beta * z
-        ok &= (z > 0) & (w < mgf.roc_sup)
-        zw = mgf.excess(np.where(ok, w, 0.0))
-        lap = z * (1.0 - beta * mgf.mean) * (1.0 + zw) / (z - zw)
-        ok &= (zw < z) & (lap > 0)
-        log_c = w * (spec.mu + spec.nu) + (spec.n + 1) * np.log1p(z) + 2.0 * np.log(lap)
+        zw = mgf.excess(w)
+        ok = (u > 0) & (u < mgf.roc_sup) & (z > 0) & (w < mgf.roc_sup) & (zw < z)
+        lap = z * (1.0 - beta * mgf.mean)
+        lap *= 1.0 + zw
+        lap /= z - zw
+        ok &= lap > 0
+        log_c = w * (spec.mu + spec.nu)
+        term = np.log1p(z)
+        term *= spec.n + 1
+        log_c += term
+        term = np.log(lap)
+        term *= 2.0
+        log_c += term
         return np.where(ok, log_c, np.nan), np.where(ok, u - w, np.nan)
 
 
@@ -458,18 +486,35 @@ def renewal_race_bound(
 _DELAY_SPEC = RaceSpec(mu=1.0, nu=1.0, n=1)
 
 
+# Smallest normalized honest rate alpha*delta the race kernel resolves.  Above it,
+# u0 ~ alpha*delta and every coarse point u >= u0 / 512 has a normal square; below
+# it, u^2 and a^2 in g_a sink into subnormals and lose their digits (at 10%, 6/h
+# and delta = 1e-158 s, delay_upper(6408 s) read 4.99e-4 where its limit is 0.124).
+_ALPHA_DELTA_MIN = 2.0**-500
+
+
 def _delay_norm(params: ProtocolParams):
-    """Double-lagger MGF and normalized adversarial rate b of a feasible delay model."""
+    """(double-lagger MGF, normalized adversarial rate b, delay bound d) of a feasible delay model.
+
+    Times normalize by d: delta itself, or, where alpha delta is below
+    _ALPHA_DELTA_MIN, the delay bound at that floor, d = _ALPHA_DELTA_MIN /
+    alpha.  A bound at d >= delta is valid for the model at delta: delay
+    bound d admits every adversary that delta admits.  The bound has long
+    reached its delta -> 0 limit there (at 10%, 6/h its values agree to
+    ~3e-16 from alpha delta = 1.5e-53 down to the floor), so the floor
+    loses nothing.
+    """
     if params.delta <= 0:
         raise ValueError("delay-bound theorems require delta > 0; use the zero-delay forms")
-    a, b, d = params.alpha, params.beta, params.delta
+    a, b = params.alpha, params.beta
+    d = max(params.delta, _ALPHA_DELTA_MIN / a)
     if b >= a * math.exp(-2.0 * a * d):
         raise InfeasibleParametersError(
             "requires beta < alpha * exp(-2 alpha delta) "
             f"(beta={b}, alpha*exp(-2 alpha delta)={a * math.exp(-2.0 * a * d)})"
         )
     try:
-        return double_lagger_mgf(a * d), b * d
+        return double_lagger_mgf(a * d), b * d, d
     except OverflowError:  # from the mean renewal time e^{2 alpha delta} / (alpha delta)
         raise InfeasibleParametersError(
             f"alpha * delta = {a * d} is too large: the mean renewal time e^(2 alpha delta) overflows"
@@ -524,6 +569,32 @@ def _vertex(vals, i, val, u, spacing):
         )
 
 
+def _pass_terms(mgf: Mgf, b, u, step):
+    """The race's (log c^2, psi) at each row's pass points u + step _PASS, one evaluation per shared pass.
+
+    u has a last axis of 1, rows along the axis before it and model columns
+    (if any) before that; step is a float, a model column or u's shape.  A
+    row whose u equals the previous row's in every model takes that row's
+    terms: within a model equal u means equal step, since an edge row's step
+    is its u, below every coarse point.  An inversion's (s - 1, s) rows
+    nearly always share their coarse cell, so a confirmation pair costs one
+    pass, not two.
+    """
+    points = u + step * _PASS
+    new = u[..., 1:, 0] != u[..., :-1, 0]
+    if new.ndim > 1:
+        new = new.any(axis=tuple(range(new.ndim - 1)))
+    keep, rows = [0], [0]  # the rows evaluated; each row's place among them
+    for j, fresh in enumerate(new.tolist(), 1):
+        if fresh:
+            keep.append(j)
+        rows.append(len(keep) - 1)
+    if len(keep) == len(rows):
+        return _race_log_terms(mgf, b, _DELAY_SPEC, points)
+    log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, points.take(keep, axis=-2))
+    return log_c2.take(rows, axis=-2), psi.take(rows, axis=-2)
+
+
 def _grid_minimize(mgf: Mgf, b, coarse, objective):
     """Minimize the delay race's objective over (0, u0) row by row; returns (u, value) per row.
 
@@ -540,6 +611,9 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective):
     One refinement pass then evaluates 2 _REFINE + 1 points across one
     spacing (u0 / 512 on the coarse grid) either side of the row's
     incumbent, which is its middle point, so no row's best value worsens.
+    Neighbouring rows with the same incumbent in every model share one
+    pass (_pass_terms): an inversion's (s - 1, s) confirmation pair nearly
+    always does, so each pair costs one pass.
     Last, _vertex fits a parabola to the pass minimum and its two
     neighbours, and its vertex replaces the pass minimum only if its value
     is lower.  Every step is elementwise per row, and the model columns
@@ -555,7 +629,7 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective):
         edge_u = hi * _EDGE_GRID[_nan_argmin(edge_vals)[..., None]]
         edge_u[np.isnan(edge_vals).all(axis=-1)] = np.nan
         u, step = np.where(empty, edge_u, u), np.where(empty, edge_u, step)
-    vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u + step * _PASS))
+    vals = objective(*_pass_terms(mgf, b, u, step))
     i = _nan_argmin(vals)[..., None]
     u, val = u + step * _PASS[i], _pick(vals, i)
     u_fit = _vertex(vals, i, val, u, step / _REFINE)[0]
@@ -587,16 +661,16 @@ def delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     t is a float or a 1-D array of times (s); log c^2 and psi on the coarse
     grid are shared by every t, and each t is one row of the minimization.
     """
-    mgf, b = _delay_norm(params)
+    mgf, b, d = _delay_norm(params)
     coarse = _delay_coarse(mgf, b)
 
     def kernel(ts):
-        raw, v = _delay_upper_rows(mgf, b, params.delta, coarse, ts)
+        raw, v = _delay_upper_rows(mgf, b, d, coarse, ts)
         if np.isnan(v).any():
             raise BracketError(_NO_ADMISSIBLE_POINT)
         return {"raw_value": raw, "optimizer_v": v}
 
-    return _per_t(t, kernel, theta=mgf.roc_sup / params.delta)
+    return _per_t(t, kernel, theta=mgf.roc_sup / d)
 
 
 def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
@@ -608,8 +682,7 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     psi = u and the pass's last admissible point wins, that spacing sets the
     value.  It stays at or above delay_upper there: valid, but loose.
     """
-    mgf, b = _delay_norm(params)
-    d = params.delta
+    mgf, b, d = _delay_norm(params)
     u_best, _ = _grid_minimize(mgf, b, _delay_coarse(mgf, b), lambda _, psi: -psi)
     if np.isnan(u_best).any():
         raise BracketError(_NO_ADMISSIBLE_POINT)
@@ -1080,15 +1153,17 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
     columns (a, b, u0 and the mean, shape (models, 1, 1)), broadcast against
     each row's points.  Their rows start at ceil(t*), the crossing
     _delay_crossings reads from the coarse grid, and take their pairs from
-    delay_upper's kernel on the solved models: with no fallback and a start
-    at the answer a batch makes four race-kernel calls, and a model with no
-    admissible u starts at the horizon and closes there.  Every other model
-    is a group of its own that starts at _SEARCH_START and makes one call of
-    its form per step; the secant through its first pair is the crossing
-    itself for a form c e^{-rate t}, so such a form takes two calls.  Every
-    step is elementwise per row, so a model's values are those of a batch of
-    one, bit for bit.  An InfeasibleParametersError or BracketError raised by
-    a group's form is the result of its models, and closes their rows.
+    delay_upper's kernel on the solved models, where a pair that shares its
+    coarse cell (nearly every one) shares one refinement pass: with no
+    fallback and a start at the answer a batch makes four race-kernel
+    calls, and a model with no admissible u starts at the horizon and
+    closes there.  Every other model is a group of its own that starts at
+    _SEARCH_START and makes one call of its form per step; the secant
+    through its first pair is the crossing itself for a form c e^{-rate t},
+    so such a form takes two calls.  Every step is elementwise per row, so
+    a model's values are those of a batch of one, bit for bit.  An
+    InfeasibleParametersError or BracketError raised by a group's form is
+    the result of its models, and closes their rows.
     """
     results = [None] * len(models)
 
@@ -1118,18 +1193,18 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
             results[j] = e
     size = max(1, _BATCH_ROWS // max(len(levels), 1))
     for i in range(0, len(upper), size):
-        index, params, mgfs, bs = zip(*upper[i : i + size])
+        index, params, mgfs, bs, ds = zip(*upper[i : i + size])
 
         def col(xs):  # one model's columns stay floats: they broadcast alike, at less cost per op
             return xs[0] if len(xs) == 1 else np.array(xs, dtype=float)[:, None, None]
 
-        a = col([p.alpha * p.delta for p in params])
+        a = col([p.alpha * dj for p, dj in zip(params, ds)])
         mgf = Mgf(
             excess=lambda u: _zeta_norm(u, a),
             roc_sup=col([m.roc_sup for m in mgfs]),
             mean=col([m.mean for m in mgfs]),
         )
-        b, d = col(bs), np.array([p.delta for p in params])[:, None]
+        b, d = col(bs), np.array(ds)[:, None]
         coarse = _delay_coarse(mgf, b)
         t_star = _delay_crossings(mgf, b, coarse, np.array([math.log(e) for e in levels]), d) * d
         for j, unsolved in zip(index, np.isnan(t_star).any(axis=1).tolist()):

@@ -12,6 +12,7 @@ from scipy import special
 from powbounds import bounds
 from powbounds.bounds import (
     BoundResult,
+    Mgf,
     ProtocolParams,
     RaceSpec,
     _g_norm,
@@ -380,7 +381,7 @@ def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour,
     params = _feasible_model(share, rate_per_hour, alpha_delta)
     if params is None:
         return
-    mgf, b = bounds._delay_norm(params)
+    mgf, b, _ = bounds._delay_norm(params)
     log_half = np.array([math.log(0.5)])
     t_half = float(bounds._delay_crossings(mgf, b, bounds._delay_coarse(mgf, b), log_half, params.delta)[0])
     ts = np.linspace(0.0, 2.0 * t_half * params.delta, 97)
@@ -426,7 +427,7 @@ def _edge_delay_models():
         alpha = math.exp(rng.uniform(math.log(6.0), math.log(600.0))) / 3600.0
         beta = rng.uniform(0.0, 0.999) * alpha * math.exp(-2.0 * alpha_delta)
         params = ProtocolParams(alpha=alpha, beta=beta, delta=alpha_delta / alpha)
-        mgf, b = bounds._delay_norm(params)
+        mgf, b, _ = bounds._delay_norm(params)
         log_eps = np.array([math.log(1e-9)])
         coarse = bounds._delay_coarse(mgf, b)
         t_star = float(bounds._delay_crossings(mgf, b, coarse, log_eps, params.delta)[0])
@@ -461,6 +462,97 @@ def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
     calls.clear()
     invert_latency(delay_upper, BITCOIN_10, [1e-3, 1e-6, 1e-9])
     assert len(calls) == 4
+
+
+def test_race_kernel_points_per_inversion(monkeypatch):
+    # each (s - 1, s) confirmation pair shares one 257-point pass; of 30 distinct
+    # delay_upper times from 3.6 to 36 ks, three share their neighbour's coarse cell
+    calls = []
+    kernel = bounds._race_log_terms
+    monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(np.size(a[3])) or kernel(*a))
+    specs, model = load_config(default_config_path())
+    build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
+    assert calls == [6 * 511, 6 * 3, 6 * 3 * 257, 6 * 6] and sum(calls) == 7746
+    calls.clear()
+    invert_latency(delay_upper, BITCOIN_10, 1e-3)
+    assert sum(calls) == 511 + 1 + 257 + 2 == 771
+    calls.clear()
+    delay_upper(BITCOIN_10, np.linspace(3600.0, 36000.0, 30))
+    assert calls == [511, 27 * 257, 30]
+
+
+def _reference_zeta(u, a):
+    """phi(u) - 1 of the double-lagger MGF as one expression."""
+    au, d = a * u, u - a
+    return (a * u - u * u) / (u * u - au - au * np.exp(d) + a * a * np.exp(2.0 * d))
+
+
+def _reference_race_log_terms(mgf, beta, spec, u):
+    """The race kernel with admissibility masked step by step and inadmissible u substituted."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        ok = (u > 0) & (u < mgf.roc_sup)
+        z = mgf.excess(np.where(ok, u, 0.5 * mgf.roc_sup))
+        w = beta * z
+        ok &= (z > 0) & (w < mgf.roc_sup)
+        zw = mgf.excess(np.where(ok, w, 0.0))
+        lap = z * (1.0 - beta * mgf.mean) * (1.0 + zw) / (z - zw)
+        ok &= (zw < z) & (lap > 0)
+        log_c = w * (spec.mu + spec.nu) + (spec.n + 1) * np.log1p(z) + 2.0 * np.log(lap)
+        return np.where(ok, log_c, np.nan), np.where(ok, u - w, np.nan)
+
+
+def _kernel_models():
+    """Delay models as one float column each and as one column batch: Bitcoin, beta = 0, near the edge."""
+    edge = ProtocolParams(alpha=1.0 / 600.0, beta=0.999 * math.exp(-2.0 / 60.0) / 600.0, delta=10.0)
+    models = [BITCOIN_10, BITCOIN_25, ProtocolParams.from_adversary_share(1.0 / 600.0, 0.0, 10.0), edge]
+    models += _protocol_params(0.25)
+    norms = [bounds._delay_norm(p) for p in models]
+    for p, (mgf, b, d) in zip(models, norms):
+        a = p.alpha * d
+        yield mgf, Mgf(lambda u, a=a: _reference_zeta(u, a), mgf.roc_sup, mgf.mean), b
+
+    def col(xs):
+        return np.array(xs, dtype=float)[:, None, None]
+
+    a = col([p.alpha * d for p, (_, _, d) in zip(models, norms)])
+    roc_sup, mean = col([m.roc_sup for m, _, _ in norms]), col([m.mean for m, _, _ in norms])
+    batch = Mgf(lambda u: bounds._zeta_norm(u, a), roc_sup, mean)
+    yield batch, Mgf(lambda u: _reference_zeta(u, a), roc_sup, mean), col([b for _, b, _ in norms])
+
+
+def test_race_kernel_equals_its_masked_reference():
+    # bit for bit, nan for nan: random u inside and outside (0, u0), the ends
+    # themselves, 0-d u, and the same points against a column batch of models
+    rng = np.random.default_rng(2026)
+    admissible = inadmissible = 0
+    for mgf, reference, b in _kernel_models():
+        u0 = mgf.roc_sup
+        fractions = np.concatenate([
+            rng.uniform(0.0, 1.0, 400), rng.uniform(-1.0, 3.0, 200), [0.0, 1.0, -0.0, 1e-300, 1.5, -2.0],
+        ])
+        for u in (u0 * fractions, u0 * fractions.reshape(2, -1), u0 * 0.37, u0 * 1.2):
+            want = _reference_race_log_terms(reference, b, bounds._DELAY_SPEC, u)
+            got = bounds._race_log_terms(mgf, b, bounds._DELAY_SPEC, u)
+            for g, w in zip(got, want):
+                assert isinstance(g, np.ndarray) and g.shape == w.shape
+                assert _bits(g) == _bits(w)
+            admissible += int((~np.isnan(w)).sum())
+            inadmissible += int(np.isnan(w).sum())
+    assert admissible > 1000 and inadmissible > 1000
+
+
+def test_delay_upper_rows_share_passes_bit_for_bit():
+    # (t - 1, t) pairs as one batch, whose pairs share their passes, against one
+    # time at a time
+    for params in (BITCOIN_10, BITCOIN_25, *_protocol_params(0.25)):
+        mgf, b, d = bounds._delay_norm(params)
+        coarse = bounds._delay_coarse(mgf, b)
+        ts = np.array([x for t in (3600.0, 14536.0, 25403.0, 90000.0) for x in (t - 1.0, t)])
+        raw, v = bounds._delay_upper_rows(mgf, b, d, coarse, ts)
+        for j, t in enumerate(ts):
+            raw_j, v_j = bounds._delay_upper_rows(mgf, b, d, coarse, ts[j : j + 1])
+            assert _bits(raw[j]) == _bits(raw_j[0]) and _bits(v[j]) == _bits(v_j[0])
 
 
 def test_delay_upper_reads_one_where_vacuous():
@@ -1202,7 +1294,7 @@ def test_coarse_crossing_starts_every_design_query_at_its_answer(monkeypatch):
                 delta = model.a * kb_s * 3600.0 / per_hour + model.b
                 params = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta)
                 try:
-                    mgf, b = bounds._delay_norm(params)
+                    mgf, b, _ = bounds._delay_norm(params)
                 except InfeasibleParametersError:
                     continue
                 coarse = bounds._delay_coarse(mgf, b)

@@ -517,6 +517,15 @@ def test_latency_at_a_tiny_alpha_delta(capsys):
     assert json.loads(out)["t_seconds"] == invert_latency(bounds.delay_upper, p, 5e-7)
 
 
+@pytest.mark.parametrize("exponent", [6, 50, 150, 154, 155, 156, 157, 158, 159, 160, 200, 250, 300])
+def test_latency_at_a_vanishing_delay(capsys, exponent):
+    # below alpha delta = 2^-500 the kernel's u^2 underflows: the bound is taken at
+    # that floor, a valid upper bound, and the latency stays the delta -> 0 limit's
+    code, out, err = run_cli_err(capsys, "latency", "--level", "1e-3", "--delta", f"1e-{exponent}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["t_seconds"] == 15152
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "r.json"
     code, out = run_cli(capsys, "--out", str(target), "latency", "--level", "1e-3")
