@@ -65,6 +65,8 @@ _PAIR = np.array([-1.0, 0.0])
 
 _UNREACHABLE = "latency target unreachable within the search horizon"
 
+_UNDECIDED = "latency target undecided: the bound's sum, cut at its term limit, may exceed the level"
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -1160,10 +1162,12 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
     closes there.  Every other model is a group of its own that starts at
     _SEARCH_START and makes one call of its form per step; the secant
     through its first pair is the crossing itself for a form c e^{-rate t},
-    so such a form takes two calls.  Every step is elementwise per row, so
-    a model's values are those of a batch of one, bit for bit.  An
-    InfeasibleParametersError or BracketError raised by a group's form is
-    the result of its models, and closes their rows.
+    so such a form takes two calls; where a value at or below its level
+    leaves the level under value + truncation_tail, the sum was cut too
+    short to decide it, and the model gets BracketError.  Every step is
+    elementwise per row, so a model's values are those of a batch of one,
+    bit for bit.  An InfeasibleParametersError or BracketError raised by a
+    group's form is the result of its models, and closes their rows.
     """
     results = [None] * len(models)
 
@@ -1182,10 +1186,21 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
             if results[j] is None:
                 results[j] = BracketError(_UNREACHABLE) if None in latencies else latencies
 
+    level = np.repeat(levels, 2)  # each row's level at its pair (s - 1, s)
     upper = []
     for j, (form, params) in enumerate(zip(forms, models)):
         if form is not delay_upper:
-            search([j], [_SEARCH_START] * len(levels), lambda ts: form(params, ts.reshape(-1)).raw_value)
+
+            def values(ts):
+                # a sum cut short reads up to truncation_tail below the bound, so a
+                # value at most a level that value + tail exceeds cannot decide it
+                res = form(params, ts.reshape(-1))
+                raw = res.raw_value
+                if np.any((raw <= level) & (level < raw + res.truncation_tail)):
+                    raise BracketError(_UNDECIDED)
+                return raw
+
+            search([j], [_SEARCH_START] * len(levels), values)
             continue
         try:
             upper.append((j, params, *_delay_norm(params)))
@@ -1239,9 +1254,10 @@ def invert_latency(
     delay_upper starts at the crossing read from the coarse grid and takes
     four race-kernel calls in all; any other form starts at 600 s, and a form
     c e^{-rate t} takes two bound calls.  Raises BracketError past
-    600 * 2^30 s.  _search assumes a form nonincreasing in t: for one that
-    rises somewhere (delay_lower can, at small t) the whole second it returns
-    meets the level, but an earlier one may meet it too.
+    600 * 2^30 s, or where a truncated sum cannot decide a level.  _search
+    assumes a form nonincreasing in t: for one that rises somewhere
+    (delay_lower can, at small t) the whole second it returns meets the
+    level, but an earlier one may meet it too.
     """
     scalar, levels = _levels(eps)
     latencies = _invert([bound_fn], [params], levels)[0]

@@ -298,19 +298,11 @@ def classify_species(trace: MiningTrace, delta: float, interval: tuple) -> Speci
     if not 0 <= lo < hi <= trace.horizon:
         raise ValueError(f"interval {interval} not within [0, {trace.horizon}]")
 
-    def count(times):
+    def count(species):
+        times = species_times(trace, delta, species)
         return int(np.count_nonzero((times > lo) & (times <= hi)))
 
-    h, off = trace.honest_times, trace.honest_offsets
-    lagger, loner, dl = _species_masks(h, off, delta, trace.horizon)
-    return SpeciesCounts(
-        H=count(h),
-        A=count(trace.adversarial_times),
-        J=count(h[_jumper_mask(h, off, delta)]),
-        X=count(h[lagger]),
-        V=count(h[dl]),
-        Y=count(h[loner]),
-    )
+    return SpeciesCounts(**{field: count(species) for field, species in zip("HAJXYV", SPECIES)})
 
 
 # ---------------------------------------------------------------------------
@@ -318,34 +310,34 @@ def classify_species(trace: MiningTrace, delta: float, interval: tuple) -> Speci
 
 
 def empirical_mgf(samples: np.ndarray, u: float) -> Estimate:
-    """Sample MGF mean(e^{u X}) with a jackknife standard error."""
+    """Sample MGF mean(e^{u X}) with standard error s/sqrt(n).
+
+    s is the sample standard deviation of e^{u X}; for a mean, s/sqrt(n) is
+    exactly the standard error of the leave-one-out jackknife.
+    """
     samples = np.asarray(samples, dtype=float)
     n = samples.size
     if n < 1000:
         raise InsufficientDataError(f"need at least 1000 samples, got {n}")
     vals = np.exp(u * samples)
-    total = float(vals.sum())
-    # leave-one-out means
-    loo = (total - vals) / (n - 1)
-    center = loo.mean()
-    se = math.sqrt((n - 1) / n * float(np.sum((loo - center) ** 2)))
-    return Estimate(value=total / n, stderr=se, trials=n)
+    se = float(vals.std(ddof=1)) / math.sqrt(n)
+    return Estimate(value=float(vals.sum()) / n, stderr=se, trials=n)
 
 
-def _pursuit_events(rng, n: int, up_rate: float, down_rate: float, horizon: float,
-                    first_down_extra: float = 0.0, down_spacing: float = 0.0) -> tuple:
-    """Up and down event times of n pursuits: (up, up offsets, down, down offsets).
+def _pursuit_events(rng, p: ProtocolParams, horizon: float, n: int) -> tuple:
+    """Up and down event times of n pursuits of model p: (up, up offsets, down, down offsets).
 
-    Up events are Poisson(up_rate) on [0, horizon].  Down events renew with
-    gaps down_spacing + Exp(down_rate) (first gap first_down_extra + Exp):
-    the m-th is first_down_extra + (m - 1)·down_spacing plus the m-th arrival
-    of a Poisson(down_rate) process, so every down within the horizon comes
-    from that process's arrivals on [0, horizon - first_down_extra].
+    Ups are the attacker's blocks, Poisson(beta) on [0, horizon].  Downs are
+    the honest chain's jumpers, renewing with gaps delta + Exp(alpha): the
+    m-th is m·delta plus the m-th arrival of a Poisson(alpha) process, so
+    every down within the horizon comes from that process's arrivals on
+    [0, horizon - delta].  At delta = 0 the downs are the honest blocks.
     """
-    up, up_off = _poisson_arrivals(rng, up_rate, horizon, n)
-    base, down_off = _poisson_arrivals(rng, down_rate, horizon - first_down_extra, n)
+    up, up_off = _poisson_arrivals(rng, p.beta, horizon, n)
+    base, down_off = _poisson_arrivals(rng, p.alpha, horizon - p.delta, n)
     rank = np.arange(base.size) - down_off[_trial_ids(down_off)]
-    return up, up_off, first_down_extra + rank * down_spacing + base, down_off
+    # delta + rank·delta, not (rank + 1)·delta: the two round differently
+    return up, up_off, p.delta + rank * p.delta + base, down_off
 
 
 def _max_pursuit_gain(up: np.ndarray, up_off: np.ndarray, down: np.ndarray,
@@ -367,40 +359,37 @@ def _max_pursuit_gain(up: np.ndarray, up_off: np.ndarray, down: np.ndarray,
 def _postmine_gain(rng, p: ProtocolParams, horizon: float, n: int) -> np.ndarray:
     """Per trial: the attacker's post-mining gain N over a window of this length.
 
-    With delta = 0 it is the maximum catch-up of the adversarial walk against
-    the honest chain.  With delta > 0 the honest chain advances by jumpers,
-    spaced more than delta apart, and one count is forfeited for decoupling
-    the post-race jumpers from the in-race ones, matching the analytic lower
+    It is the maximum catch-up of the adversarial walk against the honest
+    chain's jumpers (_pursuit_events; at delta = 0 every honest block).  At
+    delta > 0 one count is forfeited, floored at 0, for decoupling the
+    post-race jumpers from the in-race ones, matching the analytic lower
     bound's accounting.
     """
     if p.beta == 0:
         return np.zeros(n, dtype=np.int64)
-    if p.delta == 0:
-        return _max_pursuit_gain(*_pursuit_events(rng, n, p.beta, p.alpha, horizon))
-    events = _pursuit_events(rng, n, p.beta, p.alpha, horizon, p.delta, p.delta)
-    return np.maximum(0, _max_pursuit_gain(*events) - 1)
+    gain = _max_pursuit_gain(*_pursuit_events(rng, p, horizon, n))
+    return np.maximum(0, gain - (p.delta > 0))
 
 
 def _premine_gain(rng, params: ProtocolParams, warmup_s: float, n: int) -> np.ndarray:
     """Per trial: lead after the warmup of the pre-mining birth-death process.
 
-    Births at rate beta, deaths at rate alpha, reflected at 0.
+    Births at rate beta, deaths at rate alpha, reflected at 0.  One walk S
+    runs through every trial's steps; trial k's N steps take it from
+    S_0 = walk[offsets[k]] to S_N = walk[offsets[k + 1]], and the reflected
+    walk ends at S_N - min_{j<=N} S_j = max(0, S_N - min_{j<N} S_j).  One
+    minimum.reduceat over the trials' starts gives each min_{j<N} S_j: an
+    empty trial's segment is its start S_0 = S_N, and the last trial's runs
+    through S_N, which the max(0, ·) makes harmless.
     """
     if params.beta == 0 or warmup_s <= 0:
         return np.zeros(n, dtype=np.int64)
     rate = params.total_rate
-    counts = rng.poisson(rate * warmup_s, n)
-    offsets = _offsets(counts)
+    offsets = _offsets(rng.poisson(rate * warmup_s, n))
     steps = np.where(rng.random(offsets[-1]) < params.beta / rate, np.int8(1), np.int8(-1))
     walk = np.zeros(steps.size + 1, dtype=np.int32)
     np.cumsum(steps, dtype=np.int32, out=walk[1:])
-    start = walk[offsets[:-1]]
-    low = np.zeros(n, dtype=np.int32)
-    some = counts > 0
-    if some.any():
-        low[some] = np.minimum.reduceat(walk[1:], offsets[:-1][some]) - start[some]
-    # reflected walk at 0: final state = S_n - min(0, min_k S_k)
-    return walk[offsets[1:]] - start - np.minimum(low, 0)
+    return np.maximum(0, walk[offsets[1:]] - np.minimum.reduceat(walk, offsets[:-1]))
 
 
 def _post_horizon(p: ProtocolParams, horizon: float) -> float:
@@ -410,20 +399,16 @@ def _post_horizon(p: ProtocolParams, horizon: float) -> float:
 
 def _attack(rng, config: SimConfig, n: int, t: float) -> AttackOutcome:
     p = config.params
-    post_horizon = _post_horizon(p, config.horizon)
     big_l = _premine_gain(rng, p, config.warmup_s, n)
     adv = rng.poisson(p.beta * t, n)
     if p.delta == 0:
-        honest = rng.poisson(p.alpha * t, n)
-        n_post = _postmine_gain(rng, p, post_horizon, n)
-        deficit = honest + 1 - adv
-        success = deficit <= big_l + n_post
-    else:
+        deficit = rng.poisson(p.alpha * t, n) + 1 - adv
+    else:  # the honest chain's progress in the race is its jumpers
         h, off = _poisson_arrivals(rng, p.alpha, t, n)
-        jumpers = np.bincount(_trial_ids(off)[_jumper_mask(h, off, p.delta)], minlength=n)
-        n_post = _postmine_gain(rng, p, post_horizon, n)
-        deficit = jumpers - adv
-        success = deficit <= big_l + n_post - 1
+        deficit = np.bincount(_trial_ids(off)[_jumper_mask(h, off, p.delta)], minlength=n) - adv
+    n_post = _postmine_gain(rng, p, _post_horizon(p, config.horizon), n)
+    # at delta > 0 the race forfeits a count too, as the analytic lower bound's accounting does
+    success = deficit <= big_l + n_post - (p.delta > 0)
     return AttackOutcome(
         premine_gain_L=big_l, race_deficit=deficit, postmine_gain_N=n_post, success=success
     )

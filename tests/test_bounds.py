@@ -1,6 +1,7 @@
 """Analytic bounds against frozen high-precision oracles and structure checks."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -1030,6 +1031,27 @@ def test_invert_latency_unreachable():
     p = ProtocolParams(alpha=1.0, beta=0.999999)
     with pytest.raises(BracketError):
         invert_latency(zero_delay_upper, p, 1e-300)
+
+
+def test_invert_latency_refuses_a_level_a_truncated_sum_cannot_decide():
+    # the largest share with beta < alpha e^{-2 alpha delta} at 6/h, delta = 10 s: past
+    # _TERMS_MAX delay_lower reads 0, and its truncation tail leaves both levels open
+    params = ProtocolParams.from_adversary_share(6.0 / 3600.0, 0.4957984190586051, 10.0)
+    calls = []
+
+    def lower(p, t):
+        calls.append(np.size(t))
+        return delay_lower(p, t)
+
+    start = time.process_time()  # CPU time: other processes on the host do not count
+    with pytest.raises(BracketError) as err:
+        invert_latency(lower, params, [1e-3, 1e-9])
+    assert time.process_time() - start < 3.0
+    assert str(err.value) == bounds._UNDECIDED
+    assert calls == [4, 4]  # 600 s, then the first stride's times, where it stops
+    # the latency the search took before: a row reading 0 that may exceed 1e-3
+    res = delay_lower(params, 150577806.0)
+    assert res.raw_value == 0.0 and res.truncation_tail > 1e-3
 
 
 def _bisect_latency(bound_fn, params, eps):

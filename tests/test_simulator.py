@@ -376,11 +376,13 @@ def test_trace_kernels_match_per_trial_reference_on_hand_built_edges():
 
 def test_pursuit_kernel_matches_per_trial_walk():
     rng = np.random.default_rng(12)
-    cases = [(0.5, 1.0, 30.0, 0.0, 0.0), (0.5, 1.0, 30.0, 1.0, 1.0), (1.0, 0.9, 20.0, 2.0, 0.5)]
-    for up_rate, down_rate, horizon, extra, spacing in cases:
-        up, up_off, down, down_off = simulator._pursuit_events(
-            rng, 500, up_rate, down_rate, horizon, extra, spacing
-        )
+    cases = [
+        (ProtocolParams(alpha=1.0, beta=0.5, delta=0.0), 30.0),
+        (ProtocolParams(alpha=1.0, beta=0.5, delta=1.0), 30.0),
+        (ProtocolParams(alpha=0.9, beta=1.0, delta=0.5), 20.0),  # beta > alpha
+    ]
+    for p, horizon in cases:
+        up, up_off, down, down_off = simulator._pursuit_events(rng, p, horizon, 500)
         got = simulator._max_pursuit_gain(up, up_off, down, down_off)
         want = [
             ref_max_pursuit_gain(u, d, horizon)
@@ -388,6 +390,9 @@ def test_pursuit_kernel_matches_per_trial_walk():
         ]
         assert got.tolist() == want
         assert max(want) > 0
+        # downs are jumpers: each at least delta past the one before (the first past 0)
+        for d in segments(down, down_off):
+            assert (np.diff(d, prepend=0.0) >= p.delta - 1e-9).all()
     # hand-built: no events, no ups, an up tied with a down (up first), downs past the horizon
     ups = [[], [], [1.0], [1.0, 2.0, 3.0], [4.0]]
     downs = [[], [0.5], [1.0], [1.5, 1.8, 9.0], [0.1, 0.2, 11.0]]
@@ -396,6 +401,51 @@ def test_pursuit_kernel_matches_per_trial_walk():
     got = simulator._max_pursuit_gain(up, offsets[0], down, offsets[1])
     want = [ref_max_pursuit_gain(np.array(u), np.array(d), 10.0) for u, d in zip(ups, downs)]
     assert got.tolist() == want == [0, 0, 1, 1, 0]
+
+
+class _FixedCounts:
+    """A generator whose Poisson draw returns fixed counts; a seeded one draws its uniforms."""
+
+    def __init__(self, counts, seed):
+        self.counts, self.uniform = np.array(counts, dtype=np.int64), np.random.default_rng(seed)
+
+    def poisson(self, lam, n):
+        assert n == self.counts.size
+        return self.counts
+
+    def random(self, size):
+        return self.uniform.random(size)
+
+
+def ref_premine_gain(rng, p, warmup_s, n):
+    # the birth-death process reflected at 0, one trial and one step at a time
+    rate = p.total_rate
+    counts = rng.poisson(rate * warmup_s, n)
+    births = rng.random(int(counts.sum())) < p.beta / rate
+    leads, i = [], 0
+    for c in counts:
+        lead = 0
+        for birth in births[i : i + c]:
+            lead = lead + 1 if birth else max(lead - 1, 0)
+        leads.append(lead)
+        i += c
+    return leads
+
+
+def test_premine_gain_matches_per_trial_walk():
+    p = ProtocolParams(alpha=1.0, beta=0.8, delta=0.0)
+    # seeded campaigns: sparse ones hold many empty trials, dense ones deep dips
+    for seed, warmup_s, n in ((1, 1.0, 400), (2, 0.5, 300), (3, 30.0, 200), (4, 1e-4, 50)):
+        want = ref_premine_gain(np.random.default_rng(seed), p, warmup_s, n)
+        got = simulator._premine_gain(np.random.default_rng(seed), p, warmup_s, n)
+        assert got.tolist() == want
+    assert want == [0] * 50  # a chunk of only empty trials
+    # hand-built counts: empty trials first, between, last, alone, and all empty
+    for counts in ([0, 3, 0, 0, 7, 1, 0], [5, 9, 0], [0], [0, 0, 0], [12]):
+        for seed in range(5):
+            want = ref_premine_gain(_FixedCounts(counts, seed), p, 1.0, len(counts))
+            got = simulator._premine_gain(_FixedCounts(counts, seed), p, 1.0, len(counts))
+            assert got.tolist() == want
 
 
 def test_campaign_output_depends_only_on_seed_and_trials():
