@@ -49,9 +49,9 @@ _BLOCK_TERMS = _T_BLOCK * 2048
 # reads 0, and truncation_tail bounds what is left out.
 _TERMS_MAX = 2**17
 
-# The most terms of the post-mining gain pmf q a lower bound takes: postmine_gain_pmf's
-# series division costs time quadratic in it (~0.5 s here), and only shares past
-# ~48.8% at small alpha*delta need more.
+# The most terms of the post-mining gain pmf q a lower bound takes; only shares past
+# ~48.8% at small alpha*delta need more.  postmine_gain_pmf's series division costs
+# time linear in it (~6 ms for 2^14 terms on a 2-vCPU Xeon).
 _GAIN_TERMS_MAX = _TERMS_MAX // 8
 
 # Latest whole-second latency (s) invert_latency searches; past it, BracketError.
@@ -869,23 +869,89 @@ def _gain_terms(a: float, b: float, y0: float) -> tuple[int, float]:
 _CHERNOFF_GRID = np.concatenate([0.5 ** np.arange(60, 7, -1), np.arange(1, _REFINE) / _REFINE])
 
 
+# Points of (0, 1), as fractions of the largest admissible y, where _lower_chernoff's
+# count bound is taken: half-octave steps down to 2^-16 (the best y, ~sqrt(84 / lam),
+# is above 0.025 for every Poisson mean lam below _TERMS_MAX), and octave steps up to
+# 1 - 2^-20, where the best y nears the pole for counts far past lam.  A point off the
+# best y only moves M_j up by a few counts.
+_COUNT_GRID = np.concatenate([2.0 ** (-np.arange(32, 2, -1) / 2.0), 1.0 - 0.5 ** np.arange(1, 21)])
+
+
 def _lower_chernoff(a: float, b: float, y0: float):
-    """(log c, s) per admissible u: delay_lower(t) <= e^{log c + s t/delta} at each u (normalized units).
+    """The Chernoff bounds delay_lower sizes its sums by (normalized units, b > 0), from one log pgf.
 
     delay_lower's value is P(S_M > t) with S_M = sum_{i<=M} (X_i + delta), X_i
     Exponential(alpha) and M = N + L + A independent of them (N ~ q, L
-    geometric(r), A ~ Poisson(beta t)).  Chernoff at theta = u / delta, with
-    z = E e^{theta (X + delta)} = e^u a / (a - u):  P(S_M > t) <= e^{-u t/delta}
-    E z^M = Q(z) (1 - r) / (1 - r z) e^{b (z - 1) t/delta} e^{-u t/delta}, for
-    u in (0, a) with z - 1 = (a expm1(u) + u) / (a - u) below y0 and z below 1/r.
+    geometric(r), A ~ Poisson(lam), lam = beta t), so E z^M = e^{log g(z)} e^{lam (z - 1)},
+    with g(z) = E z^(N + L) = Q(z) (1 - r) / (1 - r z), finite for z = 1 + y with
+    y in (0, y0) and r z < 1.
+
+    - The value, as (log c, s) per admissible u: delay_lower(t) <= e^{log c + s t/delta}.
+      Chernoff at theta = u / delta, with z = E e^{theta (X + delta)} = e^u a / (a - u):
+      P(S_M > t) <= e^{-u t/delta} E z^M, for u in (0, a) with
+      z - 1 = (a expm1(u) + u) / (a - u).
+    - The count, as (log g, log z, y) per admissible point of _COUNT_GRID:
+      P(M > m) <= E z^M z^{-(m + 1)} = e^{log g + lam y - (m + 1) log z}.
     """
-    u = a * _CHERNOFF_GRID
-    y = (a * np.expm1(u) + u) / (a - u)
     r = b / a
+    u = a * _CHERNOFF_GRID
+    y = np.concatenate([(a * np.expm1(u) + u) / (a - u), min(y0, (1.0 - r) / r) * _COUNT_GRID])
     with np.errstate(all="ignore"):
-        log_c = _gain_log_pgf(a, b, y) + math.log1p(-r) - np.log1p(-r * (1.0 + y))
-    ok = np.isfinite(log_c) & (y < y0)
-    return log_c[ok], (b * y - u)[ok]
+        log_g = _gain_log_pgf(a, b, y) + math.log1p(-r) - np.log1p(-r * (1.0 + y))
+    ok = np.isfinite(log_g) & (y < y0)
+    value, count = ok[: u.size], ok[u.size :]
+    y_count = y[u.size :][count]
+    return (
+        (log_g[: u.size][value], (b * y[: u.size] - u)[value]),
+        (log_g[u.size :][count], np.log1p(y_count), y_count),
+    )
+
+
+# Fractions of a row's count range 1..hi where _log_value_floor takes a term.
+_FLOOR_GRID = np.linspace(0.0, 1.0, 16)
+
+
+# ln(2 pi)/2 + 1/12: Robbins' bound on log k! less k ln k - k + ln(k)/2, for k >= 1.
+_ROBBINS = 0.5 * math.log(2.0 * math.pi) + 1.0 / 12.0
+
+
+def _log_poisson_floor(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """A lower bound on log P(Poisson(lam) = k) over broadcast arrays of counts k >= 0, means lam >= 0.
+
+    Robbins' log k! <= k ln k - k + ln(2 pi k)/2 + 1/(12 k) <= k ln k - k + ln(2 pi k)/2 + 1/12
+    for k >= 1 gives -(k (ln k - ln lam - 1) + lam + ln(k)/2 + _ROBBINS);
+    -lam at k = 0, and -inf where the pmf is 0.  A dozen elementwise passes,
+    a fraction of log_poisson_pmf_vec's cost.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kk = np.maximum(k, 1.0)
+        log_k = np.log(kk)
+        out = kk * (log_k - np.log(lam) - 1.0) + lam + 0.5 * log_k + _ROBBINS
+    return np.where(k > 0, -out, -lam)
+
+
+def _log_value_floor(params: ProtocolParams, q0: float, ts: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """log of a lower bound on delay_lower's value at each time ts_j: its largest term's factors' bounds.
+
+    The value is sum_m P(M = m) C_m, C_m = P(Poisson(alpha (t - m delta)^+) <= m - 1)
+    the Erlang ccdf, so any one term bounds it from below, and so do lower
+    bounds on its two factors: P(M = m) >= q(0) (1 - r) max(P(A = m), r^m P(A = 0)),
+    the paths with N = 0 and L = 0 or A = 0; and C_m >= P(Poisson(mu) = m - 1),
+    and C_m >= 1/2 once m - 1 >= mu + 1/3, past the Poisson median (Choi 1994).
+    The terms are taken at 16 counts spread over 1..hi_j, hi_j = max(c_j + 1,
+    ceil(lam_j)) with c_j the Erlang cut: past it the count's factor falls.  The
+    pmfs are _log_poisson_floor's; rounding in them is left to delay_lower's
+    certificate.
+    """
+    r = params.beta / params.alpha
+    m = 1.0 + np.floor(_FLOOR_GRID * (hi[:, None] - 1.0))
+    lam = params.beta * ts[:, None]
+    mu = params.alpha * np.maximum(ts[:, None] - m * params.delta, 0.0)
+    log_count = np.maximum(_log_poisson_floor(m, lam), m * math.log(r) - lam)
+    log_ccdf = np.maximum(
+        _log_poisson_floor(m - 1.0, mu), np.where(m - 1.0 >= mu + 1.0 / 3.0, -math.log(2.0), -np.inf)
+    )
+    return math.log(q0 * (1.0 - r)) + np.max(log_count + log_ccdf, axis=1)
 
 
 # log 2^-60: a share of a value this small leaves it unchanged in float64 (an upper
@@ -916,6 +982,13 @@ def _erlang_cuts(lam: np.ndarray) -> np.ndarray:
     return np.floor(lam).astype(int) + np.argmax(past, axis=1)
 
 
+# Shares of a row's lower bound F_j (_log_value_floor) that delay_lower leaves out:
+# the counts past M_j, at most 2^-61 F_j; the shapes below lo_j and the gain terms
+# past n_j, at most 2^-63 F_j each; together 3/4 of 2^-60 F_j.
+_LOG_COUNT_SHARE = -61.0 * math.log(2.0)
+_LOG_TERM_SHARE = -63.0 * math.log(2.0)
+
+
 def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     """Success probability of the delay-manipulating private attack (unachievable level).
 
@@ -923,31 +996,36 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     with P(A_{0,t}+L = k) = pk(k) evaluated as the geometric-Poisson
     convolution so no e^{(alpha-beta)t} factor is ever formed.  Partial sums
     remain valid unachievable levels.  t is a float or a 1-D array of times
-    (s).  Every sum's range comes from the model and from each row's own t,
-    so array calls equal one-t calls bit for bit:
+    (s).  The value is sum_m P(M = m) C_m(t), with M = N + L + A the count
+    (N ~ q, L geometric(r), A ~ Poisson(beta t)) and C_m the Erlang ccdf of
+    shape m.  Every sum is sized to its own row's value, from the model and
+    from each row's own t, so array calls equal one-t calls bit for bit:
 
     - q(0..n-1), with n from _gain_terms: once per model, out to where a
-      Chernoff bound on its tail is below 2^-1134.
+      Chernoff bound on its tail is below 2^-1134; postmine_gain_pmf's series
+      division costs time linear in n.
+    - F_j (_log_value_floor) bounds row j's value from below by one of its
+      terms.  The count cut M_j is the first count where the Chernoff bound
+      on P(M > M_j) (_lower_chernoff) falls to 2^-61 F_j; the shapes whose
+      ccdf a Chernoff bound puts at most 2^-63 F_j (those below lo_j) and the
+      gain terms past n_j, where q's remaining mass is at most 2^-63 F_j, are
+      left out.  Each share is at least 2^-1134, below 2^-60 of any value a
+      double holds.
     - Each row j has its Chernoff cut c_j (_erlang_cuts at alpha t_j): past
       it P(Poisson(alpha(t_j - m delta)) >= m) < 2^-60, so every ccdf is 1.0
-      in floating point.  The shapes m <= c_j take the ccdf; those past it
-      add sum_n q(n) T_j[c_j + 1 - n], T_j the reverse cumulative sum of pk_j.
-    - pk_j runs over k = 0..K_j, and past K_j its geometric part
-      pk_j(K_j) r^{k-K_j} is summed in closed form, pk_j(K_j) r / (1 - r).
-      What is left out is the Poisson mass P(A > K_j), at most
-      P(A = K_j + 1) / (1 - lam / (K_j + 2)).  The value is at least
-      q(0) (1 - r) P(A = c_j + 1), and each pmf step past c_j + 1 shrinks by
-      lam / (c_j + 2) or more, so K_j = c_j + d_j with
-      (lam / (c_j + 2))^d_j / (1 - lam / (c_j + 2)) <= e^-1 2^-60 q(0) (1 - r)
-      leaves out less than 2^-60 of the value.
-    - Shapes below the lower cut lo_j, where a Chernoff bound on the ccdf is
-      under 2^-1134, are left out.
+      in floating point.  The shapes lo_j..min(M_j, c_j) take the ccdf; where
+      M_j > c_j the shapes past c_j add sum_n q(n) T_j[c_j + 1 - n], T_j the
+      reverse cumulative sum of pk_j over 0..M_j.
+    - Certificate: what is left out must be at most 2^-60 of the row's own
+      partial sum, itself a lower bound on the value.  A row whose
+      certificate fails is redone once, from that sum as its F_j.
     - A Chernoff bound U_j on the whole value (_lower_chernoff) spares the
       rows it shows to be below the smallest double, and the rows whose
       ranges would pass _TERMS_MAX: they read 0 with truncation_tail U_j.
 
-    One doubling scan forms the pk of a run of rows (_row_groups); each
-    row's ccdf, head convolution and tail dot use its own ranges.
+    A run of rows (_row_groups) shares one doubling scan for its pk and one
+    erlang_ccdf_vec call over the live shapes of all its rows; each row's
+    head convolution and dot use its own ranges.
 
     The value need not fall as t grows.  Over [0, delta] it rises (alpha
     delta = 0.5, delta = 300 s, 10%: 0.1299 at 0 s, 0.1770 at 300 s), and
@@ -955,12 +1033,16 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     t (1%, 600/h, delta = 60 s near t = 88 s): the adversary's count grows
     with t while those shapes' ccdfs stay 1.
 
-    truncation_tail bounds the terms left out: the Poisson mass past K_j
-    plus q's Chernoff tail past n; the shapes below lo_j add less than any
-    double.
+    truncation_tail bounds the terms left out: the count tail past M_j, the
+    low shapes' ccdf bound, q's mass past n_j, and q's Chernoff tail past n.
+    In every row it sums, the certificate keeps all but the last within
+    2^-60 of the value; the last is below 2^-1134 unless q stops at
+    _GAIN_TERMS_MAX, near an even split.
     """
     _require_minority(params)
     a, b = _gain_norm(params)
+    if b == 0:  # M = 0: no shape m >= 1 has mass
+        return _per_t(t, lambda ts: {"raw_value": np.zeros(ts.size), "truncation_tail": np.zeros(ts.size)})
     delta, y0 = params.delta, _gain_pole(a, b)
     n, q_tail = _gain_terms(a, b, y0)
     q = postmine_gain_pmf(params, n - 1)
@@ -969,57 +1051,85 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
             "post-mining gain transform produced materially negative pmf values"
         )
     r = b / a
-    rest = np.append(np.cumsum(q[::-1])[::-1], 0.0)  # rest[n] = sum_{m >= n} q(m)
-    log_c, slope = _lower_chernoff(a, b, y0)
-    margin = -_LOG_NEGLIGIBLE + 1.0 - math.log(q[0] * (1.0 - r))  # -log(e^-1 2^-60 q(0) (1 - r))
+    q_reversed = q[::-1].copy()  # q(n-1), ..., q(0): rows convolve with it as np.correlate's kernel
+    rest = np.append(np.cumsum(q_reversed)[::-1], 0.0)  # rest[n] = sum_{m >= n} q(m)
+    (log_c, slope), (log_g, log_z, y) = _lower_chernoff(a, b, y0)
 
-    def rows_of(ts, c, top):
-        """(raw value, truncation_tail) of the rows at times ts with cuts c and top counts top."""
-        lam, width = params.beta * ts, top.max() + 1
-        log_pois = log_poisson_pmf_vec(np.arange(width + 1), lam[:, None])
+    def count_cuts(ts, log_floor):
+        """(M_j, log of the Chernoff bound on P(M > M_j)) per row, M_j capped at _TERMS_MAX."""
+        log_pgf = log_g + np.outer(params.beta * ts, y)
+        target = np.maximum(log_floor + _LOG_COUNT_SHARE, _LOG_LOWER)[:, None]
+        m_cut = np.clip(np.min(np.ceil((log_pgf - target) / log_z), axis=1) - 1.0, 1.0, _TERMS_MAX)
+        return m_cut.astype(int), np.min(log_pgf - (m_cut[:, None] + 1.0) * log_z, axis=1)
+
+    def rows_of(ts, m_cut, c, log_floor):
+        """(raw value, mass of the left-out low shapes and gain terms) per row: cuts M_j, c_j, floors F_j."""
+        top = np.minimum(m_cut, c)  # the last shape whose ccdf a row takes
+        log_drop = np.maximum(log_floor + _LOG_TERM_SHARE, _LOG_LOWER)
+        # counts down axis 0, one column per row: the doubling scan's passes run on
+        # contiguous memory; each row is then copied out contiguous for its own sums
+        log_pois = log_poisson_pmf_vec(np.arange(m_cut.max() + 1)[:, None], params.beta * ts)
         pois = np.zeros(log_pois.shape)
         np.exp(log_pois, out=pois, where=log_pois > -746.0)  # exp is 0.0 below, by a slow path
-        pk = _geometric_poisson(pois[:, :width], r)
-        pk[np.arange(width) > top[:, None]] = 0.0
-        # pk past K_j in closed form: its geometric part, pk(K_j) r / (1 - r)
-        ends = np.zeros((ts.size, width + 1))
-        ends[:, :width] = pk
-        ends[np.arange(ts.size), top + 1] = pk[np.arange(ts.size), top] * (r / (1.0 - r))
-        tails = np.cumsum(ends[:, ::-1], axis=1)[:, ::-1]  # tails[., i] = sum_{k >= i}
-        shapes = np.arange(1, c.max() + 1)
+        pk = np.ascontiguousarray(_geometric_poisson(pois.T, r))
+        shapes = np.arange(1, top.max() + 1)
         x = ts[:, None] - shapes * delta
-        mu, k = params.alpha * np.maximum(x, 0.0), shapes - 1
-        with np.errstate(all="ignore"):  # log P(Poisson(mu) <= k) <= k - mu - k ln(k/mu), for k < mu
-            log_ccdf = np.where(k < mu, k - mu - np.where(k > 0, k * np.log(k / mu), 0.0), 0.0)
-        los = 1 + np.sum(log_ccdf <= _LOG_LOWER, axis=1)  # the bound rises with m
+        mine = shapes <= top[:, None]
+        low, low_mass = np.zeros(x.shape, dtype=bool), 0.0
+        # log P(Poisson(mu) <= k) <= k - mu - k ln(k/mu) for k < mu, which rises with the
+        # shape m = k + 1: the low shapes are a prefix of each row, and none where shape 1,
+        # log ccdf = -mu_1, is above the cut
+        if (-params.alpha * np.maximum(ts - delta, 0.0) <= log_drop).any():
+            mu, k = params.alpha * np.maximum(x, 0.0), shapes - 1
+            with np.errstate(all="ignore"):
+                log_ccdf = np.where(k < mu, k - mu - np.where(k > 0, k * np.log(k / mu), 0.0), 0.0)
+            low = mine & (log_ccdf <= log_drop[:, None])
+            low_mass = np.exp(np.max(np.where(low, log_ccdf, -np.inf), axis=1, initial=-np.inf))
+        live = mine & ~low
+        ccdf = np.zeros(x.shape)
+        ccdf[live] = erlang_ccdf_vec(x[live], np.broadcast_to(shapes, x.shape)[live], params.alpha)
+        los = 1 + np.sum(low, axis=1)
+        n_cut = np.searchsorted(-rest, -np.exp(log_drop))  # the first n with rest[n] <= 2^-63 F_j
         raw = np.empty(ts.size)
-        for i, (cj, lo) in enumerate(zip(c.tolist(), los.tolist())):
-            # s[m] = sum_{n+k=m} q(n) pk(k) for m = lo..c, complete from k = lo - size on
-            size = min(q.size, cj + 1)
+        per_row = zip(m_cut.tolist(), c.tolist(), top.tolist(), los.tolist(), n_cut.tolist())
+        for i, (mj, cj, tj, lo, nj) in enumerate(per_row):
+            # s[m] = sum_{n+k=m, n < n_j} q(n) pk(k) for m = lo..top_j, complete from k = lo - size on
+            size = min(nj, tj + 1)
             start = max(0, lo - size)
-            head = np.convolve(q[:size], pk[i, start : cj + 1])[lo - start : cj + 1 - start]
-            ccdf = erlang_ccdf_vec(x[i, lo - 1 : cj], shapes[lo - 1 : cj], params.alpha)
-            # the shapes past c_j: sum_n q(n) tails[c_j + 1 - n], tails[0] for n > c_j + 1
-            span = min(q.size, cj + 2)
-            past = np.dot(q[:span], tails[i, cj + 2 - span : cj + 2][::-1]) + tails[i, 0] * rest[span]
-            raw[i] = np.dot(head, ccdf) + past
-        return raw, np.exp(log_pois[np.arange(ts.size), top + 1]) / (1.0 - lam / (top + 2)) + q_tail
+            head = np.correlate(pk[i, start : tj + 1], q_reversed[q.size - size :], "full")
+            raw[i] = head[lo - start : tj + 1 - start].dot(ccdf[i, lo - 1 : tj])
+            if mj > cj:  # the shapes past c_j, whose ccdfs are 1.0: sum_n q(n) tails[c_j + 1 - n]
+                tails = np.cumsum(pk[i, mj::-1])[::-1]  # tails[k] = sum_{k <= i <= M_j} pk(i)
+                span = min(q.size, cj + 2)  # tails[0] for every n past c_j + 1
+                raw[i] += np.dot(q[:span], tails[cj + 2 - span : cj + 2][::-1]) + tails[0] * rest[span]
+        return raw, low_mass + np.where(n_cut <= top, rest[n_cut], 0.0)
 
     def kernel(ts):
-        lam, lam_a = params.beta * ts, params.alpha * ts
+        lam_a = params.alpha * ts
         log_u = np.minimum(np.min(log_c + np.outer(ts / delta, slope), axis=1, initial=np.inf), 0.0)
-        raw, tail = np.zeros(ts.size), np.exp(log_u)
+        raw, tail, cut = np.zeros(ts.size), np.exp(log_u), np.zeros(ts.size)
         rows = np.flatnonzero((log_u >= _LOG_TINY) & (lam_a < _TERMS_MAX))
         cuts = _erlang_cuts(lam_a[rows])
-        shrink = lam[rows] / (cuts + 2)  # a bound on each Poisson pmf step past c_j + 1
-        with np.errstate(divide="ignore"):  # lam = 0: no Poisson mass past any K
-            steps = np.ceil((margin - np.log1p(-shrink)) / -np.log(shrink))
-        tops = cuts + np.maximum(steps, 1).astype(int)
-        keep = tops < _TERMS_MAX
-        rows, cuts, tops = rows[keep], cuts[keep], tops[keep]
-        for group in _row_groups((tops + 2).tolist()):  # each group's work arrays die with rows_of
-            j = rows[group]
-            raw[j], tail[j] = rows_of(ts[j], cuts[group], tops[group])
+        hi = np.maximum(cuts + 1.0, np.ceil(params.beta * ts[rows]))
+        log_floor = _log_value_floor(params, q[0], ts[rows], hi)
+        for redo in (False, True):
+            m_cut, log_count_tail = count_cuts(ts[rows], log_floor)
+            keep, spared = m_cut < _TERMS_MAX, rows[m_cut >= _TERMS_MAX]
+            raw[spared], tail[spared] = 0.0, np.exp(log_u[spared])
+            rows, cuts, m_cut = rows[keep], cuts[keep], m_cut[keep]
+            log_count_tail, log_floor = log_count_tail[keep], log_floor[keep]
+            for group in _row_groups((m_cut + 1).tolist()):  # each group's work arrays die with rows_of
+                j = rows[group]
+                raw[j], left_out = rows_of(ts[j], m_cut[group], cuts[group], log_floor[group])
+                cut[j] = np.exp(log_count_tail[group]) + left_out
+                tail[j] = cut[j] + q_tail
+            # the partial sum bounds the value from below; q's own tail past n is the model's
+            fail = cut[rows] > 2.0**-60 * raw[rows]
+            if redo or not fail.any():
+                break
+            rows, cuts = rows[fail], cuts[fail]
+            with np.errstate(divide="ignore"):
+                log_floor = np.log(raw[rows])
         return {"raw_value": raw, "truncation_tail": tail}
 
     return _per_t(t, kernel)
@@ -1041,8 +1151,8 @@ def _poisson_window(lam: float, log_mass: float) -> tuple[int, int]:
     return max(0, math.floor(lam - d)), math.ceil(lam + d)
 
 
-# Counts each step of depth_from_time's downward scan sums: its work arrays stay
-# ~0.1 MB each, whatever the rate.
+# Counts each step of depth_from_time's downward scan sums at most: its work arrays
+# stay ~0.1 MB each, whatever the rate.
 _DEPTH_CHUNK = 16384
 
 
@@ -1051,12 +1161,15 @@ def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:
 
     The smallest k >= 1 with P(X >= k) <= eps, X ~ Poisson(lam) the blocks
     mined in tau seconds.  The top of _poisson_window leaves a mass below
-    eps 2^-60 beyond it.  The scan runs down from that top in chunks of
-    _DEPTH_CHUNK counts, summing the pmf into P(k <= X <= top), and stops at
-    the first count whose tail exceeds eps: the answer is the count above
-    it, or 1 if none does.  Each chunk's cumsum starts from the running
-    tail, so every tail adds in the same order whatever the chunking.
-    BracketError if the top count's own tail exceeds eps.
+    eps 2^-60 beyond it.  The scan runs down from that top in chunks of at
+    most _DEPTH_CHUNK counts, summing the pmf into P(k <= X <= top), and
+    stops at the first count whose tail exceeds eps: the answer is the count
+    above it, or 1 if none does.  The chunks above floor(lam) end there: the
+    Poisson median is at least lam - ln 2 (Choi 1994), so P(X >= floor(lam))
+    > 1/2 and, for eps < 1/2, the scan stops there at the latest.  Each
+    chunk's cumsum starts from the running tail, so every tail adds in the
+    same order whatever the chunking.  BracketError if the top count's own
+    tail exceeds eps.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -1064,16 +1177,17 @@ def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:
         raise ValueError(f"tau must be positive, got {tau}")
     lam = params.total_rate * tau
     top = _poisson_window(lam, math.log(eps) + _LOG_NEGLIGIBLE)[1]
-    tail = 0.0
-    for hi in range(top, 0, -_DEPTH_CHUNK):
-        ks = np.arange(hi, max(hi - _DEPTH_CHUNK, 0), -1)
+    hi, floor_lam, tail = top, max(math.floor(lam), 1), 0.0
+    while hi >= 1:
+        low = floor_lam if hi >= floor_lam else 1  # no chunk above floor(lam) runs past it
+        ks = np.arange(hi, max(hi - _DEPTH_CHUNK, low - 1), -1)
         tails = np.cumsum(np.concatenate([[tail], np.exp(log_poisson_pmf_vec(ks, lam))]))[1:]
         over = np.flatnonzero(tails > eps)
         if over.size:
             if over[0] == 0 and hi == top:
                 raise BracketError("confirmation depth search did not terminate")
             return int(ks[over[0]]) + 1
-        tail = tails[-1]
+        hi, tail = int(ks[-1]) - 1, tails[-1]
     return 1
 
 

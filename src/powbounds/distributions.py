@@ -224,21 +224,39 @@ def geometric_sum_ccdf(ns: np.ndarray, q: float) -> np.ndarray:
 def series_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Taylor coefficients of num/den, to the shorter of the two orders.
 
-    The reciprocal r of den comes from Newton's iteration r <- r (2 - den r),
-    which doubles the number of correct coefficients each step, so
-    ceil(log2(n)) pairs of convolutions give all n; one more convolution
-    with num gives the quotient.  Requires a nonzero constant term in the
-    divisor.
+    A blocked forward substitution over den's nonzero support, its first H
+    coefficients (the relaxed product of van der Hoeven, "Relax, but don't be
+    too lazy", 2002): with B = H - 1, each block g[s:s+B] of the
+    quotient solves den * g = num there given g below s, which enters only
+    through g[s-H+1:s], as g[s:s+B] = (1/den) * (num - den * g[:s]) cut to
+    B terms.  The reciprocal's first B coefficients come once from Newton's
+    iteration r <- r (2 - den r), so n coefficients cost ~2 n H
+    multiply-adds, linear in n, where a full-length reciprocal costs time
+    quadratic in it.  Requires a nonzero constant term in the divisor.
     """
     n = min(len(num), len(den))
     num = np.asarray(num, dtype=float)[:n]
     den = np.asarray(den, dtype=float)[:n]
     if den[0] == 0.0:
         raise ZeroDivisionError("series division by a series with zero constant term")
+    den = den[: np.flatnonzero(den)[-1] + 1]  # past its support den adds nothing
+    if den.size == 1:
+        return num / den[0]
+    block = den.size - 1
     inv = np.array([1.0 / den[0]])
-    while inv.size < n:
-        k = min(2 * inv.size, n)
+    while inv.size < min(block, n):
+        k = min(2 * inv.size, block, n)
         fix = -np.convolve(den[:k], inv)[:k]  # 2 - den r, to order k
         fix[0] += 2.0
         inv = np.convolve(inv, fix)[:k]
-    return np.convolve(num, inv)[:n]
+    out = np.zeros(2 * block + n)  # the quotient from index block on; zeros before and past it
+    out[block : block + inv.size] = np.convolve(num[: inv.size], inv)[: inv.size]
+    work = np.zeros(2 * block - 1)  # block - 1 zeros, then a block's right-hand side
+    for s in range(inv.size, n, block):
+        size = min(block, n - s)
+        # "valid" convolutions form only the block's own coefficients: den * g[s - block:s]
+        # over the block (g is still 0 from s on), then (1/den) * (num - that)
+        known = np.convolve(out[s : s + 2 * block], den, "valid")[:size]
+        work[block - 1 : block - 1 + size] = num[s : s + size] - known
+        out[block + s : block + s + size] = np.convolve(work[: block - 1 + size], inv, "valid")
+    return out[block : block + n]

@@ -693,7 +693,7 @@ def test_delay_lower_deep_tail_keeps_precision():
 
 
 def test_delay_lower_truncation_tail_is_nonnegative():
-    # the Poisson and geometric tails past k_max come from their closed forms,
+    # the tails left out come from Chernoff bounds on the count and the ccdf,
     # not from 1 minus a sum of the kept terms
     p33 = ProtocolParams.from_adversary_share(1.0 / 600.0, 0.33, 10.0)
     assert delay_lower(p33, 36000.0).truncation_tail >= 0.0
@@ -746,10 +746,12 @@ def _gain_size(params):
 
 
 def _wide_tops(params, cuts, q0):
-    """Counts K'_j at or past delay_lower's own top count K_j = c_j + d_j, per Erlang cut c_j.
+    """Counts K'_j = c_j + d_j + 1 per Erlang cut c_j, a range past delay_lower's count cut M_j.
 
     d_j divides -log(2^-60 e^-1 q(0) (1 - r)) - log(1 - lam / (c_j + 2)) by log((c_j + 2) / lam),
-    and lam / (c_j + 2) < r, so r in place of that ratio gives at least d_j.
+    and lam / (c_j + 2) < r, so r in place of that ratio gives at least d_j; past c_j + d_j
+    the Poisson mass is below 2^-60 e^-1 q(0) (1 - r) P(A = c_j + 1).  On the envelope
+    sweep 4 K'_j is at least 3 M_j.
     """
     r = params.beta / params.alpha
     if r == 0:
@@ -784,7 +786,7 @@ def _wide_delay_lower(params, ts):
 def _unsplit_delay_lower(params, ts, scale):
     """Reference: delay_lower's raw value as one dot of q * pk with every shape's Erlang ccdf, per row.
 
-    q and pk over delay_lower's own ranges: q(0..n-1), but only while the mass
+    q and pk over ranges at least delay_lower's: q(0..n-1), but only while the mass
     it has left is above 1e-20 of the row's scale (an estimate of its value);
     and pk_j over k = 0..K'_j (_wide_tops) with its geometric tail past K'_j,
     pk_j(K'_j) r / (1 - r), as one more count.
@@ -880,6 +882,106 @@ def test_delay_lower_chernoff_tail_envelopes_a_row_it_spares(monkeypatch):
     wide = delay_lower(params, t).raw_value
     assert kept.raw_value == 0.0 and wide > 0.3
     assert kept.raw_value + kept.truncation_tail >= wide
+
+
+# (share, total rate per hour, delta, times, delay_lower values), frozen to full
+# precision: relative cuts and reordered sums move a value by a few ulps at most
+DELAY_LOWER_PANEL = [
+    (0.10, 6.0, 10.0, [0.0, 900.0, 7200.0, 24000.0, 86400.0],
+     [0.12226947272702944, 0.07944343302995001, 0.0007754160564545935, 6.899619380336475e-09,
+      4.396140936545749e-27]),
+    (0.25, 6.0, 10.0, [3600.0, 36000.0, 200000.0],
+     [0.13922082088717902, 4.973835827807316e-05, 5.188182934095263e-21]),
+    (0.33, 60.0, 1.0, [60.0, 3600.0], [0.5651493841581856, 0.007718309882868284]),
+    (0.45, 600.0, 0.5, [10.0, 3600.0, 36000.0],
+     [0.934544609707524, 0.07139712205827982, 1.5810414629280577e-09]),
+    (0.01, 600.0, 60.0, [87.5, 300.0], [0.013610427370958491, 0.00022522347847929948]),
+    (0.45, 6.0, 0.1, [7200.0, 36000.0], [0.8095689628657728, 0.5423685092341786]),
+    (0.10, 600.0, 1.0, [600.0, 6000.0], [3.204426430982531e-18, 1.9990445191701148e-163]),
+    (0.30, 6.0, 60.0, [30.0], [0.5513377825196997]),
+]
+
+
+@pytest.mark.parametrize("share, per_hour, delta, ts, want", DELAY_LOWER_PANEL)
+def test_delay_lower_frozen_panel(share, per_hour, delta, ts, want):
+    params = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta)
+    np.testing.assert_allclose(delay_lower(params, np.array(ts)).raw_value, want, rtol=1e-14, atol=0.0)
+
+
+def _delay_lower_work(monkeypatch, params, ts):
+    """(erlang_ccdf_vec calls, elements they evaluate, series_div's multiply-adds) of one delay_lower call.
+
+    The multiply-adds are the len(a) len(v) of each np.convolve call series_div makes.
+    """
+    erlang, work, inside = [], [0], [False]
+    ccdf, divide, convolve = bounds.erlang_ccdf_vec, bounds.series_div, np.convolve
+
+    def counted_convolve(a, v, mode="full"):
+        work[0] += np.size(a) * np.size(v) if inside[0] else 0
+        return convolve(a, v, mode)
+
+    def counted_divide(num, den):
+        inside[0] = True
+        try:
+            return divide(num, den)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np, "convolve", counted_convolve)
+    monkeypatch.setattr(bounds, "series_div", counted_divide)
+    monkeypatch.setattr(bounds, "erlang_ccdf_vec", lambda x, n, rate: erlang.append(np.size(x)) or ccdf(x, n, rate))
+    delay_lower(params, ts)
+    return len(erlang), sum(erlang), work[0]
+
+
+def test_delay_lower_work_on_a_figure(monkeypatch):
+    # the trade-off figure: 30 times at 10%, 6/h, delta = 10 s make one Erlang call
+    # over the shapes the relative cuts keep (running every row to its Erlang cut
+    # takes 1963 in 30 calls), and q's 361 terms cost ~1.1e5 multiply-adds (a
+    # full-length Newton reciprocal, 4.0e5)
+    calls, elements, work = _delay_lower_work(monkeypatch, BITCOIN_10, np.linspace(900.0, 22500.0, 30))
+    assert calls == 1 and elements <= 1100
+    assert work <= 1.2e5
+
+
+def test_delay_lower_work_at_a_near_even_high_rate_model(monkeypatch):
+    # 45%, 600/h, delta = 0.5 s: q's 4889 terms take ~2.1e6 multiply-adds (a
+    # full-length Newton reciprocal, 8.6e7), and a row's shapes stop at its count
+    # cut (running to the Erlang cut takes 509 and 2571 at 3600 s and 36,000 s)
+    params = ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.45, 0.5)
+    for t, most in ((3600.0, 400), (36000.0, 1000)):
+        calls, elements, work = _delay_lower_work(monkeypatch, params, t)
+        assert calls == 1 and elements <= most
+        assert work <= 2.2e6
+
+
+def test_delay_lower_redoes_a_row_whose_certificate_fails(monkeypatch):
+    # a floor far above the value sizes every cut too short: each row's certificate
+    # fails against its own partial sum, and the row is redone from that sum
+    ts = np.array([900.0, 7200.0, 24000.0])
+    want = delay_lower(BITCOIN_10, ts)
+    floor, groups, runs = bounds._log_value_floor, bounds._row_groups, []
+    monkeypatch.setattr(bounds, "_log_value_floor", lambda *a: floor(*a) + 30.0)
+    monkeypatch.setattr(bounds, "_row_groups", lambda widths: runs.append(len(widths)) or groups(widths))
+    got = delay_lower(BITCOIN_10, ts)
+    assert runs == [3, 3]  # every row once with the false floor, then once from its own sum
+    np.testing.assert_allclose(got.raw_value, want.raw_value, rtol=1e-15, atol=0.0)
+    assert (got.truncation_tail <= 2.0**-60 * got.raw_value).all()
+
+
+def test_delay_lower_value_floor_is_below_the_value():
+    # F_j, from one term's lower-bounded factors, never exceeds the value it sizes
+    # the cuts by, and _log_poisson_floor never exceeds the log pmf
+    for params in _erlang_regimes():
+        ts = np.linspace(0.0, 600.0 / params.alpha, 40)
+        cuts = bounds._erlang_cuts(params.alpha * ts)
+        hi = np.maximum(cuts + 1.0, np.ceil(params.beta * ts))
+        q0 = postmine_gain_pmf(params, 2)[0]
+        got = np.exp(bounds._log_value_floor(params, q0, ts, hi))
+        assert (got <= delay_lower(params, ts).raw_value).all()
+    ks = np.arange(400.0)[:, None]
+    for lam in (0.0, 0.3, 7.0, 150.0, 3000.0):
+        assert (bounds._log_poisson_floor(ks, lam) <= log_poisson_pmf_vec(ks, lam) + 1e-12).all()
 
 
 def test_zero_delay_lower_truncation_tail_envelopes_the_discarded_terms_property():
@@ -987,6 +1089,40 @@ def test_depth_from_time_chunks_sum_in_one_order(monkeypatch):
     for chunk in (5, 64):
         monkeypatch.setattr(bounds, "_DEPTH_CHUNK", chunk)
         assert [depth_from_time(p, tau, eps) for tau, eps in cases] == want
+
+
+def _depth_fixed_chunks(params, tau, eps, chunk):
+    """Reference: depth_from_time's downward scan in fixed chunks of `chunk` counts from the window's top."""
+    lam = params.total_rate * tau
+    top = bounds._poisson_window(lam, math.log(eps) + bounds._LOG_NEGLIGIBLE)[1]
+    tail = 0.0
+    for hi in range(top, 0, -chunk):
+        ks = np.arange(hi, max(hi - chunk, 0), -1)
+        tails = np.cumsum(np.concatenate([[tail], np.exp(log_poisson_pmf_vec(ks, lam))]))[1:]
+        over = np.flatnonzero(tails > eps)
+        if over.size:
+            return int(ks[over[0]]) + 1
+        tail = tails[-1]
+    return 1
+
+
+def test_depth_from_time_stops_its_first_chunk_at_floor_lam(monkeypatch):
+    # the chunks above floor(lam) end there, where the tail passes 1/2: every depth is
+    # the fixed chunking's, at each chunk size, and the scan evaluates only the counts
+    # from the window's top down to floor(lam) (1,224 of the 11,223 counts one fixed
+    # 16,384-count chunk took at lam = 1e4, eps = 1e-12)
+    p = ProtocolParams(alpha=0.009, beta=0.001)
+    pmf, counted = bounds.log_poisson_pmf_vec, []
+    monkeypatch.setattr(bounds, "log_poisson_pmf_vec", lambda ks, lam: counted.append(ks.size) or pmf(ks, lam))
+    for chunk in (5, 64, bounds._DEPTH_CHUNK):
+        monkeypatch.setattr(bounds, "_DEPTH_CHUNK", chunk)
+        for lam in np.geomspace(0.1, 1e4, 25):
+            for eps in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
+                counted.clear()
+                got = depth_from_time(p, lam / p.total_rate, eps)
+                assert got == _depth_fixed_chunks(p, lam / p.total_rate, eps, chunk), (chunk, lam, eps)
+                top = bounds._poisson_window(lam, math.log(eps) + bounds._LOG_NEGLIGIBLE)[1]
+                assert sum(counted) <= top - max(math.floor(lam), 1) + 1
 
 
 def test_depth_from_time_memory_stays_flat_at_large_rates():

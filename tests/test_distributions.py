@@ -163,6 +163,30 @@ def test_series_div_inverts_mul():
     assert np.allclose(q, a, atol=1e-12)
 
 
+def _series_div_reference(num, den, n):
+    """Reference: the forward substitution g[k] = (num[k] - sum_{j>=1} den[j] g[k-j]) / den[0], one term at a time."""
+    g = []
+    for k in range(n):
+        acc = num[k] - math.fsum(den[j] * g[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        g.append(acc / den[0])
+    return np.array(g)
+
+
+@pytest.mark.parametrize("support, n", [(1, 9), (2, 40), (5, 203), (17, 250), (40, 39)])
+def test_series_div_blocks_match_forward_substitution(support, n):
+    # a divisor with `support` nonzero coefficients and zeros past them, over n terms:
+    # one block, several, and a last block cut short
+    rng = np.random.default_rng(support)
+    den = np.zeros(n + 7)
+    den[0] = 1.0
+    den[1:support] = rng.uniform(-0.4, 0.4, support - 1) / np.arange(1, support) ** 2
+    num = rng.uniform(-1.0, 1.0, n + 3)
+    got = series_div(num, den)
+    assert got.shape == (n + 3,)
+    want = _series_div_reference(num, den[:support], n + 3)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
 def test_series_div_geometric():
     # 1 / (1 - x) = sum x^n, to the shorter order
     one = np.zeros(17)

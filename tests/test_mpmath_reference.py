@@ -232,7 +232,7 @@ def test_postmine_gain_pmf_keeps_relative_precision(share, rate_per_hour, delta)
 
 @pytest.mark.parametrize("share", [0.10, 0.25, 0.45])
 def test_postmine_gain_pmf_matches_mpmath_series_quotient(share):
-    # the Newton-doubling reciprocal of h keeps every coefficient above 1e-30 to 1e-14
+    # series_div's blocked quotient by h keeps every coefficient above 1e-30 to 1e-14
     params = ProtocolParams.from_adversary_share(6.0 / 3600.0, share, 10.0)
     got = postmine_gain_pmf(params)
     with mp.workdps(50):
