@@ -24,6 +24,7 @@ import numpy as np
 from .distributions import (
     erlang_ccdf_vec,
     geometric_sum_ccdf,
+    log_poisson_pmf,
     log_poisson_pmf_vec,
     series_div,
     skellam_pmf,
@@ -571,7 +572,7 @@ def _vertex(vals, i, val, u, spacing):
         )
 
 
-def _pass_terms(mgf: Mgf, b, u, step):
+def _pass_terms(mgf: Mgf, b, u, step, prior=None):
     """The race's (log c^2, psi) at each row's pass points u + step _PASS, one evaluation per shared pass.
 
     u has a last axis of 1, rows along the axis before it and model columns
@@ -580,8 +581,22 @@ def _pass_terms(mgf: Mgf, b, u, step):
     terms: within a model equal u means equal step, since an edge row's step
     is its u, below every coarse point.  An inversion's (s - 1, s) rows
     nearly always share their coarse cell, so a confirmation pair costs one
-    pass, not two.
+    pass, not two.  prior, if given, is (u', log c^2, psi) of passes already
+    evaluated, one per row, at steps of one coarse spacing: a row whose u
+    equals u' in every model takes those terms (an edge row's u lies below
+    every coarse point, so it never does), and only the other rows are
+    evaluated, with no call where none is left.
     """
+    if prior is not None:
+        reuse = (u == prior[0])[..., 0]
+        reuse = reuse.all(axis=tuple(range(reuse.ndim - 1)))
+        if reuse.all():
+            return prior[1:]
+        need = ~reuse
+        own = _pass_terms(mgf, b, u[..., need, :], np.broadcast_to(step, u.shape)[..., need, :])
+        rows = np.maximum(np.cumsum(need) - 1, 0)  # each evaluated row's place among them
+        reuse = reuse[:, None]
+        return tuple(np.where(reuse, x, y.take(rows, axis=-2)) for x, y in zip(prior[1:], own))
     points = u + step * _PASS
     new = u[..., 1:, 0] != u[..., :-1, 0]
     if new.ndim > 1:
@@ -597,7 +612,7 @@ def _pass_terms(mgf: Mgf, b, u, step):
     return log_c2.take(rows, axis=-2), psi.take(rows, axis=-2)
 
 
-def _grid_minimize(mgf: Mgf, b, coarse, objective):
+def _grid_minimize(mgf: Mgf, b, coarse, objective, prior=None):
     """Minimize the delay race's objective over (0, u0) row by row; returns (u, value) per row.
 
     The model is one delay race (mgf a double-lagger MGF, b a float) or
@@ -615,7 +630,10 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective):
     incumbent, which is its middle point, so no row's best value worsens.
     Neighbouring rows with the same incumbent in every model share one
     pass (_pass_terms): an inversion's (s - 1, s) confirmation pair nearly
-    always does, so each pair costs one pass.
+    always does, so each pair costs one pass.  prior, if given, holds
+    passes already evaluated, one per row (_delay_crossings' passes): a row
+    whose incumbent is that pass's centre takes its terms, so where every
+    row's does the pass makes no race-kernel call.
     Last, _vertex fits a parabola to the pass minimum and its two
     neighbours, and its vertex replaces the pass minimum only if its value
     is lower.  Every step is elementwise per row, and the model columns
@@ -631,7 +649,7 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective):
         edge_u = hi * _EDGE_GRID[_nan_argmin(edge_vals)[..., None]]
         edge_u[np.isnan(edge_vals).all(axis=-1)] = np.nan
         u, step = np.where(empty, edge_u, u), np.where(empty, edge_u, step)
-    vals = objective(*_pass_terms(mgf, b, u, step))
+    vals = objective(*_pass_terms(mgf, b, u, step, prior))
     i = _nan_argmin(vals)[..., None]
     u, val = u + step * _PASS[i], _pick(vals, i)
     u_fit = _vertex(vals, i, val, u, step / _REFINE)[0]
@@ -645,7 +663,7 @@ def _delay_coarse(mgf: Mgf, b):
     return _race_log_terms(mgf, b, _DELAY_SPEC, np.atleast_2d(_coarse_grid(mgf.roc_sup)))
 
 
-def _delay_upper_rows(mgf: Mgf, b, d, coarse, ts: np.ndarray):
+def _delay_upper_rows(mgf: Mgf, b, d, coarse, ts: np.ndarray, prior=None):
     """delay_upper's kernel: (raw value, optimizer v per second) at each time in ts (s).
 
     Each time is one row of the minimization; coarse is _delay_coarse(mgf, b).
@@ -653,7 +671,7 @@ def _delay_upper_rows(mgf: Mgf, b, d, coarse, ts: np.ndarray):
     column; the results have ts's shape, nan where no u is admissible.
     """
     tau = (ts / d)[..., None]
-    u_best, log_obj = _grid_minimize(mgf, b, coarse, lambda log_c2, psi: log_c2 - psi * tau)
+    u_best, log_obj = _grid_minimize(mgf, b, coarse, lambda log_c2, psi: log_c2 - psi * tau, prior)
     return _exp_raw(log_obj), u_best / d
 
 
@@ -697,22 +715,28 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     )
 
 
-def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d) -> np.ndarray:
+def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d, passes=None) -> np.ndarray:
     """Normalized real crossing min_u (log c^2(u) - log eps) / psi(u) of each level, one row each.
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
     Each row reads its crossing from the coarse terms: _vertex fits a
-    parabola to its coarse minimum and two neighbours, one race-kernel call
-    evaluates the ratio at every row's vertex, and the crossing is the lower
-    of that value and the coarse minimum.  It is an evaluated point, so an
-    upper estimate.  A row with no fit (no admissible coarse point, or a
-    minimum on the grid's end or not convex), or whose evaluated vertex and
-    the parabola's prediction lie in different whole seconds (d is the
-    model's delta, or a (models, 1) column of them), takes _grid_minimize's
-    pass and vertex instead; that pass runs over the whole batch.  The
-    crossing only picks the whole second where invert_latency confirms with
-    delay_upper's own values.  The result has the rows' shape broadcast
+    parabola to its coarse minimum and two neighbours, and the crossing is
+    the lower of the ratio at that vertex and the coarse minimum.  It is an
+    evaluated point, so an upper estimate.  One race-kernel call evaluates
+    every row's vertex together with the 2 _REFINE + 1 points of the pass
+    around its coarse minimum, the pass _grid_minimize makes for a row whose
+    incumbent is that point; a list given as passes receives (u, log c^2,
+    psi) of those passes, u each row's coarse minimum.  A row with no fit
+    (no admissible coarse point, or a minimum on the grid's end or not
+    convex), or whose evaluated vertex and the parabola's prediction lie in
+    different whole seconds (d is the model's delta, or a (models, 1) column
+    of them), takes _grid_minimize's pass and vertex instead, run over the
+    whole batch with these passes as its prior: one more call, for the
+    vertex, unless a row has no admissible coarse point.  The crossing only
+    picks the whole second where invert_latency confirms with delay_upper's
+    own values, and its passes are what those confirmations, at the same
+    coarse minimum, evaluate.  The result has the rows' shape broadcast
     against d's: one row of levels per model for a column d.
     """
     log_eps = log_eps[:, None]
@@ -721,15 +745,21 @@ def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d) -> np.ndarray:
         return (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
 
     hi = mgf.roc_sup
+    step = hi / _GRID_CELLS
     vals = objective(*coarse)
     i = _nan_argmin(vals)[..., None]
     u, val = hi * (i + 1) / _GRID_CELLS, _pick(vals, i)
-    u_fit, predicted = _vertex(vals, i, val, u, hi / _GRID_CELLS)
-    val_fit = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u_fit))[..., 0]
+    u_fit, predicted = _vertex(vals, i, val, u, step)
+    points = np.concatenate([u_fit, u + step * _PASS], axis=-1)  # the vertex, then the pass
+    log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, points)
+    prior = (u, log_c2[..., 1:], psi[..., 1:])
+    if passes is not None:
+        passes.extend(prior)
+    val_fit = objective(log_c2[..., :1], psi[..., :1])[..., 0]
     predicted, t = predicted[..., 0], np.fmin(val_fit, val[..., 0])
     with np.errstate(invalid="ignore"):
         refit = np.isnan(predicted) | (np.floor(val_fit * d) != np.floor(predicted * d))
-    refitted = _grid_minimize(mgf, b, coarse, objective)[1] if refit.any() else t
+    refitted = _grid_minimize(mgf, b, coarse, objective, prior)[1] if refit.any() else t
     return np.where(refit, refitted, t)
 
 
@@ -1151,9 +1181,19 @@ def _poisson_window(lam: float, log_mass: float) -> tuple[int, int]:
     return max(0, math.floor(lam - d)), math.ceil(lam + d)
 
 
-# Counts each step of depth_from_time's downward scan sums at most: its work arrays
-# stay ~0.1 MB each, whatever the rate.
+# Counts each step of depth_from_time's downward scan sums at most: its work array
+# stays ~0.1 MB, whatever the rate.
 _DEPTH_CHUNK = 16384
+
+# log of a pmf the depth scan starts from: above it, e^x is a normal double.
+_LOG_NORMAL = -708.0
+
+# Rates below which the depth scan's k / lam could overflow; P(X >= 2) is 0.0 there.
+_DEPTH_LAM_MIN = 2.0**-1000
+
+# Binary exponent of the smallest level the depth scan compares unscaled: a pmf
+# below e^_LOG_NORMAL is then below 2^-120 of it.
+_DEPTH_EPS_EXP = -900
 
 
 def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:
@@ -1161,33 +1201,60 @@ def depth_from_time(params: ProtocolParams, tau: float, eps: float) -> int:
 
     The smallest k >= 1 with P(X >= k) <= eps, X ~ Poisson(lam) the blocks
     mined in tau seconds.  The top of _poisson_window leaves a mass below
-    eps 2^-60 beyond it.  The scan runs down from that top in chunks of at
-    most _DEPTH_CHUNK counts, summing the pmf into P(k <= X <= top), and
-    stops at the first count whose tail exceeds eps: the answer is the count
-    above it, or 1 if none does.  The chunks above floor(lam) end there: the
-    Poisson median is at least lam - ln 2 (Choi 1994), so P(X >= floor(lam))
-    > 1/2 and, for eps < 1/2, the scan stops there at the latest.  Each
-    chunk's cumsum starts from the running tail, so every tail adds in the
-    same order whatever the chunking.  BracketError if the top count's own
-    tail exceeds eps.
+    eps 2^-60 beyond it.  The scan starts at the highest count up to that
+    top whose log pmf is at least _LOG_NORMAL, found by steps down from the
+    top (log pmf(k - 1) - log pmf(k) = ln(k/lam) is at most ln(top/lam)
+    there, so no step passes it), and the counts above it, each below
+    2^-120 of eps, are left out.  Below eps = 2^_DEPTH_EPS_EXP the pmf and
+    eps are both scaled by the power of 2 that brings eps up to it, so a
+    subnormal level still has normal pmfs at its answer.  The start's pmf
+    is one saddle-point term (log_poisson_pmf); every lower count's comes
+    from pmf(k - 1) = pmf(k) k/lam, one rounding per factor and one per
+    product, which leaves a relative error of at most ~2.2e-16 per count
+    scanned.  The scan runs down in chunks of at most _DEPTH_CHUNK counts,
+    one cumprod for the pmf and one cumsum for P(k <= X <= start), and
+    stops at the first count whose tail exceeds eps: the answer is the
+    count above it, or 1 if none does.  The chunks above floor(lam) end
+    there: the Poisson median is at least lam - ln 2 (Choi 1994), so
+    P(X >= floor(lam)) > 1/2 and, for eps < 1/2, the scan stops there at
+    the latest.  Each chunk's products and sums continue from the last
+    ones, so every pmf and tail is the same whatever the chunking.  Below
+    lam = _DEPTH_LAM_MIN, P(X >= 2) <= lam^2/2 is 0.0 and P(X >= 1) alone
+    decides between 1 and 2.  BracketError if the top count's own tail
+    exceeds eps.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     lam = params.total_rate * tau
+    if lam < _DEPTH_LAM_MIN:  # P(X >= 2) <= lam^2 / 2 is 0.0: the answer is 1 or 2
+        return 1 if -math.expm1(-lam) <= eps else 2
     top = _poisson_window(lam, math.log(eps) + _LOG_NEGLIGIBLE)[1]
-    hi, floor_lam, tail = top, max(math.floor(lam), 1), 0.0
+    scale = max(0, _DEPTH_EPS_EXP - math.frexp(eps)[1])
+    shift, eps = scale * math.log(2.0), math.ldexp(eps, scale)
+    hi, floor_lam = top, max(math.floor(lam), 1)
+    log_p = log_poisson_pmf(hi, lam) + shift
+    while log_p < _LOG_NORMAL and hi > floor_lam:
+        hi = max(hi - math.ceil((_LOG_NORMAL - log_p) / math.log(hi / lam)), floor_lam)
+        log_p = log_poisson_pmf(hi, lam) + shift
+    pmf, tail = math.exp(log_p), 0.0
     while hi >= 1:
         low = floor_lam if hi >= floor_lam else 1  # no chunk above floor(lam) runs past it
-        ks = np.arange(hi, max(hi - _DEPTH_CHUNK, low - 1), -1)
-        tails = np.cumsum(np.concatenate([[tail], np.exp(log_poisson_pmf_vec(ks, lam))]))[1:]
+        pmfs = np.arange(hi + 1.0, max(hi - _DEPTH_CHUNK, low - 1) + 1.0, -1.0)
+        pmfs /= lam  # pmf(k) / pmf(k + 1) at k = hi, hi - 1, ...
+        pmfs[0] = pmf
+        np.cumprod(pmfs, out=pmfs)
+        pmf = pmfs[-1]
+        pmfs[0] += tail
+        tails = np.cumsum(pmfs, out=pmfs)
         over = np.flatnonzero(tails > eps)
         if over.size:
             if over[0] == 0 and hi == top:
                 raise BracketError("confirmation depth search did not terminate")
-            return int(ks[over[0]]) + 1
-        hi, tail = int(ks[-1]) - 1, tails[-1]
+            return hi - int(over[0]) + 1
+        hi, tail = hi - tails.size, tails[-1]
+        pmf *= (hi + 1) / lam
     return 1
 
 
@@ -1269,19 +1336,22 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
     columns (a, b, u0 and the mean, shape (models, 1, 1)), broadcast against
     each row's points.  Their rows start at ceil(t*), the crossing
     _delay_crossings reads from the coarse grid, and take their pairs from
-    delay_upper's kernel on the solved models, where a pair that shares its
-    coarse cell (nearly every one) shares one refinement pass: with no
-    fallback and a start at the answer a batch makes four race-kernel
-    calls, and a model with no admissible u starts at the horizon and
-    closes there.  Every other model is a group of its own that starts at
-    _SEARCH_START and makes one call of its form per step; the secant
-    through its first pair is the crossing itself for a form c e^{-rate t},
-    so such a form takes two calls; where a value at or below its level
-    leaves the level under value + truncation_tail, the sum was cut too
-    short to decide it, and the model gets BracketError.  Every step is
-    elementwise per row, so a model's values are those of a batch of one,
-    bit for bit.  An InfeasibleParametersError or BracketError raised by a
-    group's form is the result of its models, and closes their rows.
+    delay_upper's kernel on the solved models.  A pair whose coarse cell is
+    its crossing's (nearly every one) takes the refinement pass the
+    crossings evaluated, and one whose cell is not shares a pass of its
+    own: with no fallback, a start at the answer and every pair in its
+    crossing's cell a batch makes three race-kernel calls, and a model with
+    no admissible u starts at the horizon and closes there.  The crossings'
+    passes enter each pair's first step and every later one.  Every other
+    model is a group of its own that starts at _SEARCH_START and makes one
+    call of its form per step; the secant through its first pair is the
+    crossing itself for a form c e^{-rate t}, so such a form takes two
+    calls; where a value at or below its level leaves the level under
+    value + truncation_tail, the sum was cut too short to decide it, and the
+    model gets BracketError.  Every step is elementwise per row, so a
+    model's values are those of a batch of one, bit for bit.  An
+    InfeasibleParametersError or BracketError raised by a group's form is
+    the result of its models, and closes their rows.
     """
     results = [None] * len(models)
 
@@ -1335,13 +1405,15 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
         )
         b, d = col(bs), np.array(ds)[:, None]
         coarse = _delay_coarse(mgf, b)
-        t_star = _delay_crossings(mgf, b, coarse, np.array([math.log(e) for e in levels]), d) * d
+        log_eps, passes = np.array([math.log(e) for e in levels]), []
+        t_star = _delay_crossings(mgf, b, coarse, log_eps, d, passes) * d
+        prior = [np.repeat(x, 2, axis=-2) for x in passes]  # one copy for each second of a pair
         for j, unsolved in zip(index, np.isnan(t_star).any(axis=1).tolist()):
             if unsolved:
                 results[j] = BracketError(_NO_ADMISSIBLE_POINT)
         # ceil(t*) clamped to [1, horizon]; a nan t* (no admissible u) gives the horizon
         starts = np.ceil(np.fmin(np.maximum(t_star, 1.0), float(_LATENCY_HORIZON)))
-        rows = lambda ts: _delay_upper_rows(mgf, b, d, coarse, ts.reshape(len(index), -1))[0]
+        rows = lambda ts: _delay_upper_rows(mgf, b, d, coarse, ts.reshape(len(index), -1), prior)[0]
         search(index, starts.reshape(-1).tolist(), rows)
     return results
 
@@ -1366,12 +1438,13 @@ def invert_latency(
     (_search) whose every step is one array call at every level's (s - 1, s),
     and a level closes once it knows bound(t) <= eps < bound(t - 1).
     delay_upper starts at the crossing read from the coarse grid and takes
-    four race-kernel calls in all; any other form starts at 600 s, and a form
-    c e^{-rate t} takes two bound calls.  Raises BracketError past
-    600 * 2^30 s, or where a truncated sum cannot decide a level.  _search
-    assumes a form nonincreasing in t: for one that rises somewhere
-    (delay_lower can, at small t) the whole second it returns meets the
-    level, but an earlier one may meet it too.
+    three race-kernel calls in all where each level's confirmation pair has
+    its crossing's coarse minimum, as nearly every one does; any other form
+    starts at 600 s, and a form c e^{-rate t} takes two bound calls.
+    Raises BracketError past 600 * 2^30 s, or where a truncated sum cannot
+    decide a level.  _search assumes a form nonincreasing in t: for one
+    that rises somewhere (delay_lower can, at small t) the whole second it
+    returns meets the level, but an earlier one may meet it too.
     """
     scalar, levels = _levels(eps)
     latencies = _invert([bound_fn], [params], levels)[0]

@@ -112,6 +112,35 @@ def log_poisson_pmf_vec(ks: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     return out
 
 
+def log_poisson_pmf(k: int, lam: float) -> float:
+    """log_poisson_pmf_vec at one count k and one rate lam > 0, in Python floats.
+
+    The same saddle-point form, _STIRLERR_SMALL table, Stirling series and
+    _bd0 branches and series, in Python floats at a fraction of the array
+    form's cost for one count.  Its deviance outside _bd0's series band takes
+    numpy's log1p, whose last bit math.log1p does not always share: that
+    term is x times it less x - lam, which can amplify one ulp to several.
+    """
+    if k < 1:
+        return -lam if k == 0 else -math.inf
+    x = float(k)
+    if k < 16:
+        stirlerr = float(_STIRLERR_SMALL[k])
+    else:
+        r = 1.0 / (x * x)
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / x
+    gap = x - lam
+    v = gap / (x + lam)
+    if abs(v) < 0.25:
+        v2, series = v * v, 1.0 / (2 * _BD0_TERMS + 1)
+        for j in range(_BD0_TERMS - 1, 0, -1):
+            series = series * v2 + 1.0 / (2 * j + 1)
+        bd0 = gap * v + 2.0 * x * v * (series * v2)
+    else:
+        bd0 = x * float(np.log1p(gap / lam)) - gap
+    return -(bd0 + (stirlerr + (0.5 * math.log(x) + _HALF_LOG_2PI)))
+
+
 def erlang_ccdf_vec(xs: np.ndarray, ns: np.ndarray, rate: float) -> np.ndarray:
     """Erlang complementary cdf over aligned (x, shape) arrays; 1 for x <= 0 (gammaincc(n, 0) = 1)."""
     return _special().gammaincc(np.asarray(ns, dtype=float), rate * np.maximum(xs, 0.0))

@@ -392,8 +392,10 @@ def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour,
     assert (delay_lower(params, ts).probability <= upper).all()
 
 
-def _five_pass_minimize(mgf, b, coarse, objective):
-    """Reference: the minimizer before its vertex step, five passes each 128x finer to 1e-12 u0."""
+def _five_pass_minimize(mgf, b, coarse, objective, prior=None):
+    """Reference: the minimizer before its vertex step, five passes each 128x finer to 1e-12 u0.
+
+    It evaluates every pass itself, so it ignores prior, the passes its caller has evaluated."""
     hi = mgf.roc_sup
     vals = objective(*coarse)
     rows = np.arange(vals.shape[0])
@@ -453,8 +455,8 @@ def test_vertex_step_matches_five_pass_refinement(monkeypatch, models):
 
 def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
     # delay_upper: coarse grid, one pass, one vertex; invert_latency: the shared
-    # coarse grid, the crossing's vertex on it, then pass and vertex for the
-    # confirmation
+    # coarse grid, the crossing's vertex with the pass around its coarse cell,
+    # then the confirmation's vertex, its pass taken from the crossing's
     calls = []
     kernel = bounds._race_log_terms
     monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(a) or kernel(*a))
@@ -462,24 +464,57 @@ def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
     assert len(calls) == 3
     calls.clear()
     invert_latency(delay_upper, BITCOIN_10, [1e-3, 1e-6, 1e-9])
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_race_kernel_points_per_inversion(monkeypatch):
-    # each (s - 1, s) confirmation pair shares one 257-point pass; of 30 distinct
-    # delay_upper times from 3.6 to 36 ks, three share their neighbour's coarse cell
+    # each level's crossing evaluates its vertex and one 257-point pass, which its
+    # (s - 1, s) confirmation pair takes; of 30 distinct delay_upper times from
+    # 3.6 to 36 ks, three share their neighbour's coarse cell
     calls = []
     kernel = bounds._race_log_terms
     monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(np.size(a[3])) or kernel(*a))
     specs, model = load_config(default_config_path())
     build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
-    assert calls == [6 * 511, 6 * 3, 6 * 3 * 257, 6 * 6] and sum(calls) == 7746
+    assert calls == [6 * 511, 6 * 3 * (1 + 257), 6 * 6] and sum(calls) == 7746
     calls.clear()
     invert_latency(delay_upper, BITCOIN_10, 1e-3)
-    assert sum(calls) == 511 + 1 + 257 + 2 == 771
+    assert calls == [511, 1 + 257, 2] and sum(calls) == 771
     calls.clear()
     delay_upper(BITCOIN_10, np.linspace(3600.0, 36000.0, 30))
     assert calls == [511, 27 * 257, 30]
+
+
+def test_confirmation_off_its_crossing_cell_takes_its_own_pass(monkeypatch):
+    # moving the second level's crossing pass one coarse cell up leaves that
+    # level's confirmation pair no pass to take: the pair evaluates one of its
+    # own, and its values are still the public delay_upper's, bit for bit
+    levels = [1e-3, 1e-6, 1e-9]
+    want = invert_latency(delay_upper, BITCOIN_10, levels)
+    crossings = bounds._delay_crossings
+
+    def moved(mgf, b, coarse, log_eps, d, passes):
+        t = crossings(mgf, b, coarse, log_eps, d, passes)
+        passes[0][1] += mgf.roc_sup / bounds._GRID_CELLS
+        return t
+
+    monkeypatch.setattr(bounds, "_delay_crossings", moved)
+    seen, rows = [], bounds._delay_upper_rows
+
+    def recording(mgf, b, d, coarse, ts, prior=None):
+        out = rows(mgf, b, d, coarse, ts, prior)
+        seen.append((ts.copy(), *out))
+        return out
+
+    monkeypatch.setattr(bounds, "_delay_upper_rows", recording)
+    calls = _count_race_kernel_calls(monkeypatch)
+    assert invert_latency(delay_upper, BITCOIN_10, levels) == want
+    assert [np.shape(c[3]) for c in calls] == [(1, 511), (3, 258), (1, 1, 257), (1, 6, 1)]
+    assert len(seen) == 1
+    ts, raw, v = (np.ravel(x) for x in seen[0])
+    public = delay_upper(BITCOIN_10, ts)
+    assert _bits(raw) == _bits(public.raw_value)
+    assert _bits(v) == _bits(public.optimizer_v)
 
 
 def _reference_zeta(u, a):
@@ -1046,16 +1081,63 @@ def test_depth_from_time_matches_gammainc_on_a_grid():
             assert depth_from_time(p, tau, eps) == _depth_scalar(p, tau, eps), (lam, eps)
 
 
+@pytest.mark.parametrize("lam, known", [(1e-12, None), (1e-6, (1e-15, 3)), (1e-4, (1e-30, 7)), (0.01, (1e-100, 33))])
+def test_depth_from_time_at_small_rates_and_tiny_levels(lam, known):
+    # the window's top lies where the pmf underflows (log pmf(51) ~ -857 at
+    # lam = 1e-6, eps = 1e-15), so the scan starts lower, at a normal pmf
+    p = ProtocolParams(alpha=1.0, beta=0.0)
+    for eps in (1e-3, 1e-9, 1e-15, 1e-30, 1e-100):
+        assert depth_from_time(p, lam, eps) == _depth_scalar(p, lam, eps), eps
+    if known:
+        assert depth_from_time(p, lam, known[0]) == known[1]
+
+
+def _depth_log_domain(lam, eps):
+    """Reference: the downward scan with every tail summed in the log domain, where nothing underflows."""
+    top = bounds._poisson_window(lam, math.log(eps) + bounds._LOG_NEGLIGIBLE)[1]
+    ks = np.arange(top, 0, -1)
+    over = np.flatnonzero(np.logaddexp.accumulate(log_poisson_pmf_vec(ks, lam)) > math.log(eps))
+    return int(ks[over[0]]) + 1 if over.size else 1
+
+
+def test_depth_from_time_at_subnormal_levels():
+    # below eps = 2^-900 the pmf and eps are scaled up together, so a subnormal
+    # level still meets normal pmfs: at lam = 1924.95 (latency --level 1e-323 at
+    # its defaults) and eps = 5e-324 the depth is 3845, where P(X >= 3844) =
+    # 8.76e-324 (mpmath); summing subnormal pmfs unscaled read 3844
+    p = ProtocolParams(alpha=1.0, beta=0.0)
+    for lam in (0.01, 30.0, 600.0, 1924.9466666666667, 1e5):
+        for eps in (1e-290, 1e-300, 1e-310, 1e-320, 5e-324):
+            assert depth_from_time(p, lam, eps) == _depth_log_domain(lam, eps), (lam, eps)
+    assert depth_from_time(p, 1924.9466666666667, 5e-324) == 3845
+    # below lam = 2^-1000, P(X >= 1) = lam decides between 1 and 2
+    assert depth_from_time(ProtocolParams(alpha=5e-324, beta=0.0), 0.1, 1e-3) == 1  # lam = 0.0
+    assert depth_from_time(ProtocolParams(alpha=1e-310, beta=0.0), 1.0, 1e-3) == 1
+    assert depth_from_time(ProtocolParams(alpha=1e-310, beta=0.0), 1.0, 5e-324) == 2
+
+
+def test_depth_from_time_matches_fixed_chunks_on_a_random_panel():
+    # 300 log-uniform (lam, eps), lam from 1e-3 to 1e9 and eps from 1e-13 to
+    # 0.9: the recurrence's depths are those of the saddle-point pmf at every count
+    p = ProtocolParams(alpha=1.0, beta=0.0)
+    rng = np.random.default_rng(30)
+    lams = np.exp(rng.uniform(math.log(1e-3), math.log(1e9), 300))
+    epss = np.exp(rng.uniform(math.log(1e-13), math.log(0.9), 300))
+    for lam, eps in zip(lams.tolist(), epss.tolist()):
+        want = _depth_fixed_chunks(p, lam, eps, bounds._DEPTH_CHUNK)
+        assert depth_from_time(p, lam, eps) == want, (lam, eps)
+
+
 def test_depth_from_time_keeps_cap(monkeypatch):
     # a tail that exceeds eps at the window's top count fails there, after
     # summing one chunk from that top down
     seen = []
 
-    def heavy(ks, lam):
-        seen.append(ks[0])
-        return np.zeros(ks.shape)  # pmf 1 at every count
+    def heavy(k, lam):
+        seen.append(k)
+        return 0.0  # pmf 1 at the scan's start
 
-    monkeypatch.setattr(bounds, "log_poisson_pmf_vec", heavy)
+    monkeypatch.setattr(bounds, "log_poisson_pmf", heavy)
     p = ProtocolParams(alpha=0.009, beta=0.001)
     tau = 600.0 / p.total_rate
     with pytest.raises(BracketError):
@@ -1112,8 +1194,8 @@ def test_depth_from_time_stops_its_first_chunk_at_floor_lam(monkeypatch):
     # from the window's top down to floor(lam) (1,224 of the 11,223 counts one fixed
     # 16,384-count chunk took at lam = 1e4, eps = 1e-12)
     p = ProtocolParams(alpha=0.009, beta=0.001)
-    pmf, counted = bounds.log_poisson_pmf_vec, []
-    monkeypatch.setattr(bounds, "log_poisson_pmf_vec", lambda ks, lam: counted.append(ks.size) or pmf(ks, lam))
+    cumprod, counted = np.cumprod, []
+    monkeypatch.setattr(np, "cumprod", lambda a, **kw: counted.append(a.size) or cumprod(a, **kw))
     for chunk in (5, 64, bounds._DEPTH_CHUNK):
         monkeypatch.setattr(bounds, "_DEPTH_CHUNK", chunk)
         for lam in np.geomspace(0.1, 1e4, 25):
@@ -1122,7 +1204,7 @@ def test_depth_from_time_stops_its_first_chunk_at_floor_lam(monkeypatch):
                 got = depth_from_time(p, lam / p.total_rate, eps)
                 assert got == _depth_fixed_chunks(p, lam / p.total_rate, eps, chunk), (chunk, lam, eps)
                 top = bounds._poisson_window(lam, math.log(eps) + bounds._LOG_NEGLIGIBLE)[1]
-                assert sum(counted) <= top - max(math.floor(lam), 1) + 1
+                assert 0 < sum(counted) <= top - max(math.floor(lam), 1) + 1
 
 
 def test_depth_from_time_memory_stays_flat_at_large_rates():
@@ -1394,8 +1476,8 @@ def test_invert_latency_confirms_with_delay_upper_values(monkeypatch):
     seen = []
     rows = bounds._delay_upper_rows
 
-    def recording(mgf, b, d, coarse, ts):
-        out = rows(mgf, b, d, coarse, ts)
+    def recording(mgf, b, d, coarse, ts, prior=None):
+        out = rows(mgf, b, d, coarse, ts, prior)
         seen.append((ts.copy(), *out))
         return out
 
@@ -1677,26 +1759,29 @@ def _count_race_kernel_calls(monkeypatch):
 
 
 def test_race_kernel_calls_per_batch(monkeypatch):
-    # the coarse grid, the crossings' vertex, pass and vertex for the
-    # confirmation: four calls for all the table's protocols (four each at one
-    # model per call), and for each throughput's 80 rates
+    # the coarse grid, the crossings' vertices with their passes, and the
+    # confirmation's vertex: three calls for all the table's protocols (three
+    # each at one model per call), and for a throughput's 80 rates
     calls = _count_race_kernel_calls(monkeypatch)
     specs, model = load_config(default_config_path())
     build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert all(c[3].shape[0] == len(specs) for c in calls)  # every call carries every model
     from powbounds import cli
 
-    for grid in ("1", "1,2,5,10"):
+    # at 2 and 5 KB/s one rate's confirmation row has its coarse minimum in the
+    # cell next to its crossing's, so that row takes a pass of its own
+    for grid, want in (("1", 3), ("1,2,5,10", 3 + 4 + 4 + 3)):
         calls.clear()
         assert cli.main(["--format", "csv", "sweep", "--var", "throughput", "--grid", grid]) == 0
-        assert len(calls) == 4 * len(grid.split(","))
+        assert len(calls) == want
     # three of these rates lie at 0.87-0.98 of the feasibility edge, where the
-    # coarse parabola misses its evaluated vertex by whole seconds: the batch
-    # takes one more pass and vertex for their crossings
+    # coarse parabola misses its evaluated vertex by whole seconds: their
+    # crossings take _grid_minimize's vertex too, its pass taken from the
+    # crossings' own, one more call for the batch
     calls.clear()
     assert cli.main(["--format", "csv", "sweep", "--var", "rate", "--grid", "6:600:80"]) == 0
-    assert len(calls) == 6
+    assert [np.shape(c[3]) for c in calls] == [(58, 1, 511), (58, 1, 258), (58, 1, 1), (58, 2, 1)]
 
 
 # --- smallest root ----------------------------------------------------------

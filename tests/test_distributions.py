@@ -8,6 +8,7 @@ import pytest
 from powbounds.distributions import (
     erlang_ccdf_vec,
     geometric_sum_ccdf,
+    log_poisson_pmf,
     log_poisson_pmf_vec,
     series_div,
     skellam_pmf,
@@ -46,6 +47,23 @@ def test_vectorized_pmf_agrees_with_scalar():
     assert logs[0] == -math.inf
     for k, lg in zip(ks[1:], logs[1:]):
         assert lg == pytest.approx(k * math.log(3.3) - 3.3 - math.lgamma(k + 1), abs=1e-12)
+
+
+def test_scalar_log_pmf_matches_the_array_form():
+    # within 4 ulps of log_poisson_pmf_vec: counts below 16 (the Stirling table),
+    # counts inside (the series) and outside (log1p) _bd0's |v| < 1/4 band around
+    # lam, and counts far above and below lam, at rates from 1e-6 to 1e9
+    worst = 0.0
+    for lam in np.geomspace(1e-6, 1e9, 151):
+        near = np.round(lam * np.array([0.05, 0.59, 0.61, 0.8, 1.0, 1.2, 1.65, 1.68, 3.0, 40.0]))
+        ks = np.unique(np.concatenate([np.arange(16), near[near < 2**52]])).astype(int)
+        want = log_poisson_pmf_vec(ks, lam)
+        got = np.array([log_poisson_pmf(int(k), float(lam)) for k in ks])
+        assert got[0] == want[0] == -lam
+        ulps = np.abs(got - want)[1:] / np.spacing(np.abs(want[1:]))
+        worst = max(worst, ulps.max())
+    assert worst <= 4.0
+    assert log_poisson_pmf(-1, 2.0) == -math.inf
 
 
 def test_poisson_rows_match_one_rate_calls():

@@ -31,6 +31,12 @@ def panel(species):
           for k in ("upper", "lower", "upper-universal") for f in SHARES for d in ("0", "10")),
         *(["latency", "--alpha-frac", f, "--delta", d, "--level", e]
           for f in SHARES for d in ("0", "10") for e in ("1e-3", "1e-9")),
+        # depth scans: ~32,000 counts from the window's top (two chunks), both
+        # ends of --split, and lam ~ 0.003 (a level near 1 and a tiny share give
+        # t = 2 s: a lower rate alone only stretches t, lam stays)
+        ["latency", "--alpha-frac", "0.5005", "--delta", "0", "--level", "1e-6"],
+        *(["latency", "--level", "1e-9", "--split", s] for s in ("0.999", "1e-6")),
+        ["latency", "--alpha-frac", "0.999999999", "--delta", "0", "--level", "0.999", "--split", "0.999"],
         ["sweep", "--var", "latency", "--grid", "1800:36000:12", "--delta", "0"],
         ["--format", "csv", "sweep", "--var", "latency", "--grid", "1800:36000:12"],
         ["sweep", "--var", "rate", "--grid", "6:600:12", "--level", "1e-6"],
