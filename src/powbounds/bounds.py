@@ -50,11 +50,6 @@ _BLOCK_TERMS = _T_BLOCK * 2048
 # reads 0, and truncation_tail bounds what is left out.
 _TERMS_MAX = 2**17
 
-# The most terms of the post-mining gain pmf q a lower bound takes; only shares past
-# ~48.8% at small alpha*delta need more.  postmine_gain_pmf's series division costs
-# time linear in it (~6 ms for 2^14 terms on a 2-vCPU Xeon).
-_GAIN_TERMS_MAX = _TERMS_MAX // 8
-
 # Latest whole-second latency (s) invert_latency searches; past it, BracketError.
 _LATENCY_HORIZON = 600 * 2**30
 
@@ -440,7 +435,7 @@ def _race_log_terms(mgf: Mgf, beta: float, spec: RaceSpec, u):
     admissibility mask (0 < u < u0, z > 0, beta z < u0, z' < z, L > 0) is
     applied once, at the end.  Each point's value depends on that point
     alone, so evaluating fewer points (as _pass_terms does for rows that
-    share a pass) changes no value.
+    take an earlier pass) changes no value.
     """
     u = np.asarray(u, dtype=float)
     with np.errstate(all="ignore"):
@@ -573,19 +568,15 @@ def _vertex(vals, i, val, u, spacing):
 
 
 def _pass_terms(mgf: Mgf, b, u, step, prior=None):
-    """The race's (log c^2, psi) at each row's pass points u + step _PASS, one evaluation per shared pass.
+    """The race's (log c^2, psi) at each row's pass points u + step _PASS.
 
     u has a last axis of 1, rows along the axis before it and model columns
-    (if any) before that; step is a float, a model column or u's shape.  A
-    row whose u equals the previous row's in every model takes that row's
-    terms: within a model equal u means equal step, since an edge row's step
-    is its u, below every coarse point.  An inversion's (s - 1, s) rows
-    nearly always share their coarse cell, so a confirmation pair costs one
-    pass, not two.  prior, if given, is (u', log c^2, psi) of passes already
-    evaluated, one per row, at steps of one coarse spacing: a row whose u
-    equals u' in every model takes those terms (an edge row's u lies below
-    every coarse point, so it never does), and only the other rows are
-    evaluated, with no call where none is left.
+    (if any) before that; step is a float, a model column or u's shape.
+    prior, if given, is (u', log c^2, psi) of passes already evaluated, one
+    per row, at steps of one coarse spacing: a row whose u equals u' in
+    every model takes those terms (an edge row's u lies below every coarse
+    point, so it never does), and only the other rows are evaluated, with no
+    call where none is left.
     """
     if prior is not None:
         reuse = (u == prior[0])[..., 0]
@@ -597,19 +588,7 @@ def _pass_terms(mgf: Mgf, b, u, step, prior=None):
         rows = np.maximum(np.cumsum(need) - 1, 0)  # each evaluated row's place among them
         reuse = reuse[:, None]
         return tuple(np.where(reuse, x, y.take(rows, axis=-2)) for x, y in zip(prior[1:], own))
-    points = u + step * _PASS
-    new = u[..., 1:, 0] != u[..., :-1, 0]
-    if new.ndim > 1:
-        new = new.any(axis=tuple(range(new.ndim - 1)))
-    keep, rows = [0], [0]  # the rows evaluated; each row's place among them
-    for j, fresh in enumerate(new.tolist(), 1):
-        if fresh:
-            keep.append(j)
-        rows.append(len(keep) - 1)
-    if len(keep) == len(rows):
-        return _race_log_terms(mgf, b, _DELAY_SPEC, points)
-    log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, points.take(keep, axis=-2))
-    return log_c2.take(rows, axis=-2), psi.take(rows, axis=-2)
+    return _race_log_terms(mgf, b, _DELAY_SPEC, u + step * _PASS)
 
 
 def _grid_minimize(mgf: Mgf, b, coarse, objective, prior=None):
@@ -628,12 +607,10 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective, prior=None):
     One refinement pass then evaluates 2 _REFINE + 1 points across one
     spacing (u0 / 512 on the coarse grid) either side of the row's
     incumbent, which is its middle point, so no row's best value worsens.
-    Neighbouring rows with the same incumbent in every model share one
-    pass (_pass_terms): an inversion's (s - 1, s) confirmation pair nearly
-    always does, so each pair costs one pass.  prior, if given, holds
-    passes already evaluated, one per row (_delay_crossings' passes): a row
-    whose incumbent is that pass's centre takes its terms, so where every
-    row's does the pass makes no race-kernel call.
+    prior, if given, holds passes already evaluated, one per row
+    (_delay_crossings' passes): a row whose incumbent is that pass's centre
+    takes its terms (_pass_terms), so where every row's does the pass makes
+    no race-kernel call.
     Last, _vertex fits a parabola to the pass minimum and its two
     neighbours, and its vertex replaces the pass minimum only if its value
     is lower.  Every step is elementwise per row, and the model columns
@@ -785,22 +762,27 @@ def postmine_gain_pmf(params: ProtocolParams, n_max: int = 128) -> np.ndarray:
 
     Extracted as Taylor coefficients of the deficit transform
     xi(rho) = (1-rho)(a-b-ab) / (a - e^{(1-rho)b} (a+b-b rho) rho)
-    in normalized units a = alpha*delta, b = beta*delta.
+    in normalized units a = alpha*delta, b = beta*delta.  The division
+    always runs to at least the divisor's whole support, series_div's block,
+    so q(0..n_max) is the same, bit for bit, as the first n_max + 1 terms of
+    any longer call.
     """
     a, b = _gain_norm(params)
     size = n_max + 2  # coefficients of rho^0 .. rho^{n_max+1}
-    # e^{(1-rho) b} = e^b sum_n (-b)^n / n!, kept past `size` until the tail sums below converge
-    expo = np.cumprod(np.concatenate([[math.exp(b)], -b / np.arange(1, size + 40)]))
-    den = -np.convolve(expo, [0.0, a + b, -b])[: size + 40]  # -(a+b-b rho) rho e^{(1-rho) b}
+    # e^{(1-rho) b} = e^b sum_n (-b)^n / n! past its support: b < 1 (feasibility), and
+    # e / n! underflows to 0.0 from n = 178 on
+    expo = np.cumprod(np.concatenate([[math.exp(b)], -b / np.arange(1, max(size, 180))]))
+    den = -np.convolve(expo, [0.0, a + b, -b])  # -(a+b-b rho) rho e^{(1-rho) b}
     den[0] += a
     # den(1) = 0 cancels the numerator's 1 - rho: xi = (a-b-ab) / h with h = den / (1 - rho),
     # h_n = -sum_{j>n} den_j.  Dividing by den itself turns its roundoff into a pole at
     # rho = 1, an error of ~1e-16 that every coefficient keeps.
-    h = -np.cumsum(den[:0:-1])[::-1][:size]
-    unit = np.zeros(size)
+    h = -np.cumsum(den[:0:-1])[::-1]
+    h = h[: max(size, np.flatnonzero(h)[-1] + 1)]
+    unit = np.zeros(h.size)
     unit[0] = 1.0
     xi = (a - b - a * b) * series_div(unit, h)
-    return np.concatenate([[xi[0] + xi[1]], xi[2:]])
+    return np.concatenate([[xi[0] + xi[1]], xi[2:size]])
 
 
 def _geometric_poisson(pois: np.ndarray, r: float) -> np.ndarray:
@@ -838,11 +820,15 @@ def _gain_pole(a: float, b: float) -> float:
     solves F/y = 0 for w = -ln(1 - r y), in which F stays finite, between ends
     whose signs are proven: log1p's Taylor bounds give F >= y (F'(0) - y (1/2 + r^2))
     for r y <= 1/2, which is at least F'(0) y / 2 > 0 at y = min(1/(2r), F'(0)/(1 + 2r^2));
-    and at w = ln(1 + 1/r), F = ln((1 + r + r^2)/(1 + r)^2) - b y < 0.
+    and at w = ln(1 + 1/r), F = ln((1 + r + r^2)/(1 + r)^2) - b y < 0.  A share
+    whose 1/r overflows (beta below ~1e-308 alpha) has no such end, and is
+    refused with InfeasibleParametersError.
     """
     if b == 0:
         return math.inf
     r = b / a
+    if r == 0.0 or math.isinf(1.0 / r):
+        raise InfeasibleParametersError(f"adversarial share too small: alpha/beta overflows (beta/alpha = {r})")
     slope = (a - b - a * b) / a
 
     def y_of(w):
@@ -870,29 +856,6 @@ def _gain_log_pgf(a: float, b: float, y: np.ndarray) -> np.ndarray:
         return np.where(f > 0.0, np.log(c * y + xi) - np.log1p(y), np.nan)
 
 
-# Points in (0, y0), as fractions of y0, where the Chernoff bound on q's tail is
-# minimized: the best lies about y0 / n from the pole for a tail past n, and q stops
-# at _GAIN_TERMS_MAX = 2^14 terms; nearer the pole, F's own rounding dominates.
-_POLE_GRID = 1.0 - 0.5 ** np.arange(1, 21)
-
-
-def _gain_terms(a: float, b: float, y0: float) -> tuple[int, float]:
-    """(n, envelope): q(0..n-1) leave a tail below e^{_LOG_LOWER}, or n = _GAIN_TERMS_MAX.
-
-    Chernoff: sum_{m>=n} q(m) <= Q(rho) rho^-n for every rho = 1 + y, y in (0, y0),
-    y0 = _gain_pole(a, b), minimized over _POLE_GRID; the envelope is that
-    bound at the n returned.
-    """
-    if b == 0:  # xi = 1: all of q's mass is at 0
-        return 2, 0.0
-    y = y0 * _POLE_GRID
-    log_q, log_rho = _gain_log_pgf(a, b, y), np.log1p(y)
-    ok = np.isfinite(log_q)
-    need = np.ceil((log_q[ok] - _LOG_LOWER) / log_rho[ok])
-    n = int(min(max(need.min(initial=np.inf), 2.0), _GAIN_TERMS_MAX))
-    return n, float(np.exp(np.min(log_q[ok] - n * log_rho[ok], initial=0.0)))
-
-
 # Points of (0, 1), as fractions of a, where _lower_chernoff's bound is taken: a
 # uniform grid, and a geometric approach to 0, where z - 1 ~ u (1 + 1/a) stays below
 # y0 as the gain pmf's pole nears 1.
@@ -902,8 +865,9 @@ _CHERNOFF_GRID = np.concatenate([0.5 ** np.arange(60, 7, -1), np.arange(1, _REFI
 # Points of (0, 1), as fractions of the largest admissible y, where _lower_chernoff's
 # count bound is taken: half-octave steps down to 2^-16 (the best y, ~sqrt(84 / lam),
 # is above 0.025 for every Poisson mean lam below _TERMS_MAX), and octave steps up to
-# 1 - 2^-20, where the best y nears the pole for counts far past lam.  A point off the
-# best y only moves M_j up by a few counts.
+# 1 - 2^-20, where the best y nears the pole for counts far past lam, and for q's own
+# tail past n (about y0 / n from the pole).  A point off the best y only moves a cut
+# up by a few counts.
 _COUNT_GRID = np.concatenate([2.0 ** (-np.arange(32, 2, -1) / 2.0), 1.0 - 0.5 ** np.arange(1, 21)])
 
 
@@ -920,68 +884,23 @@ def _lower_chernoff(a: float, b: float, y0: float):
       Chernoff at theta = u / delta, with z = E e^{theta (X + delta)} = e^u a / (a - u):
       P(S_M > t) <= e^{-u t/delta} E z^M, for u in (0, a) with
       z - 1 = (a expm1(u) + u) / (a - u).
-    - The count, as (log g, log z, y) per admissible point of _COUNT_GRID:
-      P(M > m) <= E z^M z^{-(m + 1)} = e^{log g + lam y - (m + 1) log z}.
+    - The count, as (log g, log Q, log z, y) per admissible point of _COUNT_GRID:
+      P(M > m) <= E z^M z^{-(m + 1)} = e^{log g + lam y - (m + 1) log z}, and
+      q's own tail P(N >= n) <= Q(z) z^{-n} = e^{log Q - n log z}.
     """
     r = b / a
     u = a * _CHERNOFF_GRID
     y = np.concatenate([(a * np.expm1(u) + u) / (a - u), min(y0, (1.0 - r) / r) * _COUNT_GRID])
     with np.errstate(all="ignore"):
-        log_g = _gain_log_pgf(a, b, y) + math.log1p(-r) - np.log1p(-r * (1.0 + y))
+        log_q = _gain_log_pgf(a, b, y)
+        log_g = log_q + math.log1p(-r) - np.log1p(-r * (1.0 + y))
     ok = np.isfinite(log_g) & (y < y0)
     value, count = ok[: u.size], ok[u.size :]
     y_count = y[u.size :][count]
     return (
         (log_g[: u.size][value], (b * y[: u.size] - u)[value]),
-        (log_g[u.size :][count], np.log1p(y_count), y_count),
+        (log_g[u.size :][count], log_q[u.size :][count], np.log1p(y_count), y_count),
     )
-
-
-# Fractions of a row's count range 1..hi where _log_value_floor takes a term.
-_FLOOR_GRID = np.linspace(0.0, 1.0, 16)
-
-
-# ln(2 pi)/2 + 1/12: Robbins' bound on log k! less k ln k - k + ln(k)/2, for k >= 1.
-_ROBBINS = 0.5 * math.log(2.0 * math.pi) + 1.0 / 12.0
-
-
-def _log_poisson_floor(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """A lower bound on log P(Poisson(lam) = k) over broadcast arrays of counts k >= 0, means lam >= 0.
-
-    Robbins' log k! <= k ln k - k + ln(2 pi k)/2 + 1/(12 k) <= k ln k - k + ln(2 pi k)/2 + 1/12
-    for k >= 1 gives -(k (ln k - ln lam - 1) + lam + ln(k)/2 + _ROBBINS);
-    -lam at k = 0, and -inf where the pmf is 0.  A dozen elementwise passes,
-    a fraction of log_poisson_pmf_vec's cost.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kk = np.maximum(k, 1.0)
-        log_k = np.log(kk)
-        out = kk * (log_k - np.log(lam) - 1.0) + lam + 0.5 * log_k + _ROBBINS
-    return np.where(k > 0, -out, -lam)
-
-
-def _log_value_floor(params: ProtocolParams, q0: float, ts: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """log of a lower bound on delay_lower's value at each time ts_j: its largest term's factors' bounds.
-
-    The value is sum_m P(M = m) C_m, C_m = P(Poisson(alpha (t - m delta)^+) <= m - 1)
-    the Erlang ccdf, so any one term bounds it from below, and so do lower
-    bounds on its two factors: P(M = m) >= q(0) (1 - r) max(P(A = m), r^m P(A = 0)),
-    the paths with N = 0 and L = 0 or A = 0; and C_m >= P(Poisson(mu) = m - 1),
-    and C_m >= 1/2 once m - 1 >= mu + 1/3, past the Poisson median (Choi 1994).
-    The terms are taken at 16 counts spread over 1..hi_j, hi_j = max(c_j + 1,
-    ceil(lam_j)) with c_j the Erlang cut: past it the count's factor falls.  The
-    pmfs are _log_poisson_floor's; rounding in them is left to delay_lower's
-    certificate.
-    """
-    r = params.beta / params.alpha
-    m = 1.0 + np.floor(_FLOOR_GRID * (hi[:, None] - 1.0))
-    lam = params.beta * ts[:, None]
-    mu = params.alpha * np.maximum(ts[:, None] - m * params.delta, 0.0)
-    log_count = np.maximum(_log_poisson_floor(m, lam), m * math.log(r) - lam)
-    log_ccdf = np.maximum(
-        _log_poisson_floor(m - 1.0, mu), np.where(m - 1.0 >= mu + 1.0 / 3.0, -math.log(2.0), -np.inf)
-    )
-    return math.log(q0 * (1.0 - r)) + np.max(log_count + log_ccdf, axis=1)
 
 
 # log 2^-60: a share of a value this small leaves it unchanged in float64 (an upper
@@ -1012,9 +931,11 @@ def _erlang_cuts(lam: np.ndarray) -> np.ndarray:
     return np.floor(lam).astype(int) + np.argmax(past, axis=1)
 
 
-# Shares of a row's lower bound F_j (_log_value_floor) that delay_lower leaves out:
-# the counts past M_j, at most 2^-61 F_j; the shapes below lo_j and the gain terms
-# past n_j, at most 2^-63 F_j each; together 3/4 of 2^-60 F_j.
+# The Chernoff bound U_j on a row's value (_lower_chernoff) times 2^-16 is the row's
+# floor F_j, which sizes its cuts: the counts past M_j, at most 2^-61 F_j; the shapes
+# below lo_j and the gain terms past n_j, at most 2^-63 F_j each; together 3/4 of
+# 2^-60 F_j.
+_LOG_FLOOR_SHARE = -16.0 * math.log(2.0)
 _LOG_COUNT_SHARE = -61.0 * math.log(2.0)
 _LOG_TERM_SHARE = -63.0 * math.log(2.0)
 
@@ -1031,27 +952,30 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     shape m.  Every sum is sized to its own row's value, from the model and
     from each row's own t, so array calls equal one-t calls bit for bit:
 
-    - q(0..n-1), with n from _gain_terms: once per model, out to where a
-      Chernoff bound on its tail is below 2^-1134; postmine_gain_pmf's series
-      division costs time linear in n.
-    - F_j (_log_value_floor) bounds row j's value from below by one of its
-      terms.  The count cut M_j is the first count where the Chernoff bound
-      on P(M > M_j) (_lower_chernoff) falls to 2^-61 F_j; the shapes whose
-      ccdf a Chernoff bound puts at most 2^-63 F_j (those below lo_j) and the
-      gain terms past n_j, where q's remaining mass is at most 2^-63 F_j, are
-      left out.  Each share is at least 2^-1134, below 2^-60 of any value a
-      double holds.
+    - F_j = 2^-16 U_j, U_j the Chernoff bound on the row's whole value
+      (_lower_chernoff), sizes the row's cuts.  The count cut M_j is the
+      first count where the Chernoff bound on P(M > M_j) falls to
+      2^-61 F_j.  The shapes whose ccdf a Chernoff bound puts at most
+      2^-63 F_j (those below lo_j) are left out, and so are the gain terms
+      past n_j, the first n where q's Chernoff tail Q(z) z^-n, on the same
+      count grid, is at most 2^-63 F_j.  Each share is at least 2^-1134,
+      below 2^-60 of any value a double holds.
+    - q(0..M_j) is all of q a row takes: since N <= M, q's mass past M_j is
+      inside the count tail.  A call computes q once, as far as its rows
+      reach, and anew only when a later block of times reaches further;
+      postmine_gain_pmf's q is a bit-exact prefix of any longer one.
     - Each row j has its Chernoff cut c_j (_erlang_cuts at alpha t_j): past
       it P(Poisson(alpha(t_j - m delta)) >= m) < 2^-60, so every ccdf is 1.0
       in floating point.  The shapes lo_j..min(M_j, c_j) take the ccdf; where
-      M_j > c_j the shapes past c_j add sum_n q(n) T_j[c_j + 1 - n], T_j the
-      reverse cumulative sum of pk_j over 0..M_j.
+      M_j > c_j the shapes past c_j add sum_{n <= M_j} q(n) T_j[c_j + 1 - n],
+      T_j the reverse cumulative sum of pk_j over 0..M_j.
     - Certificate: what is left out must be at most 2^-60 of the row's own
-      partial sum, itself a lower bound on the value.  A row whose
+      partial sum, itself a lower bound on the value.  F_j is not proven to
+      lie below the value, so this check is the guarantee: a row whose
       certificate fails is redone once, from that sum as its F_j.
-    - A Chernoff bound U_j on the whole value (_lower_chernoff) spares the
-      rows it shows to be below the smallest double, and the rows whose
-      ranges would pass _TERMS_MAX: they read 0 with truncation_tail U_j.
+    - U_j also spares the rows it shows to be below the smallest double,
+      and the rows whose ranges would pass _TERMS_MAX: they read 0 with
+      truncation_tail U_j.
 
     A run of rows (_row_groups) shares one doubling scan for its pk and one
     erlang_ccdf_vec call over the live shapes of all its rows; each row's
@@ -1064,38 +988,46 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     with t while those shapes' ccdfs stay 1.
 
     truncation_tail bounds the terms left out: the count tail past M_j, the
-    low shapes' ccdf bound, q's mass past n_j, and q's Chernoff tail past n.
-    In every row it sums, the certificate keeps all but the last within
-    2^-60 of the value; the last is below 2^-1134 unless q stops at
-    _GAIN_TERMS_MAX, near an even split.
+    low shapes' ccdf bound, and q's Chernoff tail past n_j.  In every row it
+    sums, the certificate keeps it within 2^-60 of the value.
+
+    A share whose 1/r overflows (beta below ~1e-308 alpha) is refused with
+    InfeasibleParametersError (_gain_pole), not taken to its beta -> 0 limit.
     """
     _require_minority(params)
     a, b = _gain_norm(params)
     if b == 0:  # M = 0: no shape m >= 1 has mass
         return _per_t(t, lambda ts: {"raw_value": np.zeros(ts.size), "truncation_tail": np.zeros(ts.size)})
-    delta, y0 = params.delta, _gain_pole(a, b)
-    n, q_tail = _gain_terms(a, b, y0)
-    q = postmine_gain_pmf(params, n - 1)
-    if q.min() < -1e-9:
-        raise InfeasibleParametersError(
-            "post-mining gain transform produced materially negative pmf values"
-        )
-    r = b / a
-    q_reversed = q[::-1].copy()  # q(n-1), ..., q(0): rows convolve with it as np.correlate's kernel
-    rest = np.append(np.cumsum(q_reversed)[::-1], 0.0)  # rest[n] = sum_{m >= n} q(m)
-    (log_c, slope), (log_g, log_z, y) = _lower_chernoff(a, b, y0)
+    delta, r = params.delta, b / a
+    (log_c, slope), (log_g, log_q, log_z, y) = _lower_chernoff(a, b, _gain_pole(a, b))
+    held = np.zeros(0)  # q(0..) as far as any row has reached
 
-    def count_cuts(ts, log_floor):
-        """(M_j, log of the Chernoff bound on P(M > M_j)) per row, M_j capped at _TERMS_MAX."""
-        log_pgf = log_g + np.outer(params.beta * ts, y)
-        target = np.maximum(log_floor + _LOG_COUNT_SHARE, _LOG_LOWER)[:, None]
-        m_cut = np.clip(np.min(np.ceil((log_pgf - target) / log_z), axis=1) - 1.0, 1.0, _TERMS_MAX)
-        return m_cut.astype(int), np.min(log_pgf - (m_cut[:, None] + 1.0) * log_z, axis=1)
+    def gain(m):
+        """q(0..m) at least; q is computed anew only when a row reaches past the terms held."""
+        nonlocal held
+        if held.size <= m:
+            held = postmine_gain_pmf(params, m)
+            if held.min() < -1e-9:
+                raise InfeasibleParametersError(
+                    "post-mining gain transform produced materially negative pmf values"
+                )
+        return held
+
+    def cut(log_pgf, target, least):
+        """Per row, the first e >= least where a Chernoff bound e^{log_pgf - e log z} is at most e^{target_j}.
+
+        Returns e (at most _TERMS_MAX + 1) and the log of the bound there,
+        each the best over the count grid's z.
+        """
+        e = np.clip(np.min(np.ceil((log_pgf - target[:, None]) / log_z), axis=1), least, _TERMS_MAX + 1.0)
+        return e.astype(int), np.min(log_pgf - e[:, None] * log_z, axis=1)
 
     def rows_of(ts, m_cut, c, log_floor):
         """(raw value, mass of the left-out low shapes and gain terms) per row: cuts M_j, c_j, floors F_j."""
+        q = gain(m_cut.max())
         top = np.minimum(m_cut, c)  # the last shape whose ccdf a row takes
         log_drop = np.maximum(log_floor + _LOG_TERM_SHARE, _LOG_LOWER)
+        n_cut, log_q_tail = cut(log_q, log_drop, 1.0)
         # counts down axis 0, one column per row: the doubling scan's passes run on
         # contiguous memory; each row is then copied out contiguous for its own sums
         log_pois = log_poisson_pmf_vec(np.arange(m_cut.max() + 1)[:, None], params.beta * ts)
@@ -1119,31 +1051,30 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
         ccdf = np.zeros(x.shape)
         ccdf[live] = erlang_ccdf_vec(x[live], np.broadcast_to(shapes, x.shape)[live], params.alpha)
         los = 1 + np.sum(low, axis=1)
-        n_cut = np.searchsorted(-rest, -np.exp(log_drop))  # the first n with rest[n] <= 2^-63 F_j
         raw = np.empty(ts.size)
         per_row = zip(m_cut.tolist(), c.tolist(), top.tolist(), los.tolist(), n_cut.tolist())
         for i, (mj, cj, tj, lo, nj) in enumerate(per_row):
             # s[m] = sum_{n+k=m, n < n_j} q(n) pk(k) for m = lo..top_j, complete from k = lo - size on
             size = min(nj, tj + 1)
             start = max(0, lo - size)
-            head = np.correlate(pk[i, start : tj + 1], q_reversed[q.size - size :], "full")
+            head = np.correlate(pk[i, start : tj + 1], q[:size][::-1], "full")
             raw[i] = head[lo - start : tj + 1 - start].dot(ccdf[i, lo - 1 : tj])
-            if mj > cj:  # the shapes past c_j, whose ccdfs are 1.0: sum_n q(n) tails[c_j + 1 - n]
+            if mj > cj:  # the shapes past c_j, whose ccdfs are 1.0: sum_{n <= M_j} q(n) tails[c_j + 1 - n]
                 tails = np.cumsum(pk[i, mj::-1])[::-1]  # tails[k] = sum_{k <= i <= M_j} pk(i)
-                span = min(q.size, cj + 2)  # tails[0] for every n past c_j + 1
-                raw[i] += np.dot(q[:span], tails[cj + 2 - span : cj + 2][::-1]) + tails[0] * rest[span]
-        return raw, low_mass + np.where(n_cut <= top, rest[n_cut], 0.0)
+                raw[i] += np.dot(q[: cj + 2], tails[: cj + 2][::-1]) + tails[0] * q[cj + 2 : mj + 1].sum()
+        return raw, low_mass + np.where(n_cut <= top, np.exp(log_q_tail), 0.0)
 
     def kernel(ts):
         lam_a = params.alpha * ts
         log_u = np.minimum(np.min(log_c + np.outer(ts / delta, slope), axis=1, initial=np.inf), 0.0)
-        raw, tail, cut = np.zeros(ts.size), np.exp(log_u), np.zeros(ts.size)
+        raw, tail = np.zeros(ts.size), np.exp(log_u)
         rows = np.flatnonzero((log_u >= _LOG_TINY) & (lam_a < _TERMS_MAX))
         cuts = _erlang_cuts(lam_a[rows])
-        hi = np.maximum(cuts + 1.0, np.ceil(params.beta * ts[rows]))
-        log_floor = _log_value_floor(params, q[0], ts[rows], hi)
+        log_floor = log_u[rows] + _LOG_FLOOR_SHARE
         for redo in (False, True):
-            m_cut, log_count_tail = count_cuts(ts[rows], log_floor)
+            log_pgf = log_g + np.outer(params.beta * ts[rows], y)
+            count, log_count_tail = cut(log_pgf, np.maximum(log_floor + _LOG_COUNT_SHARE, _LOG_LOWER), 2.0)
+            m_cut = count - 1  # P(M > M_j) <= e^{log_count_tail}
             keep, spared = m_cut < _TERMS_MAX, rows[m_cut >= _TERMS_MAX]
             raw[spared], tail[spared] = 0.0, np.exp(log_u[spared])
             rows, cuts, m_cut = rows[keep], cuts[keep], m_cut[keep]
@@ -1151,10 +1082,8 @@ def delay_lower(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
             for group in _row_groups((m_cut + 1).tolist()):  # each group's work arrays die with rows_of
                 j = rows[group]
                 raw[j], left_out = rows_of(ts[j], m_cut[group], cuts[group], log_floor[group])
-                cut[j] = np.exp(log_count_tail[group]) + left_out
-                tail[j] = cut[j] + q_tail
-            # the partial sum bounds the value from below; q's own tail past n is the model's
-            fail = cut[rows] > 2.0**-60 * raw[rows]
+                tail[j] = np.exp(log_count_tail[group]) + left_out
+            fail = tail[rows] > 2.0**-60 * raw[rows]  # the partial sum bounds the value from below
             if redo or not fail.any():
                 break
             rows, cuts = rows[fail], cuts[fail]
@@ -1338,7 +1267,7 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
     _delay_crossings reads from the coarse grid, and take their pairs from
     delay_upper's kernel on the solved models.  A pair whose coarse cell is
     its crossing's (nearly every one) takes the refinement pass the
-    crossings evaluated, and one whose cell is not shares a pass of its
+    crossings evaluated, and one whose cell is not evaluates a pass of its
     own: with no fallback, a start at the answer and every pair in its
     crossing's cell a batch makes three race-kernel calls, and a model with
     no admissible u starts at the horizon and closes there.  The crossings'

@@ -469,8 +469,8 @@ def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
 
 def test_race_kernel_points_per_inversion(monkeypatch):
     # each level's crossing evaluates its vertex and one 257-point pass, which its
-    # (s - 1, s) confirmation pair takes; of 30 distinct delay_upper times from
-    # 3.6 to 36 ks, three share their neighbour's coarse cell
+    # (s - 1, s) confirmation pair takes; 30 delay_upper times from 3.6 to 36 ks
+    # evaluate one pass each, also where neighbours share a coarse cell
     calls = []
     kernel = bounds._race_log_terms
     monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(np.size(a[3])) or kernel(*a))
@@ -482,13 +482,13 @@ def test_race_kernel_points_per_inversion(monkeypatch):
     assert calls == [511, 1 + 257, 2] and sum(calls) == 771
     calls.clear()
     delay_upper(BITCOIN_10, np.linspace(3600.0, 36000.0, 30))
-    assert calls == [511, 27 * 257, 30]
+    assert calls == [511, 30 * 257, 30]
 
 
 def test_confirmation_off_its_crossing_cell_takes_its_own_pass(monkeypatch):
     # moving the second level's crossing pass one coarse cell up leaves that
-    # level's confirmation pair no pass to take: the pair evaluates one of its
-    # own, and its values are still the public delay_upper's, bit for bit
+    # level's confirmation pair no pass to take: each of its two seconds evaluates
+    # one of its own, and its values are still the public delay_upper's, bit for bit
     levels = [1e-3, 1e-6, 1e-9]
     want = invert_latency(delay_upper, BITCOIN_10, levels)
     crossings = bounds._delay_crossings
@@ -509,7 +509,7 @@ def test_confirmation_off_its_crossing_cell_takes_its_own_pass(monkeypatch):
     monkeypatch.setattr(bounds, "_delay_upper_rows", recording)
     calls = _count_race_kernel_calls(monkeypatch)
     assert invert_latency(delay_upper, BITCOIN_10, levels) == want
-    assert [np.shape(c[3]) for c in calls] == [(1, 511), (3, 258), (1, 1, 257), (1, 6, 1)]
+    assert [np.shape(c[3]) for c in calls] == [(1, 511), (3, 258), (1, 2, 257), (1, 6, 1)]
     assert len(seen) == 1
     ts, raw, v = (np.ravel(x) for x in seen[0])
     public = delay_upper(BITCOIN_10, ts)
@@ -579,8 +579,7 @@ def test_race_kernel_equals_its_masked_reference():
 
 
 def test_delay_upper_rows_share_passes_bit_for_bit():
-    # (t - 1, t) pairs as one batch, whose pairs share their passes, against one
-    # time at a time
+    # (t - 1, t) pairs as one batch against one time at a time
     for params in (BITCOIN_10, BITCOIN_25, *_protocol_params(0.25)):
         mgf, b, d = bounds._delay_norm(params)
         coarse = bounds._delay_coarse(mgf, b)
@@ -625,23 +624,29 @@ def _array_models():
     "name",
     ["zero_delay_upper", "zero_delay_lower", "delay_upper", "delay_upper_universal", "delay_lower"],
 )
-def test_array_t_is_bit_identical_to_scalar_calls(name):
+def test_array_t_is_bit_identical_to_scalar_calls(name, monkeypatch):
     fn = getattr(bounds, name)
     rng = np.random.default_rng(7)
+    terms, gain = [], bounds.postmine_gain_pmf
+    monkeypatch.setattr(bounds, "postmine_gain_pmf", lambda params, n: terms.append(n) or gain(params, n))
     checked = 0
     for i, (rate, share, delta) in enumerate(_array_models()):
         params = ProtocolParams.from_adversary_share(
             rate, share, 0.0 if name.startswith("zero") else delta
         )
         ts = np.concatenate([[0.0], np.sort(rng.uniform(1.0, 60.0 / params.alpha, 9))])
-        if i == 0:  # across delay_upper's vacuous edge (~1754 s), past one block of t
-            ts = np.concatenate([ts, np.arange(1300.0, 1900.0, 10.0)])
+        if i == 0:  # across delay_upper's vacuous edge (~1754 s), past two blocks of t, and
+            # to a last block whose rows take more of q than the first block's
+            ts = np.concatenate([ts, np.arange(1300.0, 1900.0, 10.0), [2e5]])
+        terms.clear()
         try:
             whole = fn(params, ts)
         except InfeasibleParametersError:
             with pytest.raises(InfeasibleParametersError):
                 fn(params, float(ts[-1]))
             continue
+        if name == "delay_lower" and i == 0:
+            assert len(terms) == 2 and terms[0] < terms[1]  # q computed anew, longer, for the last block
         each = [fn(params, float(t)) for t in ts]
         for field in FIELDS:
             got = getattr(whole, field)
@@ -761,6 +766,22 @@ def test_geometric_poisson_scan_matches_direct_convolution(share, per_hour, delt
         assert (pk[j, ~kept] < 1e-280).all()
 
 
+@pytest.mark.parametrize(
+    "share, per_hour, delta",
+    [(0.10, 6.0, 10.0), (0.45, 600.0, 0.5), (0.25, 60.0, 1.0), (0.33, 6.0, 60.0), (0.10, 600.0, 0.5),
+     (0.40, 60.0, 5.0)],
+)
+def test_postmine_gain_pmf_is_a_prefix_of_a_longer_call(share, per_hour, delta):
+    # a short q is the first terms of a long one, bit for bit, also short of the
+    # divisor's support (77-110 terms on these models): delay_lower computes q only as
+    # far as its rows reach, and its array calls equal its one-t calls
+    params = ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta)
+    long = postmine_gain_pmf(params, 3999)
+    assert long.size == 4000
+    for n in (1, 5, 20, 76, 110, 361):
+        assert _bits(postmine_gain_pmf(params, n)) == _bits(long[: n + 1]), n
+
+
 def _erlang_regimes():
     """Feasible delay_lower models over shares x block rates x delay bounds."""
     for share in (0.01, 0.10, 0.25, 0.33, 0.45):
@@ -774,10 +795,29 @@ def _erlang_regimes():
                 yield params
 
 
+# The references' own length for q: points approaching the gain pole y0 (as fractions
+# of it) where q's Chernoff tail is minimized, the tail it must fall below (2^-1134,
+# under 2^-60 of any double), and a cap on the terms
+_REFERENCE_POLE_GRID = 1.0 - 0.5 ** np.arange(1, 21)
+_REFERENCE_LOG_TAIL = -1134.0 * math.log(2.0)
+_REFERENCE_GAIN_TERMS_MAX = 2**14
+
+
 def _gain_size(params):
-    """delay_lower's count n of post-mining gain terms q(0..n-1) for this model."""
+    """A generous count n of post-mining gain terms q(0..n-1) for a reference sum.
+
+    The first n where the Chernoff bound Q(1 + y) (1 + y)^-n on q's tail falls
+    below 2^-1134 at some y of _REFERENCE_POLE_GRID, at most 2^14: far past any
+    count delay_lower takes outside near-even shares.
+    """
     a, b = params.alpha * params.delta, params.beta * params.delta
-    return bounds._gain_terms(a, b, bounds._gain_pole(a, b))[0]
+    if b == 0:  # all of q's mass is at 0
+        return 2
+    y = bounds._gain_pole(a, b) * _REFERENCE_POLE_GRID
+    log_q = bounds._gain_log_pgf(a, b, y)
+    ok = np.isfinite(log_q)
+    need = np.ceil((log_q[ok] - _REFERENCE_LOG_TAIL) / np.log1p(y[ok]))
+    return int(min(max(need.min(initial=np.inf), 2.0), _REFERENCE_GAIN_TERMS_MAX))
 
 
 def _wide_tops(params, cuts, q0):
@@ -972,31 +1012,34 @@ def _delay_lower_work(monkeypatch, params, ts):
 def test_delay_lower_work_on_a_figure(monkeypatch):
     # the trade-off figure: 30 times at 10%, 6/h, delta = 10 s make one Erlang call
     # over the shapes the relative cuts keep (running every row to its Erlang cut
-    # takes 1963 in 30 calls), and q's 361 terms cost ~1.1e5 multiply-adds (a
-    # full-length Newton reciprocal, 4.0e5)
+    # takes 1963 in 30 calls), and q, taken to the rows' largest count cut (47 terms;
+    # divided to the divisor's 77-term support), costs ~3.8e4 multiply-adds (361
+    # terms to a model-wide 2^-1134 tail took 1.1e5)
     calls, elements, work = _delay_lower_work(monkeypatch, BITCOIN_10, np.linspace(900.0, 22500.0, 30))
     assert calls == 1 and elements <= 1100
-    assert work <= 1.2e5
+    assert work <= 4.0e4
 
 
 def test_delay_lower_work_at_a_near_even_high_rate_model(monkeypatch):
-    # 45%, 600/h, delta = 0.5 s: q's 4889 terms take ~2.1e6 multiply-adds (a
-    # full-length Newton reciprocal, 8.6e7), and a row's shapes stop at its count
-    # cut (running to the Erlang cut takes 509 and 2571 at 3600 s and 36,000 s)
+    # 45%, 600/h, delta = 0.5 s: q to each time's count cut, 668 and 3405 terms, takes
+    # ~3.0e5 and ~1.5e6 multiply-adds (4889 terms to a model-wide 2^-1134 tail took
+    # 2.1e6), and a row's shapes stop at its count cut (running to the Erlang cut
+    # takes 509 and 2571 at 3600 s and 36,000 s)
     params = ProtocolParams.from_adversary_share(600.0 / 3600.0, 0.45, 0.5)
-    for t, most in ((3600.0, 400), (36000.0, 1000)):
+    for t, most, madds in ((3600.0, 400, 3.1e5), (36000.0, 1000, 1.5e6)):
         calls, elements, work = _delay_lower_work(monkeypatch, params, t)
         assert calls == 1 and elements <= most
-        assert work <= 2.2e6
+        assert work <= madds
 
 
 def test_delay_lower_redoes_a_row_whose_certificate_fails(monkeypatch):
-    # a floor far above the value sizes every cut too short: each row's certificate
-    # fails against its own partial sum, and the row is redone from that sum
+    # a floor far above the value (e^30 U_j, not 2^-16 U_j) sizes every cut too short:
+    # each row's certificate fails against its own partial sum, and the row is redone
+    # from that sum
     ts = np.array([900.0, 7200.0, 24000.0])
     want = delay_lower(BITCOIN_10, ts)
-    floor, groups, runs = bounds._log_value_floor, bounds._row_groups, []
-    monkeypatch.setattr(bounds, "_log_value_floor", lambda *a: floor(*a) + 30.0)
+    groups, runs = bounds._row_groups, []
+    monkeypatch.setattr(bounds, "_LOG_FLOOR_SHARE", 30.0)
     monkeypatch.setattr(bounds, "_row_groups", lambda widths: runs.append(len(widths)) or groups(widths))
     got = delay_lower(BITCOIN_10, ts)
     assert runs == [3, 3]  # every row once with the false floor, then once from its own sum
@@ -1004,19 +1047,22 @@ def test_delay_lower_redoes_a_row_whose_certificate_fails(monkeypatch):
     assert (got.truncation_tail <= 2.0**-60 * got.raw_value).all()
 
 
-def test_delay_lower_value_floor_is_below_the_value():
-    # F_j, from one term's lower-bounded factors, never exceeds the value it sizes
-    # the cuts by, and _log_poisson_floor never exceeds the log pmf
-    for params in _erlang_regimes():
-        ts = np.linspace(0.0, 600.0 / params.alpha, 40)
-        cuts = bounds._erlang_cuts(params.alpha * ts)
-        hi = np.maximum(cuts + 1.0, np.ceil(params.beta * ts))
-        q0 = postmine_gain_pmf(params, 2)[0]
-        got = np.exp(bounds._log_value_floor(params, q0, ts, hi))
-        assert (got <= delay_lower(params, ts).raw_value).all()
-    ks = np.arange(400.0)[:, None]
-    for lam in (0.0, 0.3, 7.0, 150.0, 3000.0):
-        assert (bounds._log_poisson_floor(ks, lam) <= log_poisson_pmf_vec(ks, lam) + 1e-12).all()
+def test_delay_lower_redoes_no_row_on_the_envelope_sweep_and_the_panel(monkeypatch):
+    # F_j = 2^-16 U_j is below every value here: each call's one block of times sizes
+    # its rows once (one _row_groups run), and no row's certificate fails
+    groups, runs = bounds._row_groups, []
+    monkeypatch.setattr(bounds, "_row_groups", lambda widths: runs.append(len(widths)) or groups(widths))
+    panel = [
+        (ProtocolParams.from_adversary_share(per_hour / 3600.0, share, delta), np.array(ts))
+        for share, per_hour, delta, ts, _ in DELAY_LOWER_PANEL
+    ]
+    rows = 0
+    for params, ts in [*_envelope_sweep(0.45), *panel]:
+        runs.clear()
+        delay_lower(params, ts)
+        assert len(runs) == 1
+        rows += runs[0]
+    assert rows >= 140
 
 
 def test_zero_delay_lower_truncation_tail_envelopes_the_discarded_terms_property():
@@ -1037,6 +1083,22 @@ def test_zero_delay_lower_truncation_tail_envelopes_the_discarded_terms_property
         assert (rise <= kept.truncation_tail + 64.0 * np.spacing(kept.raw_value)).all()
         big = kept.raw_value >= 1e-290
         assert (kept.truncation_tail[big] <= 2.0**-60 * kept.raw_value[big]).all()
+
+
+@pytest.mark.parametrize("share, refused", [(2.2250738585e-313, True), (1e-307, False)])
+def test_delay_lower_at_a_subnormal_share(share, refused):
+    # at share 2.2e-313 (6/h) alpha/beta overflows, so the gain pole's bracket has no far
+    # end: delay_lower refuses the model as infeasible, where it used to end in a
+    # RuntimeWarning; at 1e-307 that ratio is finite, and the value is a number in [0, 1]
+    params = ProtocolParams.from_adversary_share(6.0 / 3600.0, share, 10.0)
+    assert (params.alpha / params.beta == math.inf) == refused
+    for t in (100.0, 7200.0):
+        if refused:
+            with pytest.raises(InfeasibleParametersError):
+                delay_lower(params, t)
+        else:
+            res = delay_lower(params, t)
+            assert 0.0 < res.raw_value <= 1e-300 and 0.0 <= res.truncation_tail <= 1e-300
 
 
 def test_delay_lower_below_upper():

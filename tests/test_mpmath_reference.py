@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import loggamma, mp, mpf
-from test_bounds import MODEL_REGION, _feasible_model, _gain_size, _wide_tops
+from test_bounds import MODEL_REGION, _REFERENCE_POLE_GRID, _feasible_model, _gain_size, _wide_tops
 
 from powbounds import bounds
 from powbounds.bounds import (
@@ -451,7 +451,7 @@ def test_gain_log_pgf_matches_mpmath_on_both_grids():
     for a, b in _gain_models(24, 1e-15, 1e-4, 2020):
         y0 = bounds._gain_pole(a, b)
         u = a * bounds._CHERNOFF_GRID
-        for ys, tol in (((a * np.expm1(u) + u) / (a - u), 1e-11), (y0 * bounds._POLE_GRID, 1e-7)):
+        for ys, tol in (((a * np.expm1(u) + u) / (a - u), 1e-11), (y0 * _REFERENCE_POLE_GRID, 1e-7)):
             got = bounds._gain_log_pgf(a, b, ys)
             live = np.isfinite(got) & (ys < y0)
             assert live.any()

@@ -29,6 +29,8 @@ def panel(species):
     return [
         *(["bound", k, "--alpha-frac", f, "--delta", d, "--t", "2h"]
           for k in ("upper", "lower", "upper-universal") for f in SHARES for d in ("0", "10")),
+        # the lower bound at t = 0 and at t = delta/2, where it rises with t
+        *(["bound", "lower", "--alpha-frac", f, "--delta", "10", "--t", t] for f in SHARES for t in ("0", "5")),
         *(["latency", "--alpha-frac", f, "--delta", d, "--level", e]
           for f in SHARES for d in ("0", "10") for e in ("1e-3", "1e-9")),
         # depth scans: ~32,000 counts from the window's top (two chunks), both
@@ -39,6 +41,9 @@ def panel(species):
         ["latency", "--alpha-frac", "0.999999999", "--delta", "0", "--level", "0.999", "--split", "0.999"],
         ["sweep", "--var", "latency", "--grid", "1800:36000:12", "--delta", "0"],
         ["--format", "csv", "sweep", "--var", "latency", "--grid", "1800:36000:12"],
+        # three blocks of 32 times whose later rows take more of the gain pmf q than the first's
+        ["--format", "csv", "sweep", "--var", "latency", "--bounds", "lower", "--alpha-frac", "0.55",
+         "--total-rate", "600/hour", "--delta", "0.5", "--grid", "0:36000:80"],
         ["sweep", "--var", "rate", "--grid", "6:600:12", "--level", "1e-6"],
         ["--format", "csv", "sweep", "--var", "throughput", "--grid", "1,2,5,10,20,50,100"],
         ["protocol-table"], ["protocol-table", "--check"],
