@@ -157,9 +157,11 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float, xtol: floa
 
     Regula falsi with the Illinois modification (Dowell and Jarratt 1971):
     when one end is kept twice in a row its function value is halved, so
-    both ends close in superlinearly.  A secant point that rounding puts
-    outside (lo, hi) is replaced by the midpoint.  Returns the end of the
-    final bracket that moved last.
+    both ends close in superlinearly.  The first secant point that rounding
+    puts on (or past) an end of (lo, hi) is replaced by the float next to
+    that end, inside: the root is most often that close to it.  A later one
+    is replaced by the midpoint.  Returns the end of the final bracket that
+    moved last.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -168,13 +170,15 @@ def bracketed_root(f: Callable[[float], float], lo: float, hi: float, xtol: floa
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"f({lo}) and f({hi}) must differ in sign")
-    x, kept = lo, 0  # kept: -1 if the last step kept hi, +1 if it kept lo
+    x, kept, nudged = lo, 0, False  # kept: -1 if the last step kept hi, +1 if it kept lo
     while hi - lo > xtol:
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        x, nudge = hi - f_hi * (hi - lo) / (f_hi - f_lo), False
         if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+            nudge = not nudged and x == x  # a nan x (infinite f at both ends) bisects
+            x = (math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)) if nudge else 0.5 * (lo + hi)
             if not lo < x < hi:  # no float strictly inside
                 break
+        nudged = nudge
         fx = f(x)
         if fx == 0.0:
             return x
@@ -485,7 +489,7 @@ _DELAY_SPEC = RaceSpec(mu=1.0, nu=1.0, n=1)
 
 
 # Smallest normalized honest rate alpha*delta the race kernel resolves.  Above it,
-# u0 ~ alpha*delta and every coarse point u >= u0 / 512 has a normal square; below
+# u0 ~ alpha*delta and every equal cell's point u >= u0 / 512 has a normal square; below
 # it, u^2 and a^2 in g_a sink into subnormals and lose their digits (at 10%, 6/h
 # and delta = 1e-158 s, delay_upper(6408 s) read 4.99e-4 where its limit is 0.124).
 _ALPHA_DELTA_MIN = 2.0**-500
@@ -519,11 +523,6 @@ def _delay_norm(params: ProtocolParams):
         ) from None
 
 
-def _coarse_grid(hi):
-    """Interior points of _GRID_CELLS equal cells over (0, hi)."""
-    return hi * np.arange(1, _GRID_CELLS) / _GRID_CELLS
-
-
 def _nan_argmin(vals):
     """np.nanargmin's index along the last axis, 0 where all is nan."""
     return np.argmin(np.where(np.isnan(vals), np.inf, vals), axis=-1)
@@ -535,14 +534,34 @@ def _pick(vals, i):
     return flat[np.arange(flat.shape[0]), i.reshape(-1)].reshape(i.shape)
 
 
-# Geometric points below the coarse grid's first one (u0 / 512), as fractions of
-# u0: near the feasibility edge every admissible u lies there.
-_EDGE_GRID = 0.5 ** np.arange(10, 64)
+# The coarse points over (0, u0), as fractions of u0: first _EDGE_POINTS geometric
+# ones, 2^-63 .. 2^-10, below the first equal cell (near the feasibility edge every
+# admissible u lies there), then the interior points of _GRID_CELLS equal cells.
+_EDGE_POINTS = 54
+_COARSE = np.concatenate([0.5 ** np.arange(63, 9, -1), np.arange(1, _GRID_CELLS) / _GRID_CELLS])
+_ON_EDGE = np.arange(_COARSE.size) < _EDGE_POINTS
 
 # The refinement pass's points, in spacings either side of the incumbent.
 _PASS = np.arange(-_REFINE, _REFINE + 1) / _REFINE
 
 _NO_ADMISSIBLE_POINT = "no admissible point for the Chernoff-rate optimization"
+
+
+def _coarse_min(hi, vals):
+    """(u, spacing) of each row's coarse minimum, from its values vals at the points hi _COARSE.
+
+    The minimum is over the equal cells' points, or, in a row where none of
+    those is admissible, over the edge points: a minimum over all of them
+    would read 1 - ulp at a vacuous time, whose infimum is the u -> 0 limit.
+    The row's refinement pass spacing is min(u, hi / _GRID_CELLS): one cell
+    on the equal cells, u itself on the edge points.  Both are nan where no
+    coarse point is admissible.
+    """
+    nan = np.isnan(vals)
+    skip = nan | (_ON_EDGE & ~nan[..., _EDGE_POINTS:].all(axis=-1, keepdims=True))
+    i = np.argmin(np.where(skip, np.inf, vals), axis=-1)[..., None]
+    u = np.where(skip.all(axis=-1, keepdims=True), np.nan, hi * _COARSE[i])
+    return u, np.minimum(u, hi / _GRID_CELLS)
 
 
 def _vertex(vals, i, val, u, spacing):
@@ -567,16 +586,26 @@ def _vertex(vals, i, val, u, spacing):
         )
 
 
+def _pass_min(vals, u, step):
+    """(point, value, vertex, predicted value) of each row's pass minimum, from its pass values vals.
+
+    u and step (last axis 1) are the row's pass centre and spacing; the
+    vertex and its prediction are _vertex's.
+    """
+    i = _nan_argmin(vals)[..., None]
+    u, val = u + step * _PASS[i], _pick(vals, i)
+    return (u, val, *_vertex(vals, i, val, u, step / _REFINE))
+
+
 def _pass_terms(mgf: Mgf, b, u, step, prior=None):
     """The race's (log c^2, psi) at each row's pass points u + step _PASS.
 
-    u has a last axis of 1, rows along the axis before it and model columns
-    (if any) before that; step is a float, a model column or u's shape.
-    prior, if given, is (u', log c^2, psi) of passes already evaluated, one
-    per row, at steps of one coarse spacing: a row whose u equals u' in
-    every model takes those terms (an edge row's u lies below every coarse
-    point, so it never does), and only the other rows are evaluated, with no
-    call where none is left.
+    u and step are _coarse_min's (last axis 1), with rows along the axis
+    before it and model columns (if any) before that.  prior, if given, is
+    (u', log c^2, psi) of passes already evaluated, one per row, each
+    centred on a coarse minimum at its own spacing: a row whose u equals u'
+    in every model takes those terms (equal points have equal spacings), and
+    only the other rows are evaluated, with no call where none is left.
     """
     if prior is not None:
         reuse = (u == prior[0])[..., 0]
@@ -599,45 +628,31 @@ def _grid_minimize(mgf: Mgf, b, coarse, objective, prior=None):
     mean and in b; coarse is _delay_coarse(mgf, b), one row per model.
     objective maps the race's (log c^2, psi) at points of shape (..., n) to
     values of shape (rows..., n), nan at inadmissible points; the result has
-    shape (rows...).  The coarse grid finds each row's basin.  A row with no
-    admissible coarse point (near the feasibility edge, where every
-    admissible u lies below u0 / 512) finds it on its model's geometric
-    points u0 2^-10 .. u0 2^-63 instead, with the incumbent itself as its
-    spacing; its u and value are nan if none of those is admissible either.
-    One refinement pass then evaluates 2 _REFINE + 1 points across one
-    spacing (u0 / 512 on the coarse grid) either side of the row's
-    incumbent, which is its middle point, so no row's best value worsens.
-    prior, if given, holds passes already evaluated, one per row
-    (_delay_crossings' passes): a row whose incumbent is that pass's centre
-    takes its terms (_pass_terms), so where every row's does the pass makes
-    no race-kernel call.
+    shape (rows...).  _coarse_min finds each row's basin on the coarse
+    points, the edge points among them where no equal cell's point is
+    admissible (near the feasibility edge, where every admissible u lies
+    below u0 / 512); a row's u and value are nan where no coarse point is
+    admissible.  One refinement pass then evaluates 2 _REFINE + 1 points
+    across one spacing either side of the row's incumbent, which is its
+    middle point, so no row's best value worsens.  prior, if given, holds
+    passes already evaluated, one per row (_delay_crossings' passes): a row
+    whose incumbent is that pass's centre takes its terms (_pass_terms), so
+    where every row's does the pass makes no race-kernel call.
     Last, _vertex fits a parabola to the pass minimum and its two
     neighbours, and its vertex replaces the pass minimum only if its value
     is lower.  Every step is elementwise per row, and the model columns
     broadcast, so a row's result does not depend on the other rows or models.
     """
-    hi = mgf.roc_sup
-    vals = objective(*coarse)
-    u = hi * (_nan_argmin(vals)[..., None] + 1) / _GRID_CELLS  # its _coarse_grid(hi) point
-    step = hi / _GRID_CELLS
-    empty = np.isnan(vals).all(axis=-1, keepdims=True)
-    if empty.any():
-        edge_vals = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, np.atleast_2d(hi * _EDGE_GRID)))
-        edge_u = hi * _EDGE_GRID[_nan_argmin(edge_vals)[..., None]]
-        edge_u[np.isnan(edge_vals).all(axis=-1)] = np.nan
-        u, step = np.where(empty, edge_u, u), np.where(empty, edge_u, step)
-    vals = objective(*_pass_terms(mgf, b, u, step, prior))
-    i = _nan_argmin(vals)[..., None]
-    u, val = u + step * _PASS[i], _pick(vals, i)
-    u_fit = _vertex(vals, i, val, u, step / _REFINE)[0]
+    u, step = _coarse_min(mgf.roc_sup, objective(*coarse))
+    u, val, u_fit, _ = _pass_min(objective(*_pass_terms(mgf, b, u, step, prior)), u, step)
     val_fit = objective(*_race_log_terms(mgf, b, _DELAY_SPEC, u_fit))
     better = val_fit < val
     return np.where(better, u_fit, u)[..., 0], np.where(better, val_fit, val)[..., 0]
 
 
 def _delay_coarse(mgf: Mgf, b):
-    """(log c^2, psi) of the delay race on _coarse_grid(u0): one row per model, shared by its rows."""
-    return _race_log_terms(mgf, b, _DELAY_SPEC, np.atleast_2d(_coarse_grid(mgf.roc_sup)))
+    """(log c^2, psi) of the delay race at the coarse points u0 _COARSE: one row per model, shared by its rows."""
+    return _race_log_terms(mgf, b, _DELAY_SPEC, np.atleast_2d(mgf.roc_sup * _COARSE))
 
 
 def _delay_upper_rows(mgf: Mgf, b, d, coarse, ts: np.ndarray, prior=None):
@@ -655,8 +670,8 @@ def _delay_upper_rows(mgf: Mgf, b, d, coarse, ts: np.ndarray, prior=None):
 def delay_upper(params: ProtocolParams, t: float | np.ndarray) -> BoundResult:
     """Achievable security level with propagation delay (minimized over the Chernoff rate).
 
-    t is a float or a 1-D array of times (s); log c^2 and psi on the coarse
-    grid are shared by every t, and each t is one row of the minimization.
+    t is a float or a 1-D array of times (s); log c^2 and psi at the coarse
+    points are shared by every t, and each t is one row of the minimization.
     """
     mgf, b, d = _delay_norm(params)
     coarse = _delay_coarse(mgf, b)
@@ -692,52 +707,34 @@ def delay_upper_universal(params: ProtocolParams, t: float | np.ndarray) -> Boun
     )
 
 
-def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, d, passes=None) -> np.ndarray:
+def _delay_crossings(mgf: Mgf, b, coarse, log_eps: np.ndarray, passes=None) -> np.ndarray:
     """Normalized real crossing min_u (log c^2(u) - log eps) / psi(u) of each level, one row each.
 
     delay_upper(t) <= eps iff log c^2(u) - psi(u) t/delta <= log eps for some
     u, i.e. iff t/delta is at least that ratio at some u with psi(u) > 0.
-    Each row reads its crossing from the coarse terms: _vertex fits a
-    parabola to its coarse minimum and two neighbours, and the crossing is
-    the lower of the ratio at that vertex and the coarse minimum.  It is an
-    evaluated point, so an upper estimate.  One race-kernel call evaluates
-    every row's vertex together with the 2 _REFINE + 1 points of the pass
-    around its coarse minimum, the pass _grid_minimize makes for a row whose
-    incumbent is that point; a list given as passes receives (u, log c^2,
-    psi) of those passes, u each row's coarse minimum.  A row with no fit
-    (no admissible coarse point, or a minimum on the grid's end or not
-    convex), or whose evaluated vertex and the parabola's prediction lie in
-    different whole seconds (d is the model's delta, or a (models, 1) column
-    of them), takes _grid_minimize's pass and vertex instead, run over the
-    whole batch with these passes as its prior: one more call, for the
-    vertex, unless a row has no admissible coarse point.  The crossing only
-    picks the whole second where invert_latency confirms with delay_upper's
-    own values, and its passes are what those confirmations, at the same
-    coarse minimum, evaluate.  The result has the rows' shape broadcast
-    against d's: one row of levels per model for a column d.
+    Each row takes _coarse_min's incumbent on the coarse terms, edge points
+    included, and one race-kernel call evaluates the 2 _REFINE + 1 points of
+    every row's pass around it: the pass _grid_minimize makes for a row
+    whose incumbent is that point.  The crossing is the lower of that pass's
+    minimum and _vertex's predicted value there, nan where no coarse point
+    is admissible.  It only picks the whole second where invert_latency
+    starts to confirm with delay_upper's own values, and a list given as
+    passes receives (u, log c^2, psi) of the passes, u each row's coarse
+    minimum, which those confirmations, at the same coarse minimum, take.
+    The result has the rows' shape broadcast against the model columns:
+    one row of levels per model.
     """
     log_eps = log_eps[:, None]
 
     def objective(log_c2, psi):
         return (log_c2 - log_eps) / np.where(psi > 0, psi, np.nan)
 
-    hi = mgf.roc_sup
-    step = hi / _GRID_CELLS
-    vals = objective(*coarse)
-    i = _nan_argmin(vals)[..., None]
-    u, val = hi * (i + 1) / _GRID_CELLS, _pick(vals, i)
-    u_fit, predicted = _vertex(vals, i, val, u, step)
-    points = np.concatenate([u_fit, u + step * _PASS], axis=-1)  # the vertex, then the pass
-    log_c2, psi = _race_log_terms(mgf, b, _DELAY_SPEC, points)
-    prior = (u, log_c2[..., 1:], psi[..., 1:])
+    u, step = _coarse_min(mgf.roc_sup, objective(*coarse))
+    terms = _pass_terms(mgf, b, u, step)
     if passes is not None:
-        passes.extend(prior)
-    val_fit = objective(log_c2[..., :1], psi[..., :1])[..., 0]
-    predicted, t = predicted[..., 0], np.fmin(val_fit, val[..., 0])
-    with np.errstate(invalid="ignore"):
-        refit = np.isnan(predicted) | (np.floor(val_fit * d) != np.floor(predicted * d))
-    refitted = _grid_minimize(mgf, b, coarse, objective, prior)[1] if refit.any() else t
-    return np.where(refit, refitted, t)
+        passes.extend((u, *terms))
+    _, val, _, predicted = _pass_min(objective(*terms), u, step)
+    return np.fmin(val, predicted)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -1252,7 +1249,7 @@ def _search(raw_pairs, starts: list, levels: list) -> list:
 
 
 # (model, level) rows of one delay_upper batch: its work arrays are then at most
-# 2 _BATCH_ROWS x 511 floats (~1 MB) each, whatever the number of models.
+# 2 _BATCH_ROWS x 565 floats (~1 MB) each, whatever the number of models.
 _BATCH_ROWS = 128
 
 
@@ -1264,23 +1261,25 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
     root u0 is solved once, and the feasible models enter the race kernel as
     columns (a, b, u0 and the mean, shape (models, 1, 1)), broadcast against
     each row's points.  Their rows start at ceil(t*), the crossing
-    _delay_crossings reads from the coarse grid, and take their pairs from
-    delay_upper's kernel on the solved models.  A pair whose coarse cell is
-    its crossing's (nearly every one) takes the refinement pass the
-    crossings evaluated, and one whose cell is not evaluates a pass of its
-    own: with no fallback, a start at the answer and every pair in its
-    crossing's cell a batch makes three race-kernel calls, and a model with
-    no admissible u starts at the horizon and closes there.  The crossings'
-    passes enter each pair's first step and every later one.  Every other
-    model is a group of its own that starts at _SEARCH_START and makes one
-    call of its form per step; the secant through its first pair is the
-    crossing itself for a form c e^{-rate t}, so such a form takes two
-    calls; where a value at or below its level leaves the level under
-    value + truncation_tail, the sum was cut too short to decide it, and the
-    model gets BracketError.  Every step is elementwise per row, so a
-    model's values are those of a batch of one, bit for bit.  An
-    InfeasibleParametersError or BracketError raised by a group's form is
-    the result of its models, and closes their rows.
+    _delay_crossings reads from the pass around its coarse minimum, and take
+    their pairs from delay_upper's kernel on the solved models.  A pair
+    whose coarse minimum is its crossing's (nearly every one, on an edge
+    point too) takes the refinement pass the crossings evaluated, and one
+    whose minimum is not evaluates a pass of its own.  With a start at the
+    answer and every pair at its crossing's coarse minimum, a batch makes
+    three race-kernel calls (the coarse points, the crossings' passes and
+    the pairs' vertices); a start that misses takes one call per further
+    search step, and a model with no admissible u starts at the horizon and
+    closes there.  The crossings' passes enter each pair's first step and
+    every later one.  Every other model is a group of its own that starts
+    at _SEARCH_START and makes one call of its form per step; the secant
+    through its first pair is the crossing itself for a form c e^{-rate t},
+    so such a form takes two calls; where a value at or below its level
+    leaves the level under value + truncation_tail, the sum was cut too
+    short to decide it, and the model gets BracketError.  Every step is
+    elementwise per row, so a model's values are those of a batch of one,
+    bit for bit.  An InfeasibleParametersError or BracketError raised by a
+    group's form is the result of its models, and closes their rows.
     """
     results = [None] * len(models)
 
@@ -1335,7 +1334,7 @@ def _invert(forms: list, models: Sequence[ProtocolParams], levels: list) -> list
         b, d = col(bs), np.array(ds)[:, None]
         coarse = _delay_coarse(mgf, b)
         log_eps, passes = np.array([math.log(e) for e in levels]), []
-        t_star = _delay_crossings(mgf, b, coarse, log_eps, d, passes) * d
+        t_star = _delay_crossings(mgf, b, coarse, log_eps, passes) * d
         prior = [np.repeat(x, 2, axis=-2) for x in passes]  # one copy for each second of a pair
         for j, unsolved in zip(index, np.isnan(t_star).any(axis=1).tolist()):
             if unsolved:
@@ -1366,10 +1365,13 @@ def invert_latency(
     of ints.  This is the batch of one model of _invert: one search
     (_search) whose every step is one array call at every level's (s - 1, s),
     and a level closes once it knows bound(t) <= eps < bound(t - 1).
-    delay_upper starts at the crossing read from the coarse grid and takes
-    three race-kernel calls in all where each level's confirmation pair has
-    its crossing's coarse minimum, as nearly every one does; any other form
-    starts at 600 s, and a form c e^{-rate t} takes two bound calls.
+    delay_upper starts at the crossing read from the refinement pass around
+    each level's coarse minimum, and takes three race-kernel calls in all
+    where that start is the answer and each level's confirmation pair has
+    its crossing's coarse minimum, as nearly every one does; next to the
+    feasibility edge a start can miss by whole seconds, and each further
+    search step takes one call more.  Any other form starts at 600 s, and a
+    form c e^{-rate t} takes two bound calls.
     Raises BracketError past 600 * 2^30 s, or where a truncated sum cannot
     decide a level.  _search assumes a form nonincreasing in t: for one
     that rises somewhere (delay_lower can, at small t) the whole second it

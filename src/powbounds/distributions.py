@@ -66,12 +66,16 @@ def _bd0(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     With v = (x - lam)/(x + lam) it is (x - lam) v + 2x sum_{j>=1} v^{2j+1}/(2j+1)
     (Loader 2000), two terms that cancel little: that form where |v| < 1/4,
     where the direct form cancels most; elsewhere x log1p((x - lam)/lam) + lam - x,
-    whose log1p keeps its relative precision however near x/lam is to 1.
+    whose log1p keeps its relative precision however near x/lam is to 1;
+    and x (ln x - ln lam) + lam - x where (x - lam)/lam overflows, at a
+    subnormal lam (or 0, where both read inf).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gap = x - lam
         v = gap / (x + lam)
         direct = np.asarray(x * np.log1p(gap / lam) - gap)  # an array even for 0-d x and lam
+        if np.isinf(direct).any():
+            direct = np.where(np.isinf(direct), x * (np.log(x) - np.log(lam)) - gap, direct)
     near = np.abs(v) < 0.25
     if not near.any():
         return direct
@@ -136,8 +140,10 @@ def log_poisson_pmf(k: int, lam: float) -> float:
         for j in range(_BD0_TERMS - 1, 0, -1):
             series = series * v2 + 1.0 / (2 * j + 1)
         bd0 = gap * v + 2.0 * x * v * (series * v2)
-    else:
+    elif gap / lam < math.inf:
         bd0 = x * float(np.log1p(gap / lam)) - gap
+    else:  # (x - lam)/lam overflows at a subnormal lam
+        bd0 = x * (math.log(x) - math.log(lam)) - gap
     return -(bd0 + (stirlerr + (0.5 * math.log(x) + _HALF_LOG_2PI)))
 
 

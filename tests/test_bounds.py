@@ -278,8 +278,9 @@ def _edge_model(frac, per_hour, delta=10.0):
 
 @pytest.mark.parametrize("per_hour,frac", [(6.0, 0.999), (60.0, 0.999), (60.0, 0.9999)])
 def test_latency_is_finite_next_to_the_feasibility_edge(per_hour, frac):
-    # every admissible u lies below the coarse grid's first point u0 / 512 here; an
-    # all-nan row retries on geometric points toward 0 instead of raising BracketError
+    # every admissible u lies below the first equal cell's point u0 / 512 here; such
+    # a row takes its minimum on the coarse call's geometric edge points toward 0
+    # instead of raising BracketError
     params = _edge_model(frac, per_hour)
     t = invert_latency(delay_upper, params, 1e-3)
     assert 1e9 < t < bounds._LATENCY_HORIZON
@@ -384,7 +385,7 @@ def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour,
         return
     mgf, b, _ = bounds._delay_norm(params)
     log_half = np.array([math.log(0.5)])
-    t_half = float(bounds._delay_crossings(mgf, b, bounds._delay_coarse(mgf, b), log_half, params.delta)[0])
+    t_half = float(bounds._delay_crossings(mgf, b, bounds._delay_coarse(mgf, b), log_half)[0])
     ts = np.linspace(0.0, 2.0 * t_half * params.delta, 97)
     upper = delay_upper(params, ts).probability
     assert upper[0] > 1.0 - 1e-12 and upper[-1] <= 0.5
@@ -395,11 +396,12 @@ def test_delay_upper_monotone_across_vacuous_edge_property(share, rate_per_hour,
 def _five_pass_minimize(mgf, b, coarse, objective, prior=None):
     """Reference: the minimizer before its vertex step, five passes each 128x finer to 1e-12 u0.
 
-    It evaluates every pass itself, so it ignores prior, the passes its caller has evaluated."""
+    It starts at the minimum over the equal cells' coarse points, and evaluates
+    every pass itself, so it ignores prior, the passes its caller has evaluated."""
     hi = mgf.roc_sup
-    vals = objective(*coarse)
+    vals = objective(*coarse)[..., bounds._EDGE_POINTS :]
     rows = np.arange(vals.shape[0])
-    u = bounds._coarse_grid(hi)[bounds._nan_argmin(vals)]
+    u = hi * bounds._COARSE[bounds._EDGE_POINTS + bounds._nan_argmin(vals)]
     offsets = np.arange(-bounds._REFINE, bounds._REFINE + 1) / bounds._REFINE
     step = hi / bounds._GRID_CELLS
     while step > 1e-12 * hi:
@@ -433,7 +435,7 @@ def _edge_delay_models():
         mgf, b, _ = bounds._delay_norm(params)
         log_eps = np.array([math.log(1e-9)])
         coarse = bounds._delay_coarse(mgf, b)
-        t_star = float(bounds._delay_crossings(mgf, b, coarse, log_eps, params.delta)[0])
+        t_star = float(bounds._delay_crossings(mgf, b, coarse, log_eps)[0])
         yield params, np.linspace(0.0, 2.0 * t_star * params.delta, 97)
 
 
@@ -454,9 +456,9 @@ def test_vertex_step_matches_five_pass_refinement(monkeypatch, models):
 
 
 def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
-    # delay_upper: coarse grid, one pass, one vertex; invert_latency: the shared
-    # coarse grid, the crossing's vertex with the pass around its coarse cell,
-    # then the confirmation's vertex, its pass taken from the crossing's
+    # delay_upper: coarse points, one pass, one vertex; invert_latency: the
+    # shared coarse points, the crossing's pass around its coarse minimum, then
+    # the confirmation's vertex, its pass taken from the crossing's
     calls = []
     kernel = bounds._race_log_terms
     monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(a) or kernel(*a))
@@ -468,21 +470,35 @@ def test_race_kernel_calls_per_delay_upper_and_inversion(monkeypatch):
 
 
 def test_race_kernel_points_per_inversion(monkeypatch):
-    # each level's crossing evaluates its vertex and one 257-point pass, which its
-    # (s - 1, s) confirmation pair takes; 30 delay_upper times from 3.6 to 36 ks
-    # evaluate one pass each, also where neighbours share a coarse cell
+    # 511 equal cells' points and 54 edge points per model; each level's crossing
+    # evaluates one 257-point pass, which its (s - 1, s) confirmation pair takes;
+    # 30 delay_upper times from 3.6 to 36 ks evaluate one pass each, also where
+    # neighbours share a coarse cell
     calls = []
     kernel = bounds._race_log_terms
     monkeypatch.setattr(bounds, "_race_log_terms", lambda *a: calls.append(np.size(a[3])) or kernel(*a))
     specs, model = load_config(default_config_path())
     build_comparison_table(specs, model, 0.25, [1e-3, 1e-6, 1e-9])
-    assert calls == [6 * 511, 6 * 3 * (1 + 257), 6 * 6] and sum(calls) == 7746
+    assert calls == [6 * 565, 6 * 3 * 257, 6 * 6] and sum(calls) == 8052
     calls.clear()
     invert_latency(delay_upper, BITCOIN_10, 1e-3)
-    assert calls == [511, 1 + 257, 2] and sum(calls) == 771
+    assert calls == [565, 257, 2] and sum(calls) == 824
     calls.clear()
     delay_upper(BITCOIN_10, np.linspace(3600.0, 36000.0, 30))
-    assert calls == [511, 30 * 257, 30]
+    assert calls == [565, 30 * 257, 30]
+
+
+def test_near_edge_inversion_takes_its_edge_points_from_the_coarse_call(monkeypatch):
+    # at 0.999 of the feasibility edge every admissible u lies among the coarse
+    # call's edge points: the crossing's pass is centred there, and both search
+    # steps' confirmation pairs take it, so no call evaluates the edge points apart
+    params = _edge_model(0.999, 60.0)
+    calls = _count_race_kernel_calls(monkeypatch)
+    assert invert_latency(delay_upper, params, [1e-3, 1e-9]) == [4004585391, 10796377653]
+    assert [np.shape(c[3]) for c in calls] == [(1, 565), (2, 257), (1, 4, 1), (1, 4, 1)]
+    calls.clear()
+    delay_upper(params, np.linspace(3600.0, 36000.0, 30))
+    assert [np.shape(c[3]) for c in calls] == [(1, 565), (30, 257), (30, 1)]
 
 
 def test_confirmation_off_its_crossing_cell_takes_its_own_pass(monkeypatch):
@@ -493,8 +509,8 @@ def test_confirmation_off_its_crossing_cell_takes_its_own_pass(monkeypatch):
     want = invert_latency(delay_upper, BITCOIN_10, levels)
     crossings = bounds._delay_crossings
 
-    def moved(mgf, b, coarse, log_eps, d, passes):
-        t = crossings(mgf, b, coarse, log_eps, d, passes)
+    def moved(mgf, b, coarse, log_eps, passes):
+        t = crossings(mgf, b, coarse, log_eps, passes)
         passes[0][1] += mgf.roc_sup / bounds._GRID_CELLS
         return t
 
@@ -509,7 +525,7 @@ def test_confirmation_off_its_crossing_cell_takes_its_own_pass(monkeypatch):
     monkeypatch.setattr(bounds, "_delay_upper_rows", recording)
     calls = _count_race_kernel_calls(monkeypatch)
     assert invert_latency(delay_upper, BITCOIN_10, levels) == want
-    assert [np.shape(c[3]) for c in calls] == [(1, 511), (3, 258), (1, 2, 257), (1, 6, 1)]
+    assert [np.shape(c[3]) for c in calls] == [(1, 565), (3, 257), (1, 2, 257), (1, 6, 1)]
     assert len(seen) == 1
     ts, raw, v = (np.ravel(x) for x in seen[0])
     public = delay_upper(BITCOIN_10, ts)
@@ -1101,6 +1117,18 @@ def test_delay_lower_at_a_subnormal_share(share, refused):
             assert 0.0 < res.raw_value <= 1e-300 and 0.0 <= res.truncation_tail <= 1e-300
 
 
+@pytest.mark.parametrize("share", [1e-308, 2.3e-308])
+@pytest.mark.parametrize("alpha_delta", [1e-6, 1e-3, 0.5])
+def test_delay_lower_at_a_subnormal_poisson_rate(share, alpha_delta):
+    # the adversary's Poisson mean at t = 100 s is subnormal, where (k - lam)/lam
+    # overflows in the log pmf's deviance: the value is a finite number, with no
+    # RuntimeWarning, where the deviance used to overflow
+    rate = 6.0 / 3600.0
+    params = ProtocolParams.from_adversary_share(rate, share, alpha_delta / ((1.0 - share) * rate))
+    res = delay_lower(params, 100.0)
+    assert 0.0 < res.raw_value <= 1e-300 and 0.0 <= res.truncation_tail <= 1e-300
+
+
 def test_delay_lower_below_upper():
     for t in (7200.0, 14400.0, 36000.0):
         assert delay_lower(BITCOIN_10, t).probability < delay_upper(BITCOIN_10, t).probability
@@ -1582,7 +1610,7 @@ def test_coarse_crossing_starts_every_design_query_at_its_answer(monkeypatch):
     # the designer's space: shares 10% and 25%, 6-600 blocks/hour (eight
     # log-rate strata), 1-100 KB/s through the bundled delay model, three
     # levels.  Each crossing lies within 1 s of the one _grid_minimize's pass
-    # and vertex give, and every feasible query closes in one kernel call
+    # and evaluated vertex give, and every feasible query closes in one kernel call
     model = load_config(default_config_path())[1]
     rng = np.random.default_rng(22)
     levels = [1e-3, 1e-6, 1e-9]
@@ -1600,7 +1628,7 @@ def test_coarse_crossing_starts_every_design_query_at_its_answer(monkeypatch):
                 except InfeasibleParametersError:
                     continue
                 coarse = bounds._delay_coarse(mgf, b)
-                got = bounds._delay_crossings(mgf, b, coarse, log_eps, delta)
+                got = bounds._delay_crossings(mgf, b, coarse, log_eps)
                 want = bounds._grid_minimize(
                     mgf, b, coarse, lambda c2, psi: (c2 - log_eps[:, None]) / np.where(psi > 0, psi, np.nan)
                 )[1]
@@ -1692,9 +1720,10 @@ def _same_result(got, want):
 
 
 # Models every batch below carries besides its drawn ones: two next to the
-# feasibility edge (every admissible u below u0 / 512, so the crossing retries on
-# _EDGE_GRID), one whose crossing lies past the horizon, one with no admissible
-# u at all (beta one ulp short of the edge), an infeasible one and two at delta = 0.
+# feasibility edge (every admissible u below u0 / 512, so the crossing starts from
+# the coarse call's edge points u0 2^-63 .. u0 2^-10), one whose crossing lies past
+# the horizon, one with no admissible u at all (beta one ulp short of the edge), an
+# infeasible one and two at delta = 0.
 EDGE_AND_ERROR_MODELS = [
     _edge_model(0.999, 60.0),
     _edge_model(0.999, 600.0, delta=2.0),
@@ -1763,7 +1792,7 @@ def test_invert_latencies_closes_bad_models_in_the_first_step(monkeypatch):
 
 @pytest.mark.parametrize("form", [delay_upper, bounds.delay_upper_universal])
 def test_delay_upper_forms_refuse_a_model_with_no_admissible_u(form):
-    # beta one ulp short of the feasibility edge: no coarse or edge-grid point is admissible
+    # beta one ulp short of the feasibility edge: no coarse point, edge points included, is admissible
     with pytest.raises(BracketError) as err:
         form(_edge_model(1.0 - 2.0**-52, 6.0), np.array([3600.0]))
     assert str(err.value) == bounds._NO_ADMISSIBLE_POINT
@@ -1821,8 +1850,8 @@ def _count_race_kernel_calls(monkeypatch):
 
 
 def test_race_kernel_calls_per_batch(monkeypatch):
-    # the coarse grid, the crossings' vertices with their passes, and the
-    # confirmation's vertex: three calls for all the table's protocols (three
+    # the coarse points, the crossings' passes, and the confirmation's
+    # vertex: three calls for all the table's protocols (three
     # each at one model per call), and for a throughput's 80 rates
     calls = _count_race_kernel_calls(monkeypatch)
     specs, model = load_config(default_config_path())
@@ -1837,13 +1866,12 @@ def test_race_kernel_calls_per_batch(monkeypatch):
         calls.clear()
         assert cli.main(["--format", "csv", "sweep", "--var", "throughput", "--grid", grid]) == 0
         assert len(calls) == want
-    # three of these rates lie at 0.87-0.98 of the feasibility edge, where the
-    # coarse parabola misses its evaluated vertex by whole seconds: their
-    # crossings take _grid_minimize's vertex too, its pass taken from the
-    # crossings' own, one more call for the batch
+    # three of these rates lie at 0.87-0.98 of the feasibility edge: their
+    # crossings, read from the pass alone, still start their searches at the
+    # answer, so the batch makes three calls
     calls.clear()
     assert cli.main(["--format", "csv", "sweep", "--var", "rate", "--grid", "6:600:80"]) == 0
-    assert [np.shape(c[3]) for c in calls] == [(58, 1, 511), (58, 1, 258), (58, 1, 1), (58, 2, 1)]
+    assert [np.shape(c[3]) for c in calls] == [(58, 1, 565), (58, 1, 257), (58, 2, 1)]
 
 
 # --- smallest root ----------------------------------------------------------
@@ -1886,13 +1914,27 @@ def test_smallest_root_polish_checks_its_own_bracket(monkeypatch):
         bracketed_root(lambda u: float(_g_norm(u, a)), 0.25 * a, 0.5 * a, 1e-15 * a)
 
 
-def test_dip_scan_matches_the_full_scan():
+def test_dip_scan_matches_the_full_scan(monkeypatch):
     # 20000 log-spaced a over [1e-8, 60]: the root lies in (0, a), and in the
-    # full scan's first sign-change cell wherever the scan resolves g_a's sign
-    resolved = 0
+    # full scan's first sign-change cell wherever the scan resolves g_a's sign.
+    # Each solve takes at most 20 evaluations: a secant that rounds onto a
+    # bracket end tries the float next to it before it bisects
+    resolved, evaluations = 0, []
+
+    def counted(f, lo, hi, xtol):
+        evaluations.append(0)
+
+        def g(x):
+            evaluations[-1] += 1
+            return f(x)
+
+        return bracketed_root(g, lo, hi, xtol)
+
+    monkeypatch.setattr(bounds, "bracketed_root", counted)
     for a in np.geomspace(1e-8, 60.0, 20000).tolist():
         got = _smallest_root_norm(a)
         assert 0.0 < got < a
+        assert evaluations[-1] <= 20
         cell = _full_scan_root(a)
         if cell is None:
             continue

@@ -66,6 +66,16 @@ def test_scalar_log_pmf_matches_the_array_form():
     assert log_poisson_pmf(-1, 2.0) == -math.inf
 
 
+def test_log_pmf_at_a_subnormal_rate():
+    # (k - lam)/lam overflows at lam = 1.7e-309: the deviance takes k (ln k - ln lam)
+    # - (k - lam) there, so both forms read k ln lam - lam - ln k!, not -inf
+    lam = 1.7e-309
+    want = [k * math.log(lam) - lam - math.lgamma(k + 1) for k in range(3)]
+    assert log_poisson_pmf(1, lam) == pytest.approx(-710.968, abs=1e-3)
+    assert [log_poisson_pmf(k, lam) for k in range(3)] == pytest.approx(want, rel=1e-14)
+    np.testing.assert_allclose(log_poisson_pmf_vec(np.arange(3), lam), want, rtol=1e-14, atol=0.0)
+
+
 def test_poisson_rows_match_one_rate_calls():
     # a column of rates gives one row per rate, bit for bit the one-rate call
     ks = np.arange(-1, 40)
