@@ -156,16 +156,15 @@ class _Segments:
     def __init__(self, values: np.ndarray, offsets: np.ndarray):
         self.values = values
         self.offsets = offsets
-        self.trial = _trial_ids(offsets)
         top = max(values.max(), -values.min()) if values.size else 0.0
         self.scale = 4.0 * 2.0 ** math.ceil(math.log2(max(top, 1.0)))
-        self.keys = self.trial * self.scale
+        self.keys = np.repeat(np.arange(offsets.size - 1) * self.scale, np.diff(offsets))
         self.keys += values
 
     def count_le(self, trial: np.ndarray, x) -> np.ndarray:
-        """Per query i: the values of trial[i] that are <= x[i]."""
-        x = np.broadcast_to(x, trial.shape)
-        q = trial * self.scale + np.clip(x, -self.scale / 2, self.scale / 2)
+        """Per query i: the values of trial[i] that are <= x[i] (x may be one number)."""
+        half = self.scale / 2
+        q = trial * self.scale + np.minimum(np.maximum(x, -half), half)
         r = np.searchsorted(self.keys, q, side="right")
         start = self.offsets[trial]
         if self.values.size:
@@ -227,20 +226,21 @@ def _species_masks(h: np.ndarray, offsets: np.ndarray, delta: float, horizon: fl
 
     In each trial the genesis block at time 0 acts as the 0-th lagger for gap
     purposes.  Blocks within delta of the horizon are excluded from the loner
-    mask (their future window is unobserved).
+    mask (their future window is unobserved).  One difference of the flat
+    times gives every gap; each trial's first block takes its gap from 0
+    instead, and its last sees no next block.
     """
     starts, ends = offsets[:-1], offsets[1:]
     nonempty = starts < ends
-    first = np.zeros(h.size, dtype=bool)
-    first[starts[nonempty]] = True
-    last = np.zeros(h.size, dtype=bool)
-    last[ends[nonempty] - 1] = True
-    prev_gap = np.diff(h, prepend=0.0)
-    prev_gap[first] = h[first]
-    next_gap = np.diff(h, append=np.inf)
-    next_gap[last] = np.inf
-    lagger = prev_gap > delta
-    loner = lagger & (next_gap > delta) & (h <= horizon - delta)
+    first, last = starts[nonempty], ends[nonempty] - 1
+    far = np.diff(h) > delta
+    lagger = np.empty(h.size, dtype=bool)
+    lagger[1:] = far
+    lagger[first] = h[first] > delta
+    far_next = np.empty(h.size, dtype=bool)
+    far_next[:-1] = far
+    far_next[last] = True
+    loner = lagger & far_next & (h <= horizon - delta)
     double_lagger = np.zeros_like(lagger)
     double_lagger[1:] = loner[:-1]
     double_lagger[first] = False
@@ -256,7 +256,8 @@ def _jumper_mask(h: np.ndarray, offsets: np.ndarray, delta: float) -> np.ndarray
     """
     seg = _Segments(h, offsets)
     n = offsets.size - 1
-    past = offsets[seg.trial] + seg.count_le(seg.trial, h + delta)
+    trial = _trial_ids(offsets)
+    past = offsets[trial] + seg.count_le(trial, h + delta)
     cur = offsets[:-1] + seg.count_le(np.arange(n), delta)
     end = offsets[1:]
     mask = np.zeros(h.size, dtype=bool)
@@ -297,12 +298,12 @@ def classify_species(trace: MiningTrace, delta: float, interval: tuple) -> Speci
     lo, hi = interval
     if not 0 <= lo < hi <= trace.horizon:
         raise ValueError(f"interval {interval} not within [0, {trace.horizon}]")
-
-    def count(species):
-        times = species_times(trace, delta, species)
-        return int(np.count_nonzero((times > lo) & (times <= hi)))
-
-    return SpeciesCounts(**{field: count(species) for field, species in zip("HAJXYV", SPECIES)})
+    h, off, a = trace.honest_times, trace.honest_offsets, trace.adversarial_times
+    inside = (h > lo) & (h <= hi)
+    lagger, loner, double_lagger = _species_masks(h, off, delta, trace.horizon)
+    masks = (inside, (a > lo) & (a <= hi), inside & _jumper_mask(h, off, delta),
+             inside & lagger, inside & loner, inside & double_lagger)  # in SPECIES order
+    return SpeciesCounts(**{f: int(np.count_nonzero(m)) for f, m in zip("HAJXYV", masks)})
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +336,9 @@ def _pursuit_events(rng, p: ProtocolParams, horizon: float, n: int) -> tuple:
     """
     up, up_off = _poisson_arrivals(rng, p.beta, horizon, n)
     base, down_off = _poisson_arrivals(rng, p.alpha, horizon - p.delta, n)
-    rank = np.arange(base.size) - down_off[_trial_ids(down_off)]
+    if p.delta == 0:  # delta + rank·delta + base is base itself
+        return up, up_off, base, down_off
+    rank = np.arange(base.size) - np.repeat(down_off[:-1], np.diff(down_off))
     # delta + rank·delta, not (rank + 1)·delta: the two round differently
     return up, up_off, p.delta + rank * p.delta + base, down_off
 
@@ -347,12 +350,14 @@ def _max_pursuit_gain(up: np.ndarray, up_off: np.ndarray, down: np.ndarray,
     The maximum is attained at an up event, where the walk stands at the up
     event's rank minus the downs strictly before it (an up tied with a down
     counts first), so downs after a trial's last up event never matter.
+    Ranks count from the chunk's first up; each trial's first up index, the
+    floor's offset, comes off at the end.
     """
     trial = _trial_ids(up_off)
     below = _Segments(down, down_off).count_le(trial, np.nextafter(up, -np.inf))
-    level = np.arange(1, up.size + 1) - up_off[trial] - below
-    best = np.zeros(up_off.size - 1, dtype=np.int64)
-    np.maximum.at(best, trial, level)
+    best = up_off[:-1].copy()
+    np.maximum.at(best, trial, np.arange(1, up.size + 1) - below)
+    best -= up_off[:-1]
     return best
 
 
@@ -374,22 +379,27 @@ def _postmine_gain(rng, p: ProtocolParams, horizon: float, n: int) -> np.ndarray
 def _premine_gain(rng, params: ProtocolParams, warmup_s: float, n: int) -> np.ndarray:
     """Per trial: lead after the warmup of the pre-mining birth-death process.
 
-    Births at rate beta, deaths at rate alpha, reflected at 0.  One walk S
-    runs through every trial's steps; trial k's N steps take it from
-    S_0 = walk[offsets[k]] to S_N = walk[offsets[k + 1]], and the reflected
-    walk ends at S_N - min_{j<=N} S_j = max(0, S_N - min_{j<N} S_j).  One
-    minimum.reduceat over the trials' starts gives each min_{j<N} S_j: an
-    empty trial's segment is its start S_0 = S_N, and the last trial's runs
-    through S_N, which the max(0, ·) makes harmless.
+    Births at rate beta, deaths at rate alpha, reflected at 0.  One walk
+    S_j = 2·B_j - j, B_j the births among the first j steps, runs through
+    every trial's steps; trial k's N steps take it from S_0 = S_{offsets[k]}
+    to S_N = S_{offsets[k + 1]}, and the reflected walk ends at
+    S_N - min_{j<=N} S_j.  S falls at each death, so that minimum sits at
+    S_0, at S_N, or just before one of the trial's births, where S stands at
+    twice the birth's rank among all births minus its step index.
     """
     if params.beta == 0 or warmup_s <= 0:
         return np.zeros(n, dtype=np.int64)
     rate = params.total_rate
     offsets = _offsets(rng.poisson(rate * warmup_s, n))
-    steps = np.where(rng.random(offsets[-1]) < params.beta / rate, np.int8(1), np.int8(-1))
-    walk = np.zeros(steps.size + 1, dtype=np.int32)
-    np.cumsum(steps, dtype=np.int32, out=walk[1:])
-    return np.maximum(0, walk[offsets[1:]] - np.minimum.reduceat(walk, offsets[:-1]))
+    births = np.flatnonzero(rng.random(offsets[-1]) < params.beta / rate)
+    born = np.searchsorted(births, offsets)  # B at each trial boundary
+    walk = 2 * born - offsets
+    low = np.minimum(walk[:-1], walk[1:])
+    some = born[:-1] < born[1:]
+    if births.size:
+        dips = 2 * np.arange(births.size) - births
+        low[some] = np.minimum(low[some], np.minimum.reduceat(dips, born[:-1][some]))
+    return walk[1:] - low
 
 
 def _post_horizon(p: ProtocolParams, horizon: float) -> float:
@@ -448,6 +458,7 @@ def _race_margin(w: np.ndarray, w_off: np.ndarray, a: np.ndarray, a_off: np.ndar
     n = w_off.size - 1
     k = np.arange(n)
     stream, adv = _Segments(w, w_off), _Segments(a, a_off)
+    adv_trial = _trial_ids(a_off)
     best_start = stream.count_le(k, 0.0) - adv.count_le(k, -spec.mu)
     # At its i-th renewal (0-based) in [0, s] the start term is i + 1 - A(w_i - mu).
     # A(w_i - mu) counts the arrivals j with p_j <= i, where p_j is the number of
@@ -455,20 +466,26 @@ def _race_margin(w: np.ndarray, w_off: np.ndarray, a: np.ndarray, a_off: np.ndar
     # only at i = p_j, and its maximum sits at i = p_j - 1 or at the last renewal.
     # Querying A(w_i - mu) per renewal gives the same margins but ran ~30% slower
     # (11 -> 14 ms per 1000-trial double-lagger campaign, 2-vCPU VM), so query per arrival.
+    # An arrival past s has p_j = e, every renewal in [0, s]: its term is no more
+    # than the last renewal's, so only the arrivals in [0, s] are queried.
     e = stream.count_le(k, s)
     shifted = _Segments(w[w <= s] - spec.mu, _offsets(e))
-    p = shifted.count_le(adv.trial, np.nextafter(a, -np.inf))
-    # i + 1 - A at i = p_j - 1; arrivals tied in p_j give less, the first of them exact
-    rank = np.arange(a.size) - a_off[adv.trial]
+    early = np.flatnonzero(a <= s)
+    e_trial = adv_trial[early]
+    p = shifted.count_le(e_trial, np.nextafter(a[early], -np.inf))
+    # i + 1 - A at i = p_j - 1, that is p_j minus the arrival's rank in its trial;
+    # arrivals tied in p_j give less, the first of them exact
     drop = p >= 1
-    np.maximum.at(best_start, adv.trial[drop], p[drop] - rank[drop])
-    last = e - np.bincount(adv.trial[p < e[adv.trial]], minlength=n)
+    best_start -= a_off[:-1]
+    np.maximum.at(best_start, e_trial[drop], p[drop] - early[drop])
+    best_start += a_off[:-1]
+    last = e - np.bincount(e_trial[p < e[e_trial]], minlength=n)
     best_start = np.where(e >= 1, np.maximum(best_start, last), best_start)
     d0 = s + spec.t
     worst_end = stream.count_le(k, d0) - adv.count_le(k, d0 + spec.nu)
     jumps = a - spec.nu
     late = (jumps >= d0) & (jumps <= horizon)
-    d_trial, d = adv.trial[late], jumps[late]
+    d_trial, d = adv_trial[late], jumps[late]
     end = stream.count_le(d_trial, d) - adv.count_le(d_trial, d + spec.nu)
     np.minimum.at(worst_end, d_trial, end)
     return worst_end - best_start

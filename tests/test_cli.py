@@ -662,6 +662,35 @@ def test_simulate_attack_with_no_successes_passes_its_self_test(capsys):
     assert rec["frequency"] == 0.0 and 0.0 < rec["analytic_lower"] < 1e-9
 
 
+# The benchmark's Monte Carlo cycle (10% adversary at 6/hour), each campaign at two
+# seeds: (seed, argv, trials, frequency, stderr).  The values are pinned exactly: a
+# faster simulator kernel must draw the same numbers and score them the same way.
+BENCHMARK_CAMPAIGNS = [
+    ("3", ["attack", "--delta", "0", "--t", "30m", "--trials", "2000"],
+     2000, 0.049, 0.0048269555622566076),
+    ("4", ["attack", "--delta", "0", "--t", "30m", "--trials", "2000"],
+     2000, 0.054, 0.005053909377897471),
+    ("3", ["attack", "--delta", "10", "--t", "30m", "--trials", "3000"],
+     3000, 0.043333333333333335, 0.003717326797379875),
+    ("4", ["attack", "--delta", "10", "--t", "30m", "--trials", "3000"],
+     3000, 0.042333333333333334, 0.003676104016583418),
+    ("3", ["race", "--stream", "double-lagger", "--delta", "10", "--t", "1h", "--trials", "1000"],
+     1000, 0.088, 0.008958571314668427),
+    ("4", ["race", "--stream", "double-lagger", "--delta", "10", "--t", "1h", "--trials", "1000"],
+     1000, 0.111, 0.00993373041711924),
+]
+
+
+@pytest.mark.parametrize("seed,argv,trials,frequency,stderr", BENCHMARK_CAMPAIGNS)
+def test_benchmark_campaigns_are_pinned(capsys, seed, argv, trials, frequency, stderr):
+    code, out = run_cli(
+        capsys, "--seed", seed, "simulate", *argv, "--alpha-frac", "0.9", "--total-rate", "6/hour"
+    )
+    rec = json.loads(out)
+    assert code == 0
+    assert (rec["trials"], rec["frequency"], rec["stderr"]) == (trials, frequency, stderr)
+
+
 @pytest.mark.parametrize("level,split", [("1e-300", "1e-100"), ("5e-324", "0.5")])
 def test_latency_level_share_that_underflows_is_a_schema_error(capsys, level, split):
     code, out, err = run_cli_err(capsys, "latency", "--level", level, "--split", split)

@@ -403,6 +403,33 @@ def test_pursuit_kernel_matches_per_trial_walk():
     assert got.tolist() == want == [0, 0, 1, 1, 0]
 
 
+def test_pursuit_kernel_on_chunks_with_trials_without_ups():
+    # a trial without ups has gain 0; it must not read a neighbouring trial's level
+    chunks = [
+        ([[], [], []], [[0.5], [], [1.0, 2.0]]),  # no trial has an up
+        ([[1.0, 2.0], [0.5, 3.0], []], [[0.7], [], [0.2]]),  # the last trial has none
+        ([[], [2.0, 2.5], [], [4.0]], [[1.0], [0.1], [], [5.0]]),  # empty trials between
+        ([[1.0, 1.5, 4.0, 4.2, 4.4]], [[0.5, 3.0, 3.5]]),  # one trial
+        ([[]], [[1.0]]),  # one trial, no up
+    ]
+    gains = []
+    for ups, downs in chunks:
+        offsets = [np.concatenate(([0], np.cumsum([len(x) for x in xs]))) for xs in (ups, downs)]
+        up, down = (np.array([t for x in xs for t in x], dtype=float) for xs in (ups, downs))
+        got = simulator._max_pursuit_gain(up, offsets[0], down, offsets[1])
+        want = [ref_max_pursuit_gain(np.array(u), np.array(d), 10.0) for u, d in zip(ups, downs)]
+        assert got.tolist() == want
+        gains.append(want)
+    assert gains == [[0, 0, 0], [1, 2, 0], [0, 1, 0, 1], [2], [0]]
+    # seeded one-trial chunks
+    rng = np.random.default_rng(21)
+    p = ProtocolParams(alpha=1.0, beta=0.9, delta=0.5)
+    for _ in range(20):
+        up, up_off, down, down_off = simulator._pursuit_events(rng, p, 30.0, 1)
+        got = simulator._max_pursuit_gain(up, up_off, down, down_off)
+        assert got.tolist() == [ref_max_pursuit_gain(up, down, 30.0)]
+
+
 class _FixedCounts:
     """A generator whose Poisson draw returns fixed counts; a seeded one draws its uniforms."""
 
@@ -446,6 +473,48 @@ def test_premine_gain_matches_per_trial_walk():
             want = ref_premine_gain(_FixedCounts(counts, seed), p, 1.0, len(counts))
             got = simulator._premine_gain(_FixedCounts(counts, seed), p, 1.0, len(counts))
             assert got.tolist() == want
+
+
+class _FixedSteps(_FixedCounts):
+    """A generator whose Poisson draw returns fixed counts and whose uniforms are given."""
+
+    def __init__(self, counts, uniforms):
+        super().__init__(counts, 0)
+        self.uniforms = uniforms
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
+def test_premine_gain_on_a_walk_below_int16():
+    # 40,000 deaths in the first trial take the walk through every trial's steps
+    # below -2**15, past what a 16-bit walk holds; later trials then climb and dip
+    p = ProtocolParams(alpha=1.0, beta=0.1, delta=0.0)
+    birth, death = 0.0, 1.0  # uniforms below / above beta / total_rate
+    trials = [
+        [death] * 40_000,
+        [birth] * 10 + [death] * 3,
+        [],
+        [death] * 5 + [birth] * 7 + [death] * 2 + [birth] * 4,
+        [birth] * 3 + [death] * 3_000 + [birth] * 2,
+    ]
+    counts = [len(t) for t in trials]
+    uniforms = np.array([u for t in trials for u in t])
+    assert np.cumsum(np.where(uniforms < p.beta / p.total_rate, 1, -1)).min() < -2**15
+    want = ref_premine_gain(_FixedSteps(counts, uniforms), p, 1.0, len(counts))
+    got = simulator._premine_gain(_FixedSteps(counts, uniforms), p, 1.0, len(counts))
+    assert got.tolist() == want == [0, 7, 0, 9, 2]
+
+
+def test_classify_species_counts_each_species_stream():
+    p = ProtocolParams(alpha=0.5, beta=0.3, delta=1.0)
+    trace = generate_trace(SimConfig(params=p, horizon=200.0, trials=50, master_seed=8))
+    for lo, hi in ((0.0, 200.0), (20.0, 150.5)):
+        counts = classify_species(trace, p.delta, (lo, hi))
+        for field, species in zip("HAJXYV", simulator.SPECIES):
+            times = species_times(trace, p.delta, species)
+            assert getattr(counts, field) == np.count_nonzero((times > lo) & (times <= hi))
 
 
 def test_campaign_output_depends_only_on_seed_and_trials():

@@ -23,6 +23,11 @@ SHARES = ("0.9", "0.8", "0.7", "0.55")  # --alpha-frac: adversary shares 10-45%
 COMMANDS = ("bound", "latency", "sweep", "simulate", "protocol-table")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 JSON_KEY = re.compile(r'\s*"([^"]+)":\s*(.*)')
+MC_CYCLE = (
+    ["attack", "--delta", "0", "--t", "30m", "--trials", "2000"],
+    ["attack", "--delta", "10", "--t", "30m", "--trials", "3000"],
+    ["race", "--stream", "double-lagger", "--delta", "10", "--t", "1h", "--trials", "1000"],
+)
 
 
 def panel(species):
@@ -56,6 +61,9 @@ def panel(species):
           for s in (3, 4) for st in species for f in ("0.9", "0.55") for d in ("1", "10")),
         *(["--seed", str(s), "simulate", "species", "--alpha-delta", a, "--horizon", "1e5"]
           for s in (5, 6) for a in ("0.025", "0.2", "0.5")),
+        # the benchmark's Monte Carlo cycle, the campaigns its mc_cost_s_at_rel10 times
+        *(["--seed", str(s), "simulate", *campaign, "--alpha-frac", "0.9", "--total-rate", "6/hour"]
+          for s in (3, 4) for campaign in MC_CYCLE),
     ]
 
 
